@@ -4,12 +4,18 @@ A locality is stored as (carrier, Delta, S) inside an ambient Group.  The
 word domain D is never materialized: a word w lies in D exactly when the
 tracked subgroup S_w is an object (sound and complete for localities; the
 checkers below re-derive membership through explicit object chains instead
-of trusting this rule).
+of trusting this rule).  S_w is the intersection of the sets
+S_h = {s in S : s^h in S} over the prefix products h of w; each S_h is an
+int bitmask over the sorted members of S, computed once per ambient element
+and owned by the locality, so S_w costs one AND per letter.
 
 Word-level axiom checks run exhaustively up to length 3 via a compressed
-state graph (a state is the pair (product, tracked map), and every word of
-bounded length lands in a recorded state), then by seeded sampling at
-lengths 4-5.  Explicit multiplication tables, used for negative tests, are
+state graph (a state is the pair (product, S_w mask), which determines the
+tracked map s -> s^{Pi(w)}, and every word of bounded length lands in a
+recorded state; the graph is built once per locality and depth and shared
+by both checkers), then by seeded sampling at lengths 4-5.  The step-wise
+pair tracking of ``s_word_pairs`` stays as an independent oracle for the
+tracked map.  Explicit multiplication tables, used for negative tests, are
 checked word by word without any compression.
 """
 
@@ -17,8 +23,6 @@ from __future__ import annotations
 
 import random
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .permgroups import Group, Subgroup, p_part
 
@@ -72,13 +76,21 @@ class Locality:
         self.carrier: Tuple[int, ...] = tuple(sorted(set(carrier)))
         self.carrier_set: MemberSet = frozenset(self.carrier)
         self.name = name
-        self._conj: Optional[np.ndarray] = None
-        self._in_S: Optional[np.ndarray] = None
         if not self.objects:
             raise LocalityError("object set is empty")
         for obj in self.objects:
             if not obj <= sylow.members:
                 raise LocalityError("object not contained in S")
+        # S-bit of each member of S, in sorted order; S_h as an int mask per
+        # ambient element h, filled on first use
+        self._s_bits: Tuple[Tuple[int, int], ...] = tuple(
+            (s, 1 << i) for i, s in enumerate(sylow.sorted_members))
+        self._full_mask = (1 << len(self._s_bits)) - 1
+        self._masks: Dict[int, int] = {}
+        self._mask_sets: Dict[int, MemberSet] = {}
+        self._object_masks = frozenset(self._mask_of(o) for o in self.objects)
+        self._conj_memo: Dict[int, Optional[int]] = {}
+        self._graphs: Dict[int, _StateGraph] = {}
 
     # -- plumbing -------------------------------------------------------
 
@@ -94,23 +106,49 @@ class Locality:
     def object_subgroup(self, members: MemberSet) -> Subgroup:
         return self.ambient.subgroup(members)
 
-    def _tables(self) -> Tuple[np.ndarray, np.ndarray]:
-        if self._conj is None:
-            G = self.ambient
-            if G.order > 2000:
-                raise LocalityError(
-                    f"ambient order {G.order} too large for table-driven checks")
-            G.build_tables()
-            n = G.order
-            conj = np.empty((n, n), dtype=np.int32)
-            for x in range(n):
-                row = G._conj_table[x]  # noqa: SLF001 (intra-package fast path)
-                conj[x] = row
-            in_s = np.zeros(n, dtype=bool)
-            in_s[list(self.sylow.members)] = True
-            self._conj = conj
-            self._in_S = in_s
-        return self._conj, self._in_S
+    def state_graph(self, depth: int) -> "_StateGraph":
+        """The state graph of words up to ``depth``, built once per depth."""
+        if depth not in self._graphs:
+            self._graphs[depth] = _StateGraph(self, depth)
+        return self._graphs[depth]
+
+    # -- S_w as bitmasks ------------------------------------------------
+
+    def _mask_of(self, members: MemberSet) -> int:
+        return sum(bit for s, bit in self._s_bits if s in members)
+
+    def _members(self, mask: int) -> MemberSet:
+        """The subset of S a mask stands for (one shared frozenset per mask)."""
+        members = self._mask_sets.get(mask)
+        if members is None:
+            members = frozenset(s for s, bit in self._s_bits if mask & bit)
+            self._mask_sets[mask] = members
+        return members
+
+    def _s_mask(self, h: int) -> int:
+        """S_h = {s in S : s^h in S} as a mask."""
+        mask = self._masks.get(h)
+        if mask is None:
+            conj = self.ambient.conj
+            sm = self.sylow.members
+            mask = 0
+            for s, bit in self._s_bits:
+                if conj(s, h) in sm:
+                    mask |= bit
+            self._masks[h] = mask
+        return mask
+
+    def _word_mask(self, word: Sequence[int]) -> int:
+        """S_w as the AND of S_h over the prefix products h of w."""
+        mul = self.ambient.mul
+        masks = self._masks
+        h = self.ambient.identity
+        mask = self._full_mask
+        for g in word:
+            h = mul(h, g)
+            m = masks.get(h)
+            mask &= self._s_mask(h) if m is None else m
+        return mask
 
     # -- words ----------------------------------------------------------
 
@@ -128,7 +166,8 @@ class Locality:
         return pairs
 
     def s_word(self, word: Sequence[int]) -> MemberSet:
-        return frozenset(s for s, _ in self.s_word_pairs(word))
+        """S_w: the members of S tracked into S at every prefix of w."""
+        return self._members(self._word_mask(word))
 
     def s_sub(self, word: Sequence[int]) -> Subgroup:
         """S_w as a subgroup of the ambient group."""
@@ -138,7 +177,7 @@ class Locality:
         """w in D, decided by S_w being an object."""
         if any(g not in self.carrier_set for g in word):
             return False
-        return self.s_word(word) in self.objects
+        return self._word_mask(word) in self._object_masks
 
     def product(self, word: Sequence[int]) -> int:
         return self.ambient.word(word)
@@ -162,12 +201,16 @@ class Locality:
         return chain
 
     def conj_element(self, x: int, g: int) -> Optional[int]:
-        """x^g when the word (g^-1, x, g) lies in D, else None."""
+        """x^g when the word (g^-1, x, g) lies in D, else None (memoized)."""
+        key = x * self.ambient.order + g
+        try:
+            return self._conj_memo[key]
+        except KeyError:
+            pass
         G = self.ambient
-        word = (G.inv(g), x, g)
-        if self.in_domain(word):
-            return G.conj(x, g)
-        return None
+        y = G.conj(x, g) if self.in_domain((G.inv(g), x, g)) else None
+        self._conj_memo[key] = y
+        return y
 
     def left_conj_subgroup(self, members: MemberSet, f: int) -> Optional[MemberSet]:
         """^fP = P^{f^-1} when every conjugation is defined, else None."""
@@ -298,43 +341,31 @@ def build_locality(G: Group, S: Subgroup, objects: Iterable[MemberSet],
 # -- state graph ----------------------------------------------------------
 
 class _StateGraph:
-    """All (product, tracked-map) states of words over the carrier.
+    """All (product, S_w mask) states of words over the carrier.
 
     level k holds one entry per distinct state reachable by words of length
-    k; every word of length <= depth is represented (transitions computed
-    from every state on every carrier element), which is what makes the
-    word-level checks below exhaustive.
+    k, with the first word (in carrier order) that reaches it; every word of
+    length <= depth is represented (transitions computed from every state on
+    every carrier element), which is what makes the word-level checks below
+    exhaustive.  The state determines the tracked map s -> s^{Pi(w)}, so it
+    carries the same information as (product, tracked pairs).
     """
 
     def __init__(self, L: Locality, depth: int):
-        conj, in_s = L._tables()
         G = L.ambient
-        carrier = np.array(L.carrier, dtype=np.int32)
-        mul_g = G._mul_table  # noqa: SLF001
-        self.levels: List[Dict[Tuple[int, Tuple[Tuple[int, int], ...]], Word]] = []
-        s_sorted = L.sylow.sorted_members
-        start_state = (G.identity, tuple((s, s) for s in s_sorted))
-        current = {start_state: ()}
-        self.levels.append(dict(current))
+        mul = G.mul
+        s_mask = L._s_mask
+        carrier = L.carrier
+        current: Dict[Tuple[int, int], Word] = {(G.identity, L._full_mask): ()}
+        self.levels: List[Dict[Tuple[int, int], Word]] = [current]
         for _ in range(depth):
-            nxt: Dict[Tuple[int, Tuple[Tuple[int, int], ...]], Word] = {}
-            for (prod, pairs), word in current.items():
-                if not pairs:
-                    srcs = np.empty(0, dtype=np.int32)
-                    imgs = np.empty((0, len(carrier)), dtype=np.int32)
-                else:
-                    srcs = np.array([s for s, _ in pairs], dtype=np.int32)
-                    tgts = np.array([t for _, t in pairs], dtype=np.int32)
-                    imgs = conj[np.ix_(tgts, carrier)]
-                keep = in_s[imgs] if len(pairs) else np.zeros((0, len(carrier)), dtype=bool)
-                for col, g in enumerate(carrier):
-                    mask = keep[:, col] if len(pairs) else np.zeros(0, dtype=bool)
-                    new_pairs = tuple(
-                        (int(s), int(t))
-                        for s, t in zip(srcs[mask], imgs[mask, col]))
-                    key = (mul_g[prod][g], new_pairs)
+            nxt: Dict[Tuple[int, int], Word] = {}
+            for (prod, mask), word in current.items():
+                for g in carrier:
+                    h = mul(prod, g)
+                    key = (h, mask & s_mask(h))
                     if key not in nxt:
-                        nxt[key] = word + (int(g),)
+                        nxt[key] = word + (g,)
             self.levels.append(nxt)
             current = nxt
 
@@ -354,7 +385,7 @@ def check_partial_group(L: Locality, max_exhaustive_len: int = 3,
     """
     report = CheckReport("partial-group")
     G = L.ambient
-    graph = _StateGraph(L, max_exhaustive_len)
+    graph = L.state_graph(max_exhaustive_len)
 
     # length-1 words: direct product map restricts to identity, inverses exist
     for g in L.carrier:
@@ -367,19 +398,23 @@ def check_partial_group(L: Locality, max_exhaustive_len: int = 3,
     # state-level facts for all words of length <= max_exhaustive_len:
     # S_w is a subgroup, the tracked map is conjugation by Pi(w) (so the
     # splice and inversion axioms reduce to object closure), and products
-    # of domain words land in the carrier.
+    # of domain words land in the carrier.  The tracked map is re-derived
+    # step by step from the state's witness word, independently of the
+    # masks the graph is keyed by.
+    is_subgroup: Dict[int, bool] = {}
     for length in range(1, max_exhaustive_len + 1):
-        for (prod, pairs), witness in graph.states(length):
-            sw = frozenset(s for s, _ in pairs)
-            sub = G.subgroup(sw) if G.identity in sw else None
-            if sub is None or not sub.verify():
+        for (prod, mask), witness in graph.states(length):
+            sw = L._members(mask)
+            if mask not in is_subgroup:
+                is_subgroup[mask] = (G.identity in sw
+                                     and G.subgroup(sw).verify())
+            if not is_subgroup[mask]:
                 report.fail(f"S_w not a subgroup at word {witness}")
                 continue
-            for s, t in pairs:
-                if G.conj(s, prod) != t:
-                    report.fail(f"tracked map differs from c_Pi(w) at {witness}")
-                    break
-            if sw in L.objects:
+            pairs = L.s_word_pairs(witness)
+            if pairs != [(s, G.conj(s, prod)) for s in sorted(sw)]:
+                report.fail(f"tracked map differs from c_Pi(w) at {witness}")
+            if mask in L._object_masks:
                 if prod not in L.carrier_set:
                     report.fail(f"Pi(w) escapes carrier at {witness}")
                 image = frozenset(t for _, t in pairs)
@@ -392,7 +427,7 @@ def check_partial_group(L: Locality, max_exhaustive_len: int = 3,
     # domain words, the remaining samples get the cheap domain consistency
     rng = random.Random(seed)
     carrier = L.carrier
-    minimal = L.min_objects()
+    minimal = [L._mask_of(q) for q in L.min_objects()]
     battery = 0
     for _ in range(samples):
         n = rng.randint(2, sample_len)
@@ -402,8 +437,8 @@ def check_partial_group(L: Locality, max_exhaustive_len: int = 3,
                 battery += 1
                 _check_word_axioms(L, word, report)
         else:
-            sw = L.s_word(word)
-            if (sw in L.objects) != any(q <= sw for q in minimal):
+            mask = L._word_mask(word)
+            if (mask in L._object_masks) != any(q & mask == q for q in minimal):
                 report.fail(f"domain test inconsistent on sampled word {word}")
         if not report.passed and len(report.failures) > 5:
             break
@@ -487,13 +522,12 @@ def check_locality_axioms(L: Locality, max_exhaustive_len: int = 3,
     # (L2), exhaustive part: on every state of the graph, S_w membership in
     # Delta must coincide with the existence of an object chain; chains all
     # factor through minimal objects inside S_w.
-    graph = _StateGraph(L, max_exhaustive_len)
-    minimal = L.min_objects()
+    graph = L.state_graph(max_exhaustive_len)
+    minimal = [L._mask_of(q) for q in L.min_objects()]
     for length in range(1, max_exhaustive_len + 1):
-        for (prod, pairs), witness in graph.states(length):
-            sw = frozenset(s for s, _ in pairs)
-            has_min = any(q <= sw for q in minimal)
-            if (sw in L.objects) != has_min:
+        for (prod, mask), witness in graph.states(length):
+            has_min = any(q & mask == q for q in minimal)
+            if (mask in L._object_masks) != has_min:
                 report.fail(f"(L2) mismatch on state of word {witness}")
         report.note(f"L2_states_len{length}", len(graph.levels[length]))
 
@@ -825,26 +859,27 @@ class ExplicitPartialGroup:
                 report.fail(f"length-1 word ({x},) missing from D")
             elif self.table[(x,)] != x:
                 report.fail(f"Pi does not restrict to identity at {x}")
+        # subword closure, then splice: replacing any segment by its
+        # product must give a word of D with the same product
         for w in sorted(dom, key=len):
             for i in range(len(w)):
                 for j in range(i + 1, len(w) + 1):
-                    u, v, rest = w[:i], w[i:j], w[j:]
-                    if u + rest and (u + rest not in dom) and w in dom:
-                        pass
-                    if v and v not in dom:
+                    v = w[i:j]
+                    if v not in dom:
                         report.fail(f"subword {v} of {w} missing from D")
-            if w in dom and len(w) >= 2:
-                for i in range(len(w)):
-                    for j in range(i + 1, len(w) + 1):
-                        v = w[i:j]
-                        if v in dom:
-                            spliced = w[:i] + (self.table[v],) + w[j:]
-                            if spliced in dom and self.table[spliced] != self.table[w]:
-                                report.fail(f"splice inconsistency at {w}")
+                        continue
+                    spliced = w[:i] + (self.table[v],) + w[j:]
+                    if spliced not in dom:
+                        report.fail(f"spliced word {spliced} of {w} missing from D")
+                    elif self.table[spliced] != self.table[w]:
+                        report.fail(f"splice inconsistency at {w}")
+        # inversion: w^-1 o w lies in D with product 1
         for w in sorted(dom, key=len):
             if not w:
                 continue
             wi = tuple(self.inv[x] for x in reversed(w))
-            if wi + w in dom and self.table[wi + w] != self.identity:
+            if wi + w not in dom:
+                report.fail(f"w^-1 o w missing from D at {w}")
+            elif self.table[wi + w] != self.identity:
                 report.fail(f"Pi(w^-1 o w) != 1 at {w}")
         return report

@@ -9,12 +9,15 @@ tuples, so every iteration order below is deterministic.
 from __future__ import annotations
 
 import re
+from array import array
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 Perm = Tuple[int, ...]
 
 DEFAULT_ORDER_CAP = 200000
 SUBGROUP_LATTICE_CAP = 4096
+# groups above this order get no tables; mul and conj compose tuples instead
+TABLE_ORDER_CAP = 1500
 
 
 class GroupError(ValueError):
@@ -127,18 +130,16 @@ class Group:
         self.generator_perms: List[Perm] = gens
         elements = _enumerate_closure(degree, gens, order_cap)
         self.elements: List[Perm] = sorted(elements)
+        self.order: int = len(self.elements)
         self._index: Dict[Perm, int] = {p: i for i, p in enumerate(self.elements)}
         self.identity: int = self._index[identity_perm(degree)]
         self.inverse: List[int] = [self._index[invert(p)] for p in self.elements]
         self.generators: List[int] = sorted({self._index[g] for g in gens})
-        self._mul_table: Optional[List[List[int]]] = None
-        self._conj_table: Optional[List[List[int]]] = None
+        # flat tables, entry a*n + b (set by build_tables)
+        self._mul_table: Optional[array] = None
+        self._conj_table: Optional[array] = None
 
     # -- basics ---------------------------------------------------------
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
 
     def perm(self, x: int) -> Perm:
         return self.elements[x]
@@ -151,7 +152,7 @@ class Group:
 
     def mul(self, a: int, b: int) -> int:
         if self._mul_table is not None:
-            return self._mul_table[a][b]
+            return self._mul_table[a * self.order + b]
         return self._index[compose(self.elements[a], self.elements[b])]
 
     def inv(self, a: int) -> int:
@@ -160,20 +161,23 @@ class Group:
     def conj(self, x: int, g: int) -> int:
         """x^g = g^-1 x g."""
         if self._conj_table is not None:
-            return self._conj_table[x][g]
+            return self._conj_table[x * self.order + g]
         return self.mul(self.mul(self.inverse[g], x), g)
 
     def element_order(self, x: int) -> int:
         return perm_order(self.elements[x])
 
     def build_tables(self) -> None:
-        """Precompute multiplication and conjugation tables (small groups).
+        """Precompute multiplication and conjugation tables, up to order
+        TABLE_ORDER_CAP (larger groups are left untabled).
 
-        Rows are filled along a BFS spanning tree of the Cayley graph, so
-        only n*|gens| tuple compositions are needed.
+        Both are flat unsigned 16-bit arrays with entry a*n + b (the cap
+        keeps every index below 2^16).  Columns of the multiplication table
+        are filled along a BFS spanning tree of the Cayley graph, so only
+        n*|gens| tuple compositions are needed.
         """
         n = self.order
-        if self._mul_table is not None or n > 1500:
+        if self._mul_table is not None or n > TABLE_ORDER_CAP:
             return
         idx = self._index
         elems = self.elements
@@ -193,18 +197,23 @@ class Group:
                     tree[y] = (x, g)
                     bfs_order.append(y)
         mul_gen = {g: [idx[compose(p, elems[g])] for p in elems] for g in gens}
-        mul = [[0] * n for _ in range(n)]
-        for a in range(n):
-            row = mul[a]
-            row[self.identity] = a
-            for b in bfs_order[1:]:
-                parent, g = tree[b]
-                row[b] = mul_gen[g][row[parent]]
+        # column b of a*b is column parent(b) pushed through right
+        # multiplication by the tree generator
+        mul = array("H", bytes(2 * n * n))
+        mul[self.identity::n] = array("H", range(n))
+        for b in bfs_order[1:]:
+            parent, g = tree[b]
+            right = mul_gen[g]
+            mul[b::n] = array("H", [right[y] for y in mul[parent::n]])
         self._mul_table = mul
+        # column g of x^g = (g^-1 x) g: row g^-1 of mul, then column g
         inv = self.inverse
-        self._conj_table = [
-            [mul[mul[inv[g]][x]][g] for g in range(n)] for x in range(n)
-        ]
+        conj = array("H", bytes(2 * n * n))
+        for g in range(n):
+            col = mul[g::n]
+            start = inv[g] * n
+            conj[g::n] = array("H", [col[y] for y in mul[start:start + n]])
+        self._conj_table = conj
 
     def word(self, xs: Iterable[int]) -> int:
         acc = self.identity

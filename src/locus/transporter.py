@@ -41,6 +41,8 @@ class TransporterSystem:
                     if img <= Q:
                         self._mor[(P, Q)].append(f)
         self._mor_sets = {k: set(v) for k, v in self._mor.items()}
+        # verified K^max per (P, Q), filled by kmax
+        self._kmax: Dict[Tuple[MemberSet, MemberSet], "KmaxData"] = {}
 
     def mor_elements(self, P: MemberSet, Q: MemberSet) -> List[int]:
         return self._mor[(frozenset(P), frozenset(Q))]
@@ -330,8 +332,20 @@ def kmax(T: TransporterSystem, P: MemberSet, Q: MemberSet,
     An element is a pair (A, f) for the morphism (f, A, Q) with A <= P; the
     maximal element over (A, f) keeps f and enlarges A to everything in P
     that f conjugates into Q.
+
+    The result is verified (every element of K_{P,Q} has a unique maximal
+    extension) when it is first computed and then cached on T, so every
+    call for the same (P, Q) returns verified data, whatever ``verify``
+    says; the argument is kept for the callers that pass it.
     """
     P, Q = frozenset(P), frozenset(Q)
+    data = T._kmax.get((P, Q))
+    if data is None:
+        data = T._kmax[(P, Q)] = _kmax_verified(T, P, Q)
+    return data
+
+
+def _kmax_verified(T: TransporterSystem, P: MemberSet, Q: MemberSet) -> KmaxData:
     L = T.locality
     G = T.group
     maximal: List[Tuple[MemberSet, int]] = []
@@ -344,16 +358,16 @@ def kmax(T: TransporterSystem, P: MemberSet, Q: MemberSet,
             raise TransporterError("maximal tracked set is not a subgroup")
         maximal.append((amax, f))
 
-    if verify:
-        # unique maximal extension over every element of K_{P,Q}
-        max_by_f: Dict[int, MemberSet] = {f: A for A, f in maximal}
-        for A in T.objects:
-            if not A <= P:
-                continue
-            for f in T.mor_elements(A, Q):
-                above = [1 for B, h in maximal if h == f and A <= B]
-                if len(above) != 1 or max_by_f.get(f) is None or not A <= max_by_f[f]:
-                    raise TransporterError("unique maximal extension fails")
+    # unique maximal extension over every element of K_{P,Q}: each f has at
+    # most one maximal element, so it must exist and contain A
+    max_by_f: Dict[int, MemberSet] = {f: A for A, f in maximal}
+    for A in T.objects:
+        if not A <= P:
+            continue
+        for f in T.mor_elements(A, Q):
+            B = max_by_f.get(f)
+            if B is None or not A <= B:
+                raise TransporterError("unique maximal extension fails")
 
     # orbits of Q x P: (y, x) . (A, f) = (^xA, y f x^-1)
     orbit_index: Dict[Tuple[MemberSet, int], int] = {}
@@ -434,17 +448,6 @@ def boxtimes(OT: OrbitCategory, P: MemberSet, Q: MemberSet,
     return obj, report
 
 
-def kmax_cached(OT: OrbitCategory, P: MemberSet, Q: MemberSet) -> KmaxData:
-    cache = getattr(OT, "_kmax_cache", None)
-    if cache is None:
-        cache = {}
-        OT._kmax_cache = cache
-    key = (P, Q)
-    if key not in cache:
-        cache[key] = kmax(OT.T, P, Q, verify=False)
-    return cache[key]
-
-
 def pullback(OT: OrbitCategory, f_orbit: FrozenSet[int], P: MemberSet,
              g_orbit: FrozenSet[int], Q: MemberSet, R: MemberSet,
              verify: bool = True) -> Tuple[CoproductObject, CheckReport]:
@@ -452,7 +455,7 @@ def pullback(OT: OrbitCategory, f_orbit: FrozenSet[int], P: MemberSet,
     report = CheckReport("pullback")
     P, Q, R = frozenset(P), frozenset(Q), frozenset(R)
     G = OT.group
-    data = kmax_cached(OT, P, Q) if not verify else kmax(OT.T, P, Q)
+    data = kmax(OT.T, P, Q)
     f = min(f_orbit)
     g = min(g_orbit)
     chosen: List[Tuple[MemberSet, int]] = []

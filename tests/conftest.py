@@ -14,6 +14,5 @@ DATA = Path(__file__).resolve().parent.parent / "src" / "locus" / "data"
 @lru_cache(maxsize=None)
 def bundled(name: str) -> Group:
     G = load_group_file(DATA / f"{name}.grp")
-    if G.order <= 1500:
-        G.build_tables()
+    G.build_tables()  # no-op above TABLE_ORDER_CAP
     return G

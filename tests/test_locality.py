@@ -1,6 +1,10 @@
 """Locality construction, axiom checking, quotients, and O_p' tests."""
 
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locus.locality import (
     ExplicitPartialGroup,
@@ -16,7 +20,7 @@ from locus.locality import (
     o_pprime_locality,
     quotient_locality,
 )
-from locus.permgroups import sylow
+from locus.permgroups import TABLE_ORDER_CAP, Group, parse_perm, sylow
 
 from conftest import bundled
 
@@ -25,6 +29,11 @@ def punctured(name, p):
     G = bundled(name)
     S = sylow(G, p)
     return build_locality(G, S, delta_all_nontrivial(S), p)
+
+
+cached_punctured = functools.lru_cache(maxsize=None)(punctured)
+
+DIFFERENTIAL = ["s4", "a6", "a6xc3"]
 
 
 def test_build_s4_punctured_carrier_full():
@@ -84,6 +93,17 @@ def test_corrupted_table_fails():
     rep = ExplicitPartialGroup(size, inv, table).check()
     assert not rep.passed
     assert any("Pi(w^-1 o w)" in f or "splice" in f for f in rep.failures)
+
+
+@pytest.mark.parametrize("table, why", [
+    ({(0,): 0, (1,): 1, (1, 1): 0}, "(0, 0) missing"),
+    ({(0,): 0, (1,): 1, (1, 1): 0, (0, 0): 0, (1, 1, 1): 1},
+     "(0, 1) and (1, 0) missing"),
+])
+def test_explicit_table_missing_words_fails(table, why):
+    rep = ExplicitPartialGroup(2, [0, 1], table).check()
+    assert not rep.passed, why
+    assert any("missing from D" in f for f in rep.failures), rep.failures
 
 
 def test_locality_axioms_a6():
@@ -320,3 +340,68 @@ def test_small_cover_locality_is_normalizer():
                  for k in FM.maps_from[P]}
         Ploc = frozenset(NSg.index(M.perm(x)) for x in P)
         assert moved == FNS.maps_from[Ploc]
+
+
+# -- differential tests of the word-domain engine -----------------------------
+
+def _pair_tracked_s_word(L, word):
+    """S_w from the step-wise pair tracking of s_word_pairs."""
+    return frozenset(s for s, _ in L.s_word_pairs(word))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_s_word_matches_pair_tracking(data):
+    L = cached_punctured(data.draw(st.sampled_from(DIFFERENTIAL)), 2)
+    word = tuple(data.draw(st.lists(
+        st.integers(0, L.ambient.order - 1), max_size=5)))
+    assert L.s_word(word) == _pair_tracked_s_word(L, word)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_memoized_conj_element_matches_fresh_domain_test(data):
+    L = cached_punctured(data.draw(st.sampled_from(DIFFERENTIAL)), 2)
+    G = L.ambient
+    x = data.draw(st.sampled_from(L.carrier))
+    g = data.draw(st.sampled_from(L.carrier))
+    word = (G.inv(g), x, g)
+    in_d = (all(h in L.carrier_set for h in word)
+            and _pair_tracked_s_word(L, word) in L.objects)
+    expected = G.conj(x, g) if in_d else None
+    assert L.conj_element(x, g) == expected
+    assert L.conj_element(x, g) == expected  # second call comes from the memo
+
+
+# state-graph sizes of the punctured localities at p = 2, as recorded before
+# states were keyed by (product, S_w mask)
+SEED_STATES = {
+    "s4": (24, 32, 32),
+    "a6": (104, 504, 608),
+    "a6xc3": (312, 1512, 1824),
+}
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_state_counts_match_seed(name):
+    L = punctured(name, 2)
+    r1 = check_partial_group(L, samples=50)
+    r2 = check_locality_axioms(L, samples=50)
+    assert r1.passed and r2.passed
+    want = SEED_STATES[name]
+    assert tuple(r1.stats[f"states_len{k}"] for k in (1, 2, 3)) == want
+    assert tuple(r2.stats[f"L2_states_len{k}"] for k in (1, 2, 3)) == want
+
+
+def test_untabled_a5xc3_cubed_checkers_give_verdicts():
+    # A5 x C3^3 has order 1620, above the table cap of build_tables, so the
+    # checkers run on the untabled Group.mul / Group.conj path (they once
+    # raised TypeError here).
+    gens = ["(1 2 3 4 5)", "(1 2 3)", "(6 7 8)", "(9 10 11)", "(12 13 14)"]
+    G = Group(14, [parse_perm(t, 14) for t in gens], name="a5xc3^3")
+    G.build_tables()
+    assert G.order == 1620 > TABLE_ORDER_CAP
+    S = sylow(G, 2)
+    L = build_locality(G, S, delta_all_nontrivial(S), 2)
+    assert check_partial_group(L, samples=300).passed
+    assert check_locality_axioms(L, samples=200).passed

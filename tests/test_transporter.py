@@ -1,6 +1,8 @@
 """Transporter system, orbit category, product/pullback tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locus.locality import build_locality, delta_all_nontrivial
 from locus.permgroups import o_p, sylow
@@ -14,6 +16,7 @@ from locus.transporter import (
     orbit_category,
     pullback,
     restriction_fixed_points,
+    TransporterSystem,
     transporter_of_locality,
 )
 
@@ -207,3 +210,27 @@ def test_pullback_universal_all_cospans_s4():
                     for go in OT.mor(Q, R):
                         _, rep = pullback(OT, fo, P, go, Q, R)
                         assert rep.passed, (len(P), len(Q), len(R))
+
+
+def _fresh_system(name):
+    G = bundled(name)
+    S = sylow(G, 2)
+    return TransporterSystem(build_locality(G, S, delta_all_nontrivial(S), 2))
+
+
+cached_system = functools.lru_cache(maxsize=None)(_fresh_system)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_cached_kmax_matches_fresh_verified_kmax(data):
+    name = data.draw(st.sampled_from(["s4", "a6", "a6xc3"]))
+    T = cached_system(name)
+    P = data.draw(st.sampled_from(T.objects))
+    Q = data.draw(st.sampled_from(T.objects))
+    cached = kmax(T, P, Q, verify=False)
+    assert kmax(T, P, Q, verify=True) is cached  # one cache for both settings
+    fresh = kmax(_fresh_system(name), P, Q, verify=True)
+    assert cached.pairs == fresh.pairs
+    assert cached.reps == fresh.reps
+    assert cached.orbit_index == fresh.orbit_index
