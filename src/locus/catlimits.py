@@ -3,8 +3,8 @@
 The cochain model is the normalized bar complex: an n-chain is a string of
 n composable nonidentity morphisms, carrying the functor value at its
 source object; faces whose inner composite collapses to an identity drop
-out.  Ranks of the differentials are computed sparsely over F_p, packed
-bitsets doing the heavy lifting at p = 2.
+out.  Ranks of the differentials are computed sparsely over F_p by pivot
+insertion (``linalg.rank_sparse_modp``); no dense matrix is built.
 
 Higher limits are invariant under equivalence of categories, so the
 comparisons on orbit categories run on a skeleton (one object per
@@ -15,7 +15,7 @@ on categories small enough to do both computations.
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -230,21 +230,28 @@ def higher_limits(functor: ModuleFunctor, max_degree: int = 4) -> List[int]:
 def _differential_entries(functor: ModuleFunctor,
                           levels: List[List[Tuple[int, ...]]],
                           offsets: List[Dict[Tuple[int, ...], int]],
-                          n: int) -> Iterable[Tuple[int, int, int]]:
+                          n: int) -> List[Tuple[int, int, int]]:
     """Sparse entries of d_n : C^n -> C^{n+1}."""
     cat, p = functor.cat, functor.p
+    nonzero: Dict[int, List[Tuple[int, int, int]]] = {}
+
+    def entries_of(m: int) -> List[Tuple[int, int, int]]:
+        """(i, j, value) of the nonzero entries of morphism m's matrix."""
+        got = nonzero.get(m)
+        if got is None:
+            M = functor.mats[m] % p
+            ii, jj = M.nonzero()
+            got = nonzero[m] = list(zip(ii.tolist(), jj.tolist(), M[ii, jj].tolist()))
+        return got
+
     out: List[Tuple[int, int, int]] = []
     for chain in levels[n + 1]:
         row0 = offsets[n + 1][chain]
         if n == 0:
             f = chain[0]
             X0, X1 = cat.src[f], cat.tgt[f]
-            M = functor.mats[f]
             col0 = offsets[0][(X1,)]
-            for i in range(functor.dims[X0]):
-                for j in range(functor.dims[X1]):
-                    if M[i, j] % p:
-                        out.append((row0 + i, col0 + j, int(M[i, j])))
+            out.extend((row0 + i, col0 + j, v) for i, j, v in entries_of(f))
             col0 = offsets[0][(X0,)]
             for i in range(functor.dims[X0]):
                 out.append((row0 + i, col0 + i, -1))
@@ -252,14 +259,9 @@ def _differential_entries(functor: ModuleFunctor,
         # face 0: apply the functor along the first morphism
         f1 = chain[0]
         face0 = chain[1:]
-        M = functor.mats[f1]
         col0 = offsets[n][face0]
         dim_row = functor.dims[cat.src[f1]]
-        dim_col = functor.dims[cat.src[face0[0]]]
-        for i in range(dim_row):
-            for j in range(dim_col):
-                if M[i, j] % p:
-                    out.append((row0 + i, col0 + j, int(M[i, j])))
+        out.extend((row0 + i, col0 + j, v) for i, j, v in entries_of(f1))
         # inner faces: compose adjacent morphisms (drop identities)
         sign = -1
         for k in range(1, n + 1):

@@ -35,16 +35,18 @@ class FpCohomology:
     def __init__(self, G: Group, P: Subgroup, p: int, jmax: int):
         if jmax > 6:
             raise GroupError("degree cap is 6")
-        est = (P.order - 1) ** (jmax + 1) * 8
-        if est > _budget_mb() * 1_000_000:
-            raise BudgetError(
-                f"bar resolution needs ~{est // 1_000_000} MB "
-                f"(budget {_budget_mb()} MB)")
         self.group = G
         self.sub = P
         self.p = p
         self.jmax = jmax
         self.nonid = [x for x in P.sorted_members if x != G.identity]
+        # the largest allocation is the dense int64 diff[jmax] together
+        # with the copy row_echelon_modp reduces
+        est = 2 * 8 * self.dim_cochain(jmax + 1) * self.dim_cochain(jmax)
+        if est > _budget_mb() * 1_000_000:
+            raise BudgetError(
+                f"bar resolution needs ~{est // 1_000_000} MB "
+                f"(budget {_budget_mb()} MB)")
         self._pos = {x: i for i, x in enumerate(self.nonid)}
         self.diff: List[np.ndarray] = []  # diff[n]: C^n -> C^{n+1}
         for n in range(jmax + 1):

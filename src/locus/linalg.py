@@ -1,13 +1,17 @@
 """Exact linear algebra over prime fields.
 
-Two engines: a dense mod-p eliminator on small numpy matrices, and a packed
-bitset eliminator for GF(2) that copes with the cochain-complex ranks
-(tens of thousands of columns) produced by the higher-limit computations.
+Two engines: a dense mod-p eliminator on small numpy matrices, and a sparse
+pivot-insertion rank for the cochain-complex differentials (tens of
+thousands of columns, well under one percent nonzero) produced by the
+higher-limit computations.  The sparse rank keeps one pivot row per leading
+column and reduces each new row against them; rows are Python ``int``
+bitsets at p = 2 and ``{col: value}`` dicts at odd p, so nothing dense is
+ever allocated.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -47,12 +51,6 @@ def row_echelon_modp(A: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
     return M, pivots
 
 
-def rank_modp(A: np.ndarray, p: int) -> int:
-    if A.size == 0:
-        return 0
-    return len(row_echelon_modp(A, p)[1])
-
-
 def nullspace_modp(A: np.ndarray, p: int) -> np.ndarray:
     """Basis of the right nullspace, rows of the returned matrix."""
     A = np.atleast_2d(np.asarray(A, dtype=np.int64))
@@ -69,112 +67,75 @@ def nullspace_modp(A: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
-def solve_modp(A: np.ndarray, b: np.ndarray, p: int) -> Optional[np.ndarray]:
-    """One solution x of A x = b mod p, or None."""
-    A = np.atleast_2d(np.asarray(A, dtype=np.int64))
-    rows, cols = A.shape
-    aug = np.concatenate([A, np.asarray(b, dtype=np.int64).reshape(rows, 1)], axis=1)
-    M, pivots = row_echelon_modp(aug, p)
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    for r, pc in enumerate(pivots):
-        x[pc] = M[r, cols]
-    return x % p
-
-
-def in_row_span_modp(A: np.ndarray, v: np.ndarray, p: int) -> bool:
-    A = np.atleast_2d(np.asarray(A, dtype=np.int64))
-    if A.shape[0] == 0:
-        return not np.any(np.asarray(v) % p)
-    base = rank_modp(A, p)
-    aug = np.vstack([A, np.asarray(v, dtype=np.int64).reshape(1, -1)])
-    return rank_modp(aug, p) == base
-
-
-# -- packed GF(2) -------------------------------------------------------
-
-class BitMatrix:
-    """Rows packed 64 columns per uint64 word; supports rank via elimination."""
-
-    def __init__(self, nrows: int, ncols: int):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.nwords = max(1, (ncols + 63) // 64)
-        self.data = np.zeros((nrows, self.nwords), dtype=np.uint64)
-
-    def set(self, i: int, j: int) -> None:
-        self.data[i, j >> 6] ^= np.uint64(1) << np.uint64(j & 63)
-
-    @classmethod
-    def from_entries(cls, nrows: int, ncols: int,
-                     entries: Iterable[Tuple[int, int]]) -> "BitMatrix":
-        M = cls(nrows, ncols)
-        w = M.data
-        for i, j in entries:
-            w[i, j >> 6] ^= np.uint64(1) << np.uint64(j & 63)
-        return M
-
-    def rank(self) -> int:
-        """Destructive Gaussian elimination, vectorized across rows."""
-        data = self.data
-        nrows = self.nrows
-        if nrows == 0 or self.ncols == 0:
-            return 0
-        rank = 0
-        for col in range(self.ncols):
-            w, b = col >> 6, np.uint64(col & 63)
-            colbits = (data[rank:, w] >> b) & np.uint64(1)
-            hits = np.nonzero(colbits)[0]
-            if hits.size == 0:
-                continue
-            piv = rank + int(hits[0])
-            if piv != rank:
-                data[[rank, piv]] = data[[piv, rank]]
-            below = rank + 1 + np.nonzero((data[rank + 1:, w] >> b) & np.uint64(1))[0]
-            if below.size:
-                data[below] ^= data[rank]
-            rank += 1
-            if rank == nrows:
-                break
-        return rank
-
-
-def rank_gf2_sparse(nrows: int, ncols: int,
-                    entries: Iterable[Tuple[int, int]]) -> int:
-    """Rank over GF(2) of a sparse 0/1 matrix given by coordinates.
-
-    Rows and columns are swapped if that makes the packed working set
-    smaller; rank is invariant under transpose.
-    """
-    entry_list = list(entries)
-    if not entry_list or nrows == 0 or ncols == 0:
-        return 0
-    if nrows > ncols:
-        entry_list = [(j, i) for i, j in entry_list]
-        nrows, ncols = ncols, nrows
-    M = BitMatrix.from_entries(nrows, ncols, entry_list)
-    return M.rank()
-
-
 def rank_sparse_modp(nrows: int, ncols: int,
                      entries: Iterable[Tuple[int, int, int]], p: int) -> int:
-    """Rank over F_p of a sparse integer matrix given by (row, col, value)."""
-    entry_list = [(i, j, v % p) for i, j, v in entries if v % p]
-    if not entry_list or nrows == 0 or ncols == 0:
+    """Rank over F_p of a sparse integer matrix given by (row, col, value).
+
+    Indices and values are Python ints (a numpy index would overflow the
+    bit shift at p = 2); values at a repeated coordinate add up mod p.  The
+    matrix is read as its transpose when that has fewer rows (rank is
+    invariant under transpose), so at most min(nrows, ncols) rows are held.
+    """
+    if nrows == 0 or ncols == 0:
         return 0
+    swap = nrows > ncols
     if p == 2:
-        # values are 1 mod 2; duplicate coordinates cancel via XOR
-        return rank_gf2_sparse(nrows, ncols, ((i, j) for i, j, _ in entry_list))
-    if nrows > ncols:
-        entry_list = [(j, i, v) for i, j, v in entry_list]
-        nrows, ncols = ncols, nrows
-    A = np.zeros((nrows, ncols), dtype=np.int64)
-    for i, j, v in entry_list:
-        A[i, j] = (A[i, j] + v) % p
-    return rank_modp(A, p)
+        return _rank_gf2(entries, swap)
+    return _rank_odd(entries, swap, p)
 
 
-def quotient_dims(dim_n: int, rank_d_n: int, rank_d_prev: int) -> int:
-    """dim ker(d_n) - rank(d_{n-1}) = cohomology dimension in degree n."""
-    return dim_n - rank_d_n - rank_d_prev
+def _rank_gf2(entries: Iterable[Tuple[int, int, int]], swap: bool) -> int:
+    # a row is an int with bit j set for column j, so a repeated
+    # coordinate cancels by XOR and the leading column is bit_length()
+    rows: Dict[int, int] = {}
+    get = rows.get
+    for i, j, v in entries:
+        if v & 1:
+            if swap:
+                i, j = j, i
+            rows[i] = get(i, 0) ^ (1 << j)
+    pivots: Dict[int, int] = {}
+    for i in list(rows):
+        row = rows.pop(i)  # input rows are freed as pivots accumulate
+        while row:
+            lead = row.bit_length()
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead] = row
+                break
+            row ^= piv
+    return len(pivots)
+
+
+def _rank_odd(entries: Iterable[Tuple[int, int, int]], swap: bool,
+              p: int) -> int:
+    # a row is {col: nonzero value}; pivot rows are scaled so that the
+    # coefficient at their leading (largest) column is 1
+    rows: Dict[int, Dict[int, int]] = {}
+    for i, j, v in entries:
+        if swap:
+            i, j = j, i
+        row = rows.setdefault(i, {})
+        v = (row.get(j, 0) + v) % p
+        if v:
+            row[j] = v
+        else:
+            row.pop(j, None)
+    pivots: Dict[int, Dict[int, int]] = {}
+    for i in list(rows):
+        row = rows.pop(i)  # input rows are freed as pivots accumulate
+        while row:
+            lead = max(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                inv = pow(row[lead], -1, p)
+                pivots[lead] = {j: v * inv % p for j, v in row.items()}
+                break
+            f = row[lead]
+            for j, v in piv.items():
+                w = (row.get(j, 0) - f * v) % p
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+    return len(pivots)

@@ -840,7 +840,14 @@ def _quotient_has_char_p(G: Group, NP: Subgroup, opp_members: MemberSet, p: int)
 # -- explicit tables for negative tests ------------------------------------
 
 class ExplicitPartialGroup:
-    """A partial group given by an explicit word table (for negative tests)."""
+    """A partial group given by an explicit word table (for negative tests).
+
+    ``check`` can only reject: no finite table satisfies the inversion
+    axiom.  (x,) in D forces x^-1 o x = (x^-1, x) into D, that word forces
+    (x^-1, x, x^-1, x), and so on, so the longest words of any finite D
+    always report "w^-1 o w missing from D".  A table that should pass
+    needs D given by a rule (a membership predicate), not by a finite set.
+    """
 
     def __init__(self, size: int, inv: Sequence[int],
                  table: Dict[Word, int], identity: int = 0):

@@ -94,6 +94,20 @@ def test_one_object_group_category_gives_group_cohomology():
     assert higher_limits(F, 4) == [1, 1, 1, 1, 1]
 
 
+@pytest.mark.parametrize("p, dims", [
+    (3, [1, 1, 1, 1, 1]),  # H^*(C3; F_3) is one-dimensional in each degree
+    (2, [1, 0, 0, 0, 0]),  # |C3| is invertible in F_2
+])
+def test_one_object_c3_category_gives_group_cohomology(p, dims):
+    mor = {(0, 0): [0, 1, 2]}
+
+    def compose(g, f):
+        return (g + f) % 3
+
+    cat = FiniteCategory(["*"], mor, compose, lambda i: 0)
+    assert higher_limits(constant_functor(cat, p, 1), 4) == dims
+
+
 def test_pushout_poset_limits():
     # b <- a -> c: lim^0 of the constant functor is F_p (connected), no
     # higher limits (free category / nerve contractible)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from locus.cohomology import (
+    MEMORY_BUDGET_ENV,
+    BudgetError,
     CohomologyFamily,
     FpCohomology,
     mackey_square,
@@ -211,3 +213,18 @@ def test_mackey_square_all_cospans_in_d8():
             for K in inner:
                 for j in range(3):
                     assert mackey_square(G, H, P, K, Q, j), (len(P), len(K), len(Q), j)
+
+
+def test_budget_bounds_the_dense_differential(monkeypatch):
+    # |P| = 16, jmax = 3: diff[3] is a 50625 x 3375 int64 matrix (1.37 GB),
+    # reduced in a second copy
+    monkeypatch.setenv(MEMORY_BUDGET_ENV, "1000")
+    G = load_group("degree 8\n(1 2 3 4 5 6 7 8)\n(1 8)(2 7)(3 6)(4 5)", name="D16")
+    assert G.order == 16
+
+    def no_allocation(self, n):
+        raise AssertionError("differential built before the budget check")
+
+    monkeypatch.setattr(FpCohomology, "_differential", no_allocation)
+    with pytest.raises(BudgetError):
+        FpCohomology(G, G.full_subgroup(), 2, 3)

@@ -1,0 +1,67 @@
+"""Sparse F_p rank against the dense eliminator."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from locus.linalg import rank_sparse_modp, row_echelon_modp
+
+
+def dense_rank(nrows, ncols, entries, p):
+    A = np.zeros((nrows, ncols), dtype=np.int64)
+    for i, j, v in entries:
+        A[i, j] += v
+    return len(row_echelon_modp(A, p)[1])
+
+
+@st.composite
+def sparse_matrices(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    nrows = draw(st.integers(0, 14))
+    ncols = draw(st.integers(0, 14))
+    if nrows == 0 or ncols == 0:
+        return p, nrows, ncols, []
+    entry = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1),
+                      st.integers(-2 * p, 2 * p))  # includes values 0 mod p
+    entries = draw(st.lists(entry, max_size=3 * max(nrows, ncols)))
+    # repeat some coordinates with fresh values: they must add up mod p
+    for i, j, _ in draw(st.lists(st.sampled_from(entries), max_size=8)
+                        if entries else st.just([])):
+        entries.append((i, j, draw(st.integers(-2 * p, 2 * p))))
+    return p, nrows, ncols, draw(st.permutations(entries))
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_matrices())
+def test_sparse_rank_matches_dense(case):
+    p, nrows, ncols, entries = case
+    assert rank_sparse_modp(nrows, ncols, entries, p) == \
+        dense_rank(nrows, ncols, entries, p)
+
+
+@pytest.mark.parametrize("p, entries, rank", [
+    (2, [(0, 0, 1), (0, 0, 1)], 0),            # cancel by XOR
+    (2, [(0, 0, 1), (0, 0, 1), (0, 0, -1)], 1),
+    (3, [(0, 0, 1), (0, 0, 2)], 0),            # sum to 0 mod 3
+    (3, [(0, 0, 1), (0, 0, 1)], 1),
+    (5, [(0, 0, 5), (1, 1, -10)], 0),          # values 0 mod p
+    (2, [(0, 0, 2), (1, 1, 3)], 1),
+])
+def test_repeated_and_zero_entries(p, entries, rank):
+    assert rank_sparse_modp(2, 2, entries, p) == rank
+
+
+@pytest.mark.parametrize("nrows, ncols", [(0, 0), (0, 4), (4, 0), (3, 3)])
+@pytest.mark.parametrize("p", [2, 3])
+def test_empty(nrows, ncols, p):
+    assert rank_sparse_modp(nrows, ncols, [], p) == 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_transpose_invariant(p):
+    # rows (i, 1, i + 1): the third column is the sum of the other two
+    entries = [e for i in range(7) for e in ((i, 0, i), (i, 1, 1), (i, 2, i + 1))]
+    tall = rank_sparse_modp(7, 3, entries, p)
+    wide = rank_sparse_modp(3, 7, [(j, i, v) for i, j, v in entries], p)
+    assert tall == wide == dense_rank(7, 3, entries, p) == 2
