@@ -22,7 +22,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jmax", type=int, default=2)
     parser.add_argument("--seed", type=int, default=2024)
     parser.add_argument("--samples", type=int, default=100000)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--q", type=int, help="field size for lie-verify")
     parser.add_argument("--report", dest="report_path",
                         help="write the canonical report to this path")
@@ -34,7 +33,7 @@ def main(argv=None) -> int:
     config = RunConfig(
         pipeline=args.pipeline, group=args.group, prime=args.prime,
         objects=args.objects, jmax=args.jmax, seed=args.seed,
-        samples=args.samples, workers=args.workers, q=args.q,
+        samples=args.samples, q=args.q,
         report_path=args.report_path)
     report = run(config)
     sys.stdout.write(report.canonical_bytes().decode() + "\n")

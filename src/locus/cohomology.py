@@ -21,7 +21,7 @@ MemberSet = FrozenSet[int]
 MEMORY_BUDGET_ENV = "LOCUS_MEMORY_BUDGET_MB"
 
 
-def _budget_mb() -> int:
+def budget_mb() -> int:
     return int(os.environ.get(MEMORY_BUDGET_ENV, "1500"))
 
 
@@ -43,10 +43,10 @@ class FpCohomology:
         # the largest allocation is the dense int64 diff[jmax] together
         # with the copy row_echelon_modp reduces
         est = 2 * 8 * self.dim_cochain(jmax + 1) * self.dim_cochain(jmax)
-        if est > _budget_mb() * 1_000_000:
+        if est > budget_mb() * 1_000_000:
             raise BudgetError(
                 f"bar resolution needs ~{est // 1_000_000} MB "
-                f"(budget {_budget_mb()} MB)")
+                f"(budget {budget_mb()} MB)")
         self._pos = {x: i for i, x in enumerate(self.nonid)}
         self.diff: List[np.ndarray] = []  # diff[n]: C^n -> C^{n+1}
         for n in range(jmax + 1):

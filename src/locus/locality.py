@@ -492,10 +492,10 @@ def check_locality_axioms(L: Locality, max_exhaustive_len: int = 3,
         report.fail("S is not a p-group")
     bound = L.prime * L.sylow.order
     for g in L.carrier:
-        if g in sm or not _is_p_power(G.element_order(g), L.prime):
+        if g in sm or p_part(o := G.element_order(g), L.prime) != o:
             continue
         closure = G.closure(sorted(sm) + [g], limit=bound)
-        if (len(closure) <= bound and _is_p_power(len(closure), L.prime)
+        if (len(closure) <= bound and p_part(len(closure), L.prime) == len(closure)
                 and closure <= L.carrier_set
                 and _is_partial_subgroup_set(L, closure)):
             report.fail(f"(L1) violated: p-subgroup above S through g={g}")
@@ -572,12 +572,6 @@ def _exists_chain_by_search(L: Locality, word: Word) -> bool:
         if ok:
             return True
     return False
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def _is_partial_subgroup_set(L: Locality, members: MemberSet) -> bool:

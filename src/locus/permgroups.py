@@ -368,10 +368,7 @@ class Subgroup:
         return all(self.conjugate_set(g) == self.members for g in other.gens())
 
     def is_p_group(self, p: int) -> bool:
-        n = self.order
-        while n % p == 0:
-            n //= p
-        return n == 1
+        return p_part(self.order, p) == self.order
 
     def is_abelian(self) -> bool:
         G = self.parent
@@ -479,6 +476,7 @@ def load_group_file(path, name: Optional[str] = None,
 # -- standard queries ---------------------------------------------------
 
 def p_part(n: int, p: int) -> int:
+    """The largest power of p dividing n (n >= 1)."""
     m = 1
     while n % p == 0:
         n //= p
@@ -497,10 +495,10 @@ def sylow(G: Group, p: int) -> Subgroup:
         for g in sorted(norm):
             if g in current.members:
                 continue
-            if not _is_p_element(G, g, p):
+            if p_part(n := G.element_order(g), p) != n:
                 continue
             cand = G.closure(sorted(current.members) + [g], limit=target)
-            if len(cand) <= target and _order_is_p_power(len(cand), p):
+            if len(cand) <= target and p_part(len(cand), p) == len(cand):
                 current = G.subgroup(cand)
                 extended = True
                 break
@@ -508,16 +506,6 @@ def sylow(G: Group, p: int) -> Subgroup:
             raise GroupError("sylow construction failed (internal error)")
     current.name = f"Syl_{p}({G.name})"
     return current
-
-
-def _is_p_element(G: Group, g: int, p: int) -> bool:
-    return _order_is_p_power(G.element_order(g), p)
-
-
-def _order_is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def transporter(G: Group, P: Subgroup, Q: Subgroup) -> List[int]:

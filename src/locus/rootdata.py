@@ -18,6 +18,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .permgroups import p_part
+
 Vec = Tuple[int, int, int]
 
 
@@ -74,19 +76,37 @@ def reflect(alpha: Sequence[int], beta: Sequence[int]) -> Vec:
     return tuple(a - n * b for a, b in zip(alpha, beta))
 
 
+def _mat_inv_exact(M: np.ndarray) -> np.ndarray:
+    """Exact inverse of a rational matrix by Gauss-Jordan."""
+    n = M.shape[0]
+    A = [[Fraction(M[i, j]) for j in range(n)] for i in range(n)]
+    I = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if A[r][c] != 0)
+        A[c], A[piv] = A[piv], A[c]
+        I[c], I[piv] = I[piv], I[c]
+        inv = 1 / A[c][c]
+        A[c] = [v * inv for v in A[c]]
+        I[c] = [v * inv for v in I[c]]
+        for r in range(n):
+            if r != c and A[r][c] != 0:
+                f = A[r][c]
+                A[r] = [a - f * b for a, b in zip(A[r], A[c])]
+                I[r] = [a - f * b for a, b in zip(I[r], I[c])]
+    return np.array(I, dtype=object)
+
+
+# inverse of the matrix whose columns are the simple coroots
+_SIMPLE_COROOTS_INV = _mat_inv_exact(np.array(
+    [[c[i] for c in map(coroot, SIMPLE)] for i in range(3)], dtype=object))
+
+
 def coroot_coords(beta: Sequence[int]) -> Vec:
     """Coordinates of beta-vee in the basis of simple coroots."""
-    cols = [coroot(a) for a in SIMPLE]
-    target = coroot(beta)
-    A = np.array([[float(c[i]) for c in cols] for i in range(3)])
-    x = np.linalg.solve(A, np.array([float(t) for t in target]))
-    out = tuple(int(round(v)) for v in x)
-    # exact check over fractions
-    for i in range(3):
-        acc = sum(Fraction(out[k]) * cols[k][i] for k in range(3))
-        if acc != target[i]:
-            raise RootDataError("coroot is not an integer combination")
-    return out
+    x = _SIMPLE_COROOTS_INV @ np.array(coroot(beta), dtype=object)
+    if any(v.denominator != 1 for v in x):
+        raise RootDataError("coroot is not an integer combination")
+    return tuple(int(v) for v in x)
 
 
 def weyl_matrix(beta: Sequence[int]) -> np.ndarray:
@@ -248,26 +268,6 @@ def n_element(alpha: Vec, t: Fraction = Fraction(1)) -> np.ndarray:
     t = Fraction(t)
     return (x_element(alpha, t) @ x_element(tuple(-a for a in alpha), -1 / t)
             @ x_element(alpha, t))
-
-
-def _mat_inv_exact(M: np.ndarray) -> np.ndarray:
-    """Exact inverse of a rational matrix by Gauss-Jordan."""
-    n = M.shape[0]
-    A = [[Fraction(M[i, j]) for j in range(n)] for i in range(n)]
-    I = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next(r for r in range(c, n) if A[r][c] != 0)
-        A[c], A[piv] = A[piv], A[c]
-        I[c], I[piv] = I[piv], I[c]
-        inv = 1 / A[c][c]
-        A[c] = [v * inv for v in A[c]]
-        I[c] = [v * inv for v in I[c]]
-        for r in range(n):
-            if r != c and A[r][c] != 0:
-                f = A[r][c]
-                A[r] = [a - f * b for a, b in zip(A[r], A[c])]
-                I[r] = [a - f * b for a, b in zip(I[r], I[c])]
-    return np.array(I, dtype=object)
 
 
 def _h_element_exact(alpha: Vec, t: Fraction) -> np.ndarray:
@@ -449,18 +449,11 @@ class NormalizerModel:
         self.lengths = lengths
         self.rmul = rmul
         self.tree = tree
-        # geometric action of w on coroot coordinates: integer matrices
-        self.action: List[np.ndarray] = []
-        toV = np.array([[float(coroot(a)[i]) for a in SIMPLE]
-                        for i in range(3)])
-        toV_inv = np.linalg.inv(toV)
-        for m in mats:
-            cols = []
-            for a in SIMPLE:
-                image = m @ np.array([float(x) for x in coroot(a)])
-                cols.append(toV_inv @ image)
-            A = np.rint(np.array(cols).T).astype(np.int64)
-            self.action.append(A)
+        # geometric action of w on coroot coordinates: column i is w(alpha_i)-vee
+        self.action: List[np.ndarray] = [
+            np.array([coroot_coords((m @ a).tolist()) for a in SIMPLE],
+                     dtype=np.int64).T
+            for m in mats]
         self.simple_refl = [index[weyl_matrix(a).tobytes()] for a in SIMPLE]
 
     # -- primitive operations --------------------------------------------
@@ -503,9 +496,8 @@ class NormalizerModel:
         return self.mul(cand, self.h_pair(tuple(-x for x in r)))
 
     def _w_inverse(self, w: int) -> int:
-        m = self.mats[w]
-        return self.windex[np.array(np.rint(np.linalg.inv(m)),
-                                    dtype=np.int64).tobytes()]
+        # W(B3) matrices are signed permutations, so the inverse is the transpose
+        return self.windex[self.mats[w].T.tobytes()]
 
     # -- named elements ----------------------------------------------------
 
@@ -560,14 +552,6 @@ class NormalizerModel:
 
 # -- mu, c, and the chevrels verification ---------------------------------------
 
-def two_part(n: int) -> int:
-    m = 1
-    while n % 2 == 0:
-        n //= 2
-        m *= 2
-    return m
-
-
 def mu_candidates(T: Torus) -> List[int]:
     """Exponents m with mu = g^m of 2-power order, mu^{eps q} = -mu, and
     mu^(order/4) equal to the fixed fourth root i = g^{(Q-1)/4}."""
@@ -609,7 +593,7 @@ def verify_chevrels(q: int) -> Dict[str, object]:
     """
     eps = 1 if q % 4 == 1 else -1
     Q = q * q
-    l = two_part(Q - 1) // 8
+    l = p_part(Q - 1, 2) // 8
     l = l.bit_length() - 1  # 2^{l+3} | Q-1 exactly
     T = Torus(Q, eps, q)
     N = NormalizerModel(T)
@@ -739,9 +723,10 @@ def extended_weyl_report(T: Torus) -> Dict[str, object]:
 
 def lattice_index_of_beta_coroots() -> int:
     """Index of Z<beta_i-vee> inside the full coroot lattice."""
-    M = np.array([coroot_coords(b) for b in BETAS], dtype=np.int64)
-    det = int(round(abs(np.linalg.det(M.astype(float)))))
-    return det
+    a, b, c = (coroot_coords(beta) for beta in BETAS)
+    cross = (b[1] * c[2] - b[2] * c[1], b[2] * c[0] - b[0] * c[2],
+             b[0] * c[1] - b[1] * c[0])
+    return abs(inner(a, cross))
 
 
 # -- external root-system files --------------------------------------------

@@ -6,13 +6,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from locus.permgroups import Group, load_group_file
-
-DATA = Path(__file__).resolve().parent.parent / "src" / "locus" / "data"
+from locus.harness import load_bundled
+from locus.permgroups import Group
 
 
 @lru_cache(maxsize=None)
 def bundled(name: str) -> Group:
-    G = load_group_file(DATA / f"{name}.grp")
-    G.build_tables()  # no-op above TABLE_ORDER_CAP
-    return G
+    return load_bundled(name)

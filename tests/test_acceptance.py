@@ -1,18 +1,27 @@
 """The acceptance gate: every criterion at its stated tolerance.
 
-Runs the full-acceptance pipeline once (workers=1), asserts each criterion
-from the report, and replays the whole run at workers=8 for the determinism
-criterion.  One pass/fail line prints per criterion.
+Runs the full-acceptance pipeline once in this process and asserts each
+criterion from the report.  For the determinism criterion a fresh child
+process runs ``python -m locus.cli full-acceptance`` under a different
+``PYTHONHASHSEED`` and its report must match this one byte for byte.  One
+pass/fail line prints per criterion.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from locus.harness import RunConfig, full_acceptance
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 
 @pytest.fixture(scope="module")
 def acceptance_report():
-    rep = full_acceptance(RunConfig(pipeline="full-acceptance", workers=1))
+    rep = full_acceptance(RunConfig(pipeline="full-acceptance"))
     return rep
 
 
@@ -142,9 +151,16 @@ def test_criterion_11_lie(acceptance_report):
 
 
 @pytest.mark.slow
-def test_criterion_12_determinism(acceptance_report):
-    rep8 = full_acceptance(RunConfig(pipeline="full-acceptance", workers=8))
-    same = acceptance_report.canonical_bytes() == rep8.canonical_bytes()
+def test_criterion_12_determinism(acceptance_report, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env["PYTHONHASHSEED"] = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    path = tmp_path / "acceptance.json"
+    child = subprocess.run(
+        [sys.executable, "-m", "locus.cli", "full-acceptance", "--report", str(path)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=1800)
+    assert child.returncode == 0, child.stderr.decode()[-2000:]
+    same = acceptance_report.canonical_bytes() == path.read_bytes()
     print(f"criterion_12_determinism: {'PASS' if same else 'FAIL'}")
     assert same
 

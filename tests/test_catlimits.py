@@ -5,10 +5,12 @@ import functools
 import numpy as np
 import pytest
 
+from locus import catlimits
 from locus.catlimits import (
     FiniteCategory,
     ModuleFunctor,
     atomic_comparison,
+    chain_counts,
     chain_levels,
     cohomology_functor_on_orbit_category,
     fusion_orbit_category,
@@ -22,7 +24,7 @@ from locus.catlimits import (
     stable_subspace_dim,
     transporter_orbit_cat,
 )
-from locus.cohomology import CohomologyFamily
+from locus.cohomology import MEMORY_BUDGET_ENV, BudgetError, CohomologyFamily
 from locus.fusion import classify_subgroups_core_only, fusion_of_group, fusion_of_locality
 from locus.locality import build_locality, delta_all_nontrivial
 from locus.permgroups import load_group, sylow
@@ -54,6 +56,11 @@ def poset_category(relations, n):
         return ("le", i, i)
 
     return FiniteCategory(list(range(n)), mor, compose, identity_of)
+
+
+def c3_category():
+    return FiniteCategory(["*"], {(0, 0): [0, 1, 2]},
+                          lambda g, f: (g + f) % 3, lambda i: 0)
 
 
 def constant_functor(cat, p, dim):
@@ -99,13 +106,39 @@ def test_one_object_group_category_gives_group_cohomology():
     (2, [1, 0, 0, 0, 0]),  # |C3| is invertible in F_2
 ])
 def test_one_object_c3_category_gives_group_cohomology(p, dims):
-    mor = {(0, 0): [0, 1, 2]}
+    assert higher_limits(constant_functor(c3_category(), p, 1), 4) == dims
 
-    def compose(g, f):
-        return (g + f) % 3
 
-    cat = FiniteCategory(["*"], mor, compose, lambda i: 0)
-    assert higher_limits(constant_functor(cat, p, 1), 4) == dims
+def s4_centric_orbit_category():
+    G = bundled("s4")
+    F = fusion_of_group(G, sylow(G, 2), 2)
+    centrics = classify_subgroups_core_only(F).all_with("centric")
+    return fusion_orbit_category(F, centrics)[0]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: poset_category([(0, 1), (1, 2), (0, 3)], 4),
+    c3_category,
+    s4_centric_orbit_category,
+])
+def test_chain_counts_match_chain_levels(make):
+    cat = make()
+    dims = [i + 1 for i in range(cat.n)]
+    levels = chain_levels(cat, 5)
+    sizes = [sum(dims[c[0] if n == 0 else cat.src[c[0]]] for c in level)
+             for n, level in enumerate(levels)]
+    assert chain_counts(cat, dims, 5) == ([len(level) for level in levels], sizes)
+
+
+def test_higher_limits_budget_raises_before_building_chains(monkeypatch):
+    def no_chains(*args):
+        raise AssertionError("chain_levels ran before the budget check")
+
+    monkeypatch.setattr(catlimits, "chain_levels", no_chains)
+    monkeypatch.setenv(MEMORY_BUDGET_ENV, "1")
+    # 2^n chains at level n, about 2^18 in all at depth 17
+    with pytest.raises(BudgetError, match="chains per degree"):
+        higher_limits(constant_functor(c3_category(), 3, 1), 16)
 
 
 def test_pushout_poset_limits():

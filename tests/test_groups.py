@@ -12,6 +12,7 @@ from locus.permgroups import (
     normalizer,
     o_p,
     o_pprime,
+    p_part,
     quotient_group,
     subgroups_up_to_conjugacy,
     sylow,
@@ -19,6 +20,16 @@ from locus.permgroups import (
 )
 
 from conftest import bundled
+
+
+def test_p_part_matches_sympy_factorint():
+    from sympy import factorint
+
+    for n in range(1, 2001):
+        factors = factorint(n)
+        for p in (2, 3, 5):
+            assert p_part(n, p) == p ** factors.get(p, 0), (n, p)
+            assert (p_part(n, p) == n) == (set(factors) <= {p}), (n, p)
 
 
 def test_load_s4_from_cycles():

@@ -9,11 +9,10 @@ from locus.harness import (
     Report,
     RunConfig,
     load_bundled,
-    parallel_map,
     resolve_objects,
     run,
 )
-from locus.permgroups import sylow
+from locus.permgroups import GroupError, sylow
 
 
 def test_report_canonical_bytes_stable():
@@ -33,12 +32,6 @@ def test_report_passed_aggregation():
     assert r.passed
     r.put("bad", {"nested": [{"passed": False}]})
     assert not r.passed
-
-
-def test_parallel_map_order_independent():
-    items = list(range(57))
-    f = lambda x: x * x - 1
-    assert parallel_map(f, items, 1) == parallel_map(f, items, 8)
 
 
 def test_resolve_objects_selectors():
@@ -81,15 +74,28 @@ def test_run_rejects_unknown_pipeline():
 
 
 def test_locality_check_deterministic_bytes():
-    cfg = lambda w: RunConfig(pipeline="locality-check", group="s4",
-                              samples=300, workers=w)
-    assert run(cfg(1)).canonical_bytes() == run(cfg(8)).canonical_bytes()
+    cfg = RunConfig(pipeline="locality-check", group="s4", samples=300)
+    assert run(cfg).canonical_bytes() == run(cfg).canonical_bytes()
+
+
+def test_group_inspect_without_group_names_the_problem():
+    with pytest.raises(GroupError, match="no group given"):
+        run(RunConfig(pipeline="group-inspect"))
+
+
+def test_unknown_group_lists_bundled_names():
+    with pytest.raises(GroupError, match="unknown group 'nosuch'") as info:
+        run(RunConfig(pipeline="group-inspect", group="nosuch"))
+    for name in ("a6", "d8", "s4", "sl3_4"):
+        assert name in str(info.value)
 
 
 def test_cli_parser_and_exit_code(tmp_path):
     parser = build_parser()
     args = parser.parse_args(["lie-verify", "--q", "3"])
     assert args.pipeline == "lie-verify" and args.q == 3
+    with pytest.raises(SystemExit):
+        parser.parse_args(["locality-check", "--workers", "2"])
     path = tmp_path / "lie.json"
     code = main(["lie-verify", "--q", "3", "--report", str(path)])
     assert code == 0
