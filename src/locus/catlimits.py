@@ -544,8 +544,7 @@ def lambda_dims(Gamma: Group, p: int, module_dim: int,
 # -- atomic functors and comparisons ------------------------------------------
 
 def atomic_functor(cat: FiniteCategory, obj_index: int, module_dim: int,
-                   p: int, aut_action: Dict, zero_elsewhere: bool = True
-                   ) -> ModuleFunctor:
+                   p: int, aut_action: Dict) -> ModuleFunctor:
     """Functor concentrated on one object (after skeletonizing a class).
 
     ``aut_action`` maps each endomorphism label at the object to a matrix;
@@ -744,21 +743,17 @@ def stable_subspace_dim(F, fam: CohomologyFamily, j: int,
 def sharpness_pipeline(L, jmax: int = 2, max_degree: int = 4) -> Dict[str, object]:
     """Higher limits of H^j over the centric orbit category of F_S(L).
 
-    Builds the punctured transporter/orbit category (verifying the axioms),
-    descends H^j to O(F^c), computes lim^i for i <= max_degree, and checks
+    Descends H^j to O(F^c), computes lim^i for i <= max_degree, and checks
     lim^0 against the stable-element count.  Returns the table of
     dimensions plus pass flags.
     """
     from .fusion import classify_subgroups_core_only, fusion_of_locality, is_saturated
-    from .transporter import orbit_category, transporter_of_locality
 
     G = L.ambient
     F = fusion_of_locality(L)
     sat, wit = is_saturated(F)
     if not sat:
         raise FunctorError(f"fusion system not saturated: {wit[:1]}")
-    T, trep = transporter_of_locality(L)
-    OT, orep = orbit_category(T)
     cls = classify_subgroups_core_only(F)
     centrics = cls.all_with("centric")
     cat, _ = fusion_orbit_category(F, centrics)
@@ -781,7 +776,5 @@ def sharpness_pipeline(L, jmax: int = 2, max_degree: int = 4) -> Dict[str, objec
         "table": table,
         "higher_vanish": ok,
         "lim0_matches_stable": stable_match,
-        "transporter_ok": trep.passed,
-        "orbit_ok": orep.passed,
         "objects": len(cat.objects),
     }

@@ -11,14 +11,11 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .permgroups import (
     Group,
-    GroupError,
     Subgroup,
     all_subgroups,
-    centralizer_set,
     o_p,
     p_part,
     quotient_group,
-    sylow,
 )
 
 MemberSet = FrozenSet[int]
@@ -31,10 +28,6 @@ class FusionError(ValueError):
 
 def _map_key(mapping: Dict[int, int]) -> MapKey:
     return tuple(sorted(mapping.items()))
-
-
-def _key_domain(key: MapKey) -> MemberSet:
-    return frozenset(x for x, _ in key)
 
 
 def _key_image(key: MapKey) -> MemberSet:

@@ -18,14 +18,9 @@ import numpy as np
 from . import permgroups as pg
 from .catlimits import (
     atomic_comparison,
-    cohomology_functor_on_orbit_category,
-    fusion_orbit_category,
-    higher_limits,
     lambda_dims,
-    proto_mackey_check,
     restrict_to_centrics_comparison,
     sharpness_pipeline,
-    stable_subspace_dim,
     transporter_orbit_cat,
 )
 from .cohomology import (
@@ -41,15 +36,12 @@ from .fusion import (
     classify_subgroups_core_only,
     fusion_of_group,
     fusion_of_locality,
-    fusion_systems_agree_via,
     fusion_systems_equal,
     is_characteristic_p_type,
     is_saturated,
-    normalizer_subsystem,
 )
 from .locality import (
     Locality,
-    PartialNormalSubgroup,
     build_locality,
     check_locality_axioms,
     check_partial_group,
@@ -71,7 +63,6 @@ from .rootdata import (
     verify_chevrels,
 )
 from .signalizer import (
-    characteristic_p_reduction,
     check_element_signalizer,
     default_theta,
     theta_hat_quotient,

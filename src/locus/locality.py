@@ -12,8 +12,8 @@ and owned by the locality, so S_w costs one AND per letter.
 Word-level axiom checks run exhaustively up to length 3 via a compressed
 state graph (a state is the pair (product, S_w mask), which determines the
 tracked map s -> s^{Pi(w)}, and every word of bounded length lands in a
-recorded state; the graph is built once per locality and depth and shared
-by both checkers), then by seeded sampling at lengths 4-5.  The step-wise
+recorded state; the graph is built once per locality and shared by both
+checkers), then by seeded sampling at lengths 4-5.  The step-wise
 pair tracking of ``s_word_pairs`` stays as an independent oracle for the
 tracked map.  Explicit multiplication tables, used for negative tests, are
 checked word by word without any compression.
@@ -22,12 +22,19 @@ checked word by word without any compression.
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .permgroups import Group, Subgroup, p_part
+from .permgroups import Group, Subgroup, all_subgroups, p_part
 
 Word = Tuple[int, ...]
 MemberSet = FrozenSet[int]
+
+# word lengths of the checkers: every word up to MAX_EXHAUSTIVE_LEN through
+# the state graph, sampled words up to SAMPLE_LEN, and the full word-level
+# battery on at most FULL_BATTERY_CAP sampled domain words
+MAX_EXHAUSTIVE_LEN = 3
+SAMPLE_LEN = 5
+FULL_BATTERY_CAP = 1500
 
 
 class LocalityError(ValueError):
@@ -90,7 +97,7 @@ class Locality:
         self._mask_sets: Dict[int, MemberSet] = {}
         self._object_masks = frozenset(self._mask_of(o) for o in self.objects)
         self._conj_memo: Dict[int, Optional[int]] = {}
-        self._graphs: Dict[int, _StateGraph] = {}
+        self._graph: Optional[_StateGraph] = None
 
     # -- plumbing -------------------------------------------------------
 
@@ -103,14 +110,11 @@ class Locality:
         objs = self.sorted_objects
         return [o for o in objs if not any(q < o for q in objs)]
 
-    def object_subgroup(self, members: MemberSet) -> Subgroup:
-        return self.ambient.subgroup(members)
-
-    def state_graph(self, depth: int) -> "_StateGraph":
-        """The state graph of words up to ``depth``, built once per depth."""
-        if depth not in self._graphs:
-            self._graphs[depth] = _StateGraph(self, depth)
-        return self._graphs[depth]
+    def state_graph(self) -> "_StateGraph":
+        """The state graph of words up to MAX_EXHAUSTIVE_LEN, built once."""
+        if self._graph is None:
+            self._graph = _StateGraph(self, MAX_EXHAUSTIVE_LEN)
+        return self._graph
 
     # -- S_w as bitmasks ------------------------------------------------
 
@@ -168,10 +172,6 @@ class Locality:
     def s_word(self, word: Sequence[int]) -> MemberSet:
         """S_w: the members of S tracked into S at every prefix of w."""
         return self._members(self._word_mask(word))
-
-    def s_sub(self, word: Sequence[int]) -> Subgroup:
-        """S_w as a subgroup of the ambient group."""
-        return self.ambient.subgroup(self.s_word(word))
 
     def in_domain(self, word: Sequence[int]) -> bool:
         """w in D, decided by S_w being an object."""
@@ -260,11 +260,6 @@ class Locality:
             raise LocalityError(f"{mode} of an object is not closed (bug)")
         return sub, guaranteed
 
-    def centralizer_of_element(self, a: int) -> Subgroup:
-        """C_L(a) via <a>; requires <a> to be an object (punctured groups)."""
-        cyc = self.ambient.closure([a])
-        return self.local_subgroup(cyc, "centralizer")[0]
-
     # -- restriction ------------------------------------------------------
 
     def restrict(self, objects: Iterable[MemberSet], name: str = "") -> "Locality":
@@ -273,10 +268,9 @@ class Locality:
             raise LocalityError("restriction to empty object set")
         if not objs <= self.objects:
             raise LocalityError("restriction objects must lie in Delta")
-        _check_object_closure(self.ambient, self.sylow, objs, self.carrier)
         carrier = [g for g in self.carrier if self.s_word((g,)) in objs]
-        return Locality(self.ambient, self.sylow, self.prime, objs, carrier,
-                        name=name or f"{self.name}|restricted")
+        return _closed(Locality(self.ambient, self.sylow, self.prime, objs, carrier,
+                                name=name or f"{self.name}|restricted"))
 
     def __repr__(self) -> str:
         return (f"Locality({self.name}, |carrier|={len(self.carrier)}, "
@@ -286,40 +280,42 @@ class Locality:
 # -- object-set helpers --------------------------------------------------
 
 def delta_all_nontrivial(S: Subgroup) -> List[MemberSet]:
-    from .permgroups import all_subgroups
-
     return [m for m in all_subgroups(S) if len(m) > 1]
 
 
 def delta_min_order(S: Subgroup, min_order: int) -> List[MemberSet]:
-    from .permgroups import all_subgroups
-
     return [m for m in all_subgroups(S) if len(m) >= min_order]
 
 
-def _check_object_closure(G: Group, S: Subgroup, objects: FrozenSet[MemberSet],
-                          conj_range: Iterable[int]) -> None:
-    """Delta must be overgroup-closed in S and closed under conjugacy."""
-    from .permgroups import all_subgroups
+def _object_closure_failures(L: Locality) -> Iterator[str]:
+    """The ways Delta breaks (L3): overgroup closure in S, then conjugation.
 
-    subs_of_S = all_subgroups(S)
-    for P in objects:
-        for Q in subs_of_S:
-            if P <= Q and Q not in objects:
-                raise LocalityError(
-                    f"object set not overgroup-closed: contains order {len(P)}, "
-                    f"misses order {len(Q)} overgroup")
-    sm = S.members
-    for P in sorted(objects, key=lambda m: (len(m), sorted(m))):
-        gens = G.subgroup(P).gens()
-        for g in conj_range:
-            img_gens = [G.conj(x, g) for x in gens]
-            if all(x in sm for x in img_gens):
-                img = frozenset(G.conj(x, g) for x in P)
-                if img <= sm and img not in objects:
-                    raise LocalityError(
-                        f"object set not conjugation-closed: image of order "
-                        f"{len(P)} object under g={g} missing")
+    Conjugation closure is checked over the carrier only.  Once Delta is
+    overgroup-closed that is enough: if P is an object and P^g <= S, then
+    P <= S_g = {s in S : s^g in S}, so S_g is an object and g lies in the
+    carrier.
+    """
+    objs = L.objects
+    for Q in all_subgroups(L.sylow):
+        if Q not in objs and any(P <= Q for P in objs):
+            yield f"not overgroup-closed: misses an order {len(Q)} overgroup of an object"
+    conj = L.ambient.conj
+    for P in L.sorted_objects:
+        pmask = L._mask_of(P)
+        for g in L.carrier:
+            if (L._s_mask(g) & pmask == pmask
+                    and frozenset(conj(x, g) for x in P) not in objs):
+                yield (f"not conjugation-closed: image of an order {len(P)} "
+                       f"object under g={g} missing")
+                break
+
+
+def _closed(L: Locality) -> Locality:
+    """L itself, or LocalityError naming the first way Delta breaks (L3)."""
+    failure = next(_object_closure_failures(L), None)
+    if failure is not None:
+        raise LocalityError(f"object set {failure}")
+    return L
 
 
 def build_locality(G: Group, S: Subgroup, objects: Iterable[MemberSet],
@@ -328,14 +324,14 @@ def build_locality(G: Group, S: Subgroup, objects: Iterable[MemberSet],
     if p_part(G.order, prime) != S.order:
         raise LocalityError("S is not a Sylow p-subgroup")
     objs = frozenset(frozenset(o) for o in objects)
-    _check_object_closure(G, S, objs, range(G.order))
     sm = S.members
     carrier = []
     for g in range(G.order):
         tracked = frozenset(x for x in sm if G.conj(x, g) in sm)
         if tracked in objs:
             carrier.append(g)
-    return Locality(G, S, prime, objs, carrier, name=name or f"L_Delta({G.name})")
+    return _closed(Locality(G, S, prime, objs, carrier,
+                            name=name or f"L_Delta({G.name})"))
 
 
 # -- state graph ----------------------------------------------------------
@@ -375,17 +371,16 @@ class _StateGraph:
 
 # -- axiom checkers -------------------------------------------------------
 
-def check_partial_group(L: Locality, max_exhaustive_len: int = 3,
-                        sample_len: int = 5, samples: int = 100000,
-                        seed: int = 2024, full_battery_cap: int = 1500) -> CheckReport:
+def check_partial_group(L: Locality, samples: int = 100000,
+                        seed: int = 2024) -> CheckReport:
     """Verify the partial-group axioms on the word domain of L.
 
-    Exhaustive to ``max_exhaustive_len`` through the state graph, then by
-    seeded word sampling up to ``sample_len``.
+    Exhaustive to MAX_EXHAUSTIVE_LEN through the state graph, then by
+    seeded word sampling up to SAMPLE_LEN.
     """
     report = CheckReport("partial-group")
     G = L.ambient
-    graph = L.state_graph(max_exhaustive_len)
+    graph = L.state_graph()
 
     # length-1 words: direct product map restricts to identity, inverses exist
     for g in L.carrier:
@@ -395,14 +390,14 @@ def check_partial_group(L: Locality, max_exhaustive_len: int = 3,
             report.fail(f"carrier not inversion-closed at g={g}")
     report.note("length1", len(L.carrier))
 
-    # state-level facts for all words of length <= max_exhaustive_len:
+    # state-level facts for all words of length <= MAX_EXHAUSTIVE_LEN:
     # S_w is a subgroup, the tracked map is conjugation by Pi(w) (so the
     # splice and inversion axioms reduce to object closure), and products
     # of domain words land in the carrier.  The tracked map is re-derived
     # step by step from the state's witness word, independently of the
     # masks the graph is keyed by.
     is_subgroup: Dict[int, bool] = {}
-    for length in range(1, max_exhaustive_len + 1):
+    for length in range(1, MAX_EXHAUSTIVE_LEN + 1):
         for (prod, mask), witness in graph.states(length):
             sw = L._members(mask)
             if mask not in is_subgroup:
@@ -430,9 +425,9 @@ def check_partial_group(L: Locality, max_exhaustive_len: int = 3,
     minimal = [L._mask_of(q) for q in L.min_objects()]
     battery = 0
     for _ in range(samples):
-        n = rng.randint(2, sample_len)
+        n = rng.randint(2, SAMPLE_LEN)
         word = tuple(rng.choice(carrier) for _ in range(n))
-        if battery < full_battery_cap:
+        if battery < FULL_BATTERY_CAP:
             if L.in_domain(word):
                 battery += 1
                 _check_word_axioms(L, word, report)
@@ -479,8 +474,7 @@ def _check_word_axioms(L: Locality, word: Word, report: CheckReport) -> None:
         report.fail(f"Pi(w^-1 o w) != 1 for {word}")
 
 
-def check_locality_axioms(L: Locality, max_exhaustive_len: int = 3,
-                          sample_len: int = 5, samples: int = 20000,
+def check_locality_axioms(L: Locality, samples: int = 20000,
                           seed: int = 2024) -> CheckReport:
     """Verify (L1), (L2) in both directions, and (L3)."""
     report = CheckReport("locality-axioms")
@@ -502,29 +496,17 @@ def check_locality_axioms(L: Locality, max_exhaustive_len: int = 3,
             break
     report.note("L1_scanned", len(L.carrier))
 
-    # (L3): conjugation closure and overgroup closure of Delta
-    objs = L.sorted_objects
-    for P in objs:
-        for g in L.carrier:
-            if all(G.conj(x, g) in sm for x in P):
-                img = frozenset(G.conj(x, g) for x in P)
-                if img not in L.objects:
-                    report.fail(f"(L3) violated: object image missing for g={g}")
-                    break
-    # overgroup closure in S
-    from .permgroups import all_subgroups
-
-    for Q in all_subgroups(L.sylow):
-        if any(P <= Q for P in objs) and Q not in L.objects:
-            report.fail(f"(L3) violated: overgroup of an object missing (order {len(Q)})")
-    report.note("L3_objects", len(objs))
+    # (L3): overgroup closure and conjugation closure of Delta
+    for failure in _object_closure_failures(L):
+        report.fail(f"(L3) Delta {failure}")
+    report.note("L3_objects", len(L.objects))
 
     # (L2), exhaustive part: on every state of the graph, S_w membership in
     # Delta must coincide with the existence of an object chain; chains all
     # factor through minimal objects inside S_w.
-    graph = L.state_graph(max_exhaustive_len)
+    graph = L.state_graph()
     minimal = [L._mask_of(q) for q in L.min_objects()]
-    for length in range(1, max_exhaustive_len + 1):
+    for length in range(1, MAX_EXHAUSTIVE_LEN + 1):
         for (prod, mask), witness in graph.states(length):
             has_min = any(q & mask == q for q in minimal)
             if (mask in L._object_masks) != has_min:
@@ -534,7 +516,7 @@ def check_locality_axioms(L: Locality, max_exhaustive_len: int = 3,
     # (L2), sampled honest chains
     rng = random.Random(seed + 1)
     for _ in range(samples):
-        n = rng.randint(1, sample_len)
+        n = rng.randint(1, SAMPLE_LEN)
         word = tuple(rng.choice(L.carrier) for _ in range(n))
         sw_in = L.s_word(word) in L.objects
         chain = L.chain_witness(word)

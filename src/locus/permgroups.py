@@ -355,10 +355,6 @@ class Subgroup:
                     return False
         return True
 
-    def conjugate(self, g: int) -> "Subgroup":
-        G = self.parent
-        return Subgroup(G, frozenset(G.conj(x, g) for x in self.members))
-
     def conjugate_set(self, g: int) -> FrozenSet[int]:
         G = self.parent
         return frozenset(G.conj(x, g) for x in self.members)
@@ -390,56 +386,6 @@ class Subgroup:
     def __repr__(self) -> str:
         label = self.name or "H"
         return f"Subgroup({label}, order={self.order})"
-
-
-class GroupHomomorphism:
-    """Injective-or-not homomorphism given by its full element mapping."""
-
-    def __init__(self, source: Subgroup, target: Subgroup, mapping: Dict[int, int]):
-        self.source = source
-        self.target = target
-        self.mapping = mapping
-        self._key: Optional[Tuple[Tuple[int, int], ...]] = None
-
-    @classmethod
-    def from_conjugation(cls, source: Subgroup, target: Subgroup, g: int) -> "GroupHomomorphism":
-        G = source.parent
-        mapping = {x: G.conj(x, g) for x in source.members}
-        return cls(source, target, mapping)
-
-    @property
-    def key(self) -> Tuple[Tuple[int, int], ...]:
-        """Canonical hashable form (sorted graph of the map)."""
-        if self._key is None:
-            self._key = tuple(sorted(self.mapping.items()))
-        return self._key
-
-    def __call__(self, x: int) -> int:
-        return self.mapping[x]
-
-    def image(self) -> FrozenSet[int]:
-        return frozenset(self.mapping.values())
-
-    def is_homomorphism(self) -> bool:
-        G = self.source.parent
-        ms = self.source.sorted_members
-        f = self.mapping
-        return all(f[G.mul(a, b)] == G.mul(f[a], f[b]) for a in ms for b in ms)
-
-    def is_injective(self) -> bool:
-        return len(set(self.mapping.values())) == len(self.mapping)
-
-    def restrict(self, sub: Subgroup) -> "GroupHomomorphism":
-        mapping = {x: self.mapping[x] for x in sub.members}
-        return GroupHomomorphism(sub, self.target, mapping)
-
-    def then(self, other: "GroupHomomorphism") -> "GroupHomomorphism":
-        """Composite x -> other(self(x)); image of self must lie in other's source."""
-        mapping = {x: other.mapping[y] for x, y in self.mapping.items()}
-        return GroupHomomorphism(self.source, other.target, mapping)
-
-    def __repr__(self) -> str:
-        return f"Hom(|src|={self.source.order}, |tgt|={self.target.order})"
 
 
 # -- group file format --------------------------------------------------

@@ -399,15 +399,6 @@ class Torus:
             total += t[i] * pairing(alpha, SIMPLE[i])
         return total % self.mod
 
-    def order_of(self, t: Sequence[int]) -> int:
-        from math import gcd
-
-        o = 1
-        for c in t:
-            o = o * (self.mod // gcd(self.mod, c or self.mod)) // \
-                gcd(o, self.mod // gcd(self.mod, c or self.mod))
-        return o
-
     def sigma(self, t: Sequence[int]) -> Vec:
         """Steinberg twist t -> t^{eps q}."""
         return tuple((self.eps * self.q * c) % self.mod for c in t)

@@ -14,7 +14,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 from .locality import (
     CheckReport,
     Locality,
-    LocalityError,
     MemberSet,
     PartialNormalSubgroup,
     QuotientLocality,
@@ -23,7 +22,6 @@ from .locality import (
     quotient_locality,
     subgroup_o_pprime,
 )
-from .permgroups import Subgroup
 
 
 class SignalizerError(ValueError):

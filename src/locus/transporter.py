@@ -93,10 +93,10 @@ class TransporterSystem:
         return f"TransporterSystem({self.locality.name}, objects={len(self.objects)}, mors={total})"
 
 
-def transporter_of_locality(L: Locality, check: bool = True) -> Tuple[TransporterSystem, CheckReport]:
+def transporter_of_locality(L: Locality) -> Tuple[TransporterSystem, CheckReport]:
     T = TransporterSystem(L)
-    report = check_transporter_axioms(T) if check else CheckReport("transporter-axioms")
-    if check and not report.passed:
+    report = check_transporter_axioms(T)
+    if not report.passed:
         raise TransporterError(f"transporter axioms failed: {report.failures[:2]}")
     return T, report
 
@@ -275,11 +275,9 @@ class OrbitCategory:
         return f"OrbitCategory(objects={len(self.objects)}, mors={total})"
 
 
-def orbit_category(T: TransporterSystem, check: bool = True) -> Tuple[OrbitCategory, CheckReport]:
+def orbit_category(T: TransporterSystem) -> Tuple[OrbitCategory, CheckReport]:
     OT = OrbitCategory(T)
     report = CheckReport("orbit-category")
-    if not check:
-        return OT, report
     G = T.group
     # composition well-defined on orbits
     for P in OT.objects:
@@ -325,8 +323,7 @@ class KmaxData:
         self.orbit_index = orbit_index
 
 
-def kmax(T: TransporterSystem, P: MemberSet, Q: MemberSet,
-         verify: bool = True) -> KmaxData:
+def kmax(T: TransporterSystem, P: MemberSet, Q: MemberSet) -> KmaxData:
     """K^max_{P,Q} and canonical orbit representatives.
 
     An element is a pair (A, f) for the morphism (f, A, Q) with A <= P; the
@@ -335,8 +332,7 @@ def kmax(T: TransporterSystem, P: MemberSet, Q: MemberSet,
 
     The result is verified (every element of K_{P,Q} has a unique maximal
     extension) when it is first computed and then cached on T, so every
-    call for the same (P, Q) returns verified data, whatever ``verify``
-    says; the argument is kept for the callers that pass it.
+    call for the same (P, Q) returns verified data.
     """
     P, Q = frozenset(P), frozenset(Q)
     data = T._kmax.get((P, Q))

@@ -20,7 +20,7 @@ from locus.locality import (
     o_pprime_locality,
     quotient_locality,
 )
-from locus.permgroups import TABLE_ORDER_CAP, Group, parse_perm, sylow
+from locus.permgroups import TABLE_ORDER_CAP, Group, all_subgroups, parse_perm, sylow
 
 from conftest import bundled
 
@@ -65,6 +65,52 @@ def test_build_rejects_non_closed_delta():
     broken = [m for m in objs if m != v4s[0]]
     with pytest.raises(LocalityError):
         build_locality(G, S, broken, 2)
+
+
+def test_build_rejects_delta_not_conjugation_closed():
+    # subgroups of order >= 4 plus Z(S) are overgroup-closed in S = D8, but
+    # A6 conjugates the central involution onto non-central ones of S
+    G = bundled("a6")
+    S = sylow(G, 2)
+    sm = S.members
+    Z = frozenset(z for z in sm if all(G.mul(z, s) == G.mul(s, z) for s in sm))
+    assert len(Z) == 2
+    delta = delta_min_order(S, 4) + [Z]
+    with pytest.raises(LocalityError, match="conjugation"):
+        build_locality(G, S, delta, 2)
+    L = cached_punctured("a6", 2)
+    with pytest.raises(LocalityError, match="conjugation"):
+        L.restrict(delta)
+    rep = check_locality_axioms(Locality(G, S, 2, delta, L.carrier), samples=200)
+    l3 = [f for f in rep.failures if f.startswith("(L3)")]
+    assert l3 and all("conjugation" in f for f in l3), rep.failures
+
+
+def _misses_an_image(G, S, delta):
+    """Some object maps into S under some element of G onto a non-object."""
+    sm = S.members
+    for P in delta:
+        for g in range(G.order):
+            image = frozenset(G.conj(x, g) for x in P)
+            if image <= sm and image not in delta:
+                return True
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_build_closure_check_matches_scan_over_all_of_g(data):
+    name = data.draw(st.sampled_from(["s4", "a6"]))
+    G = bundled(name)
+    S = sylow(G, 2)
+    subs = all_subgroups(S)
+    seeds = data.draw(st.lists(st.sampled_from(subs), min_size=1, max_size=3))
+    delta = [Q for Q in subs if any(P <= Q for P in seeds)]
+    if _misses_an_image(G, S, frozenset(delta)):
+        with pytest.raises(LocalityError, match="conjugation"):
+            build_locality(G, S, delta, 2)
+    else:
+        build_locality(G, S, delta, 2)
 
 
 def test_check_partial_group_s4():

@@ -177,30 +177,35 @@ def test_extended_weyl_matches_so7_matrices():
     N = NormalizerModel(T)
     hatW = N.extended_weyl()
     assert len(hatW) == 384
-    n_mats = [n_element(a) for a in SIMPLE]
     from locus.rootdata import _h_element_exact, reduced_word
+
+    def as_int64(M):
+        # at t = +-1 the exact matrices are integral, so int64 is exact too
+        assert all(Fraction(x).denominator == 1 for x in M.flat)
+        return np.array(M.tolist(), dtype=np.int64)
+
+    n_mats = [as_int64(n_element(a)) for a in SIMPLE]
+    h_mats = [as_int64(_h_element_exact(a, Fraction(-1))) for a in SIMPLE]
+    ident = np.eye(7, dtype=np.int64)
 
     def phi(el):
         w, t = el
-        M = np.array([[Fraction(int(i == j)) for j in range(7)]
-                      for i in range(7)], dtype=object)
+        M = ident
         for s in reduced_word(N.tree, w):
             M = M @ n_mats[s]
         for i in range(3):
             if t[i] % T.mod == T.half:
-                M = M @ _h_element_exact(SIMPLE[i], Fraction(-1))
+                M = M @ h_mats[i]
             elif t[i] % T.mod:
                 raise AssertionError("non-torsion part in the Tits group")
         return M
 
-    ident = np.array([[Fraction(int(i == j)) for j in range(7)]
-                      for i in range(7)], dtype=object)
     z_pair = N.h_pair(T.z())
     assert np.array_equal(phi(z_pair), ident)  # z dies in SO7
 
     counts = {}
     for el in hatW:
-        counts.setdefault(str(phi(el)), []).append(el)
+        counts.setdefault(phi(el).tobytes(), []).append(el)
     assert len(counts) == 192
     for fiber in counts.values():
         assert len(fiber) == 2

@@ -127,7 +127,7 @@ def test_kmax_uniqueness_s4_exhaustive():
     G, S, L, T, OT = setup_s4()
     for P in T.objects:
         for Q in T.objects:
-            kmax(T, P, Q, verify=True)
+            kmax(T, P, Q)
 
 
 def test_boxtimes_universal_s4():
@@ -228,9 +228,9 @@ def test_cached_kmax_matches_fresh_verified_kmax(data):
     T = cached_system(name)
     P = data.draw(st.sampled_from(T.objects))
     Q = data.draw(st.sampled_from(T.objects))
-    cached = kmax(T, P, Q, verify=False)
-    assert kmax(T, P, Q, verify=True) is cached  # one cache for both settings
-    fresh = kmax(_fresh_system(name), P, Q, verify=True)
+    cached = kmax(T, P, Q)
+    assert kmax(T, P, Q) is cached  # computed once per (P, Q)
+    fresh = kmax(_fresh_system(name), P, Q)
     assert cached.pairs == fresh.pairs
     assert cached.reps == fresh.reps
     assert cached.orbit_index == fresh.orbit_index
