@@ -461,7 +461,7 @@ def p_orbit_category(Gamma: Group, p: int) -> Tuple[FiniteCategory, List[FrozenS
     that coset; it is well defined exactly when h p h^-1 lies in Q for all
     p in P.  Composition of labels Q.h then R.m gives R.(m h).
     """
-    from .permgroups import all_subgroups, sylow
+    from .permgroups import all_subgroups, sylow, transporter
 
     S = sylow(Gamma, p)
     reps: List[FrozenSet[int]] = []
@@ -487,17 +487,11 @@ def p_orbit_category(Gamma: Group, p: int) -> Tuple[FiniteCategory, List[FrozenS
     mor_labels: Dict[Tuple[int, int], List] = {}
     for i, P in enumerate(reps):
         for j, Q in enumerate(reps):
-            labels = []
-            done: Set[FrozenSet[int]] = set()
-            for g in range(Gamma.order):
-                c = right_coset(Q, g)
-                if c in done:
-                    continue
-                done.add(c)
-                gi = Gamma.inv(g)
-                if all(Gamma.conj(x, gi) in Q for x in P):
-                    labels.append((c, i, j))
-            mor_labels[(i, j)] = sorted(labels, key=lambda t: sorted(t[0]))
+            # Q.h is a label exactly when h^-1 lies in the transporter N(P, Q)
+            cosets = {right_coset(Q, Gamma.inv(t)) for t in transporter(
+                Gamma, Gamma.subgroup(P), Gamma.subgroup(Q))}
+            mor_labels[(i, j)] = sorted(((c, i, j) for c in cosets),
+                                        key=lambda t: sorted(t[0]))
 
     def compose(glab, flab):
         cg, _, k = glab

@@ -9,10 +9,13 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from .permgroups import (
     Group,
     Subgroup,
     all_subgroups,
+    member_mask,
     o_p,
     p_part,
     quotient_group,
@@ -51,6 +54,7 @@ class FusionSystem:
         self.maps_from = {P: set(maps_from.get(P, set())) for P in self.subgroups}
         self.provenance = provenance
         self._classes: Optional[List[List[MemberSet]]] = None
+        self._s_conj: Optional[Dict[int, Dict[int, int]]] = None
 
     # -- morphisms ------------------------------------------------------
 
@@ -70,13 +74,20 @@ class FusionSystem:
         """Aut_F(P) as a permutation group on the points moved by P."""
         return _maps_as_group(self.group, P, self.aut(P))
 
+    def s_conj(self) -> Dict[int, Dict[int, int]]:
+        """The S x S conjugation table s -> {x: x^s}, built once."""
+        if self._s_conj is None:
+            G = self.group
+            sm = self.sylow.sorted_members
+            self._s_conj = {s: {x: G.conj(x, s) for x in sm} for s in sm}
+        return self._s_conj
+
     def aut_s(self, P: MemberSet) -> List[MapKey]:
         """Aut_S(P): conjugations by elements of N_S(P)."""
-        G = self.group
         out = set()
-        for s in self.sylow.members:
-            if all(G.conj(x, s) in P for x in P):
-                out.add(_map_key({x: G.conj(x, s) for x in P}))
+        for c in self.s_conj().values():
+            if all(c[x] in P for x in P):
+                out.add(_map_key({x: c[x] for x in P}))
         return sorted(out)
 
     # -- conjugacy ------------------------------------------------------
@@ -113,14 +124,12 @@ class FusionSystem:
         raise FusionError("subgroup not under S")
 
     def n_s(self, P: MemberSet) -> MemberSet:
-        G = self.group
-        return frozenset(s for s in self.sylow.members
-                         if all(G.conj(x, s) in P for x in P))
+        return frozenset(s for s, c in self.s_conj().items()
+                         if all(c[x] in P for x in P))
 
     def c_s(self, P: MemberSet) -> MemberSet:
-        G = self.group
-        return frozenset(s for s in self.sylow.members
-                         if all(G.conj(x, s) == x for x in P))
+        return frozenset(s for s, c in self.s_conj().items()
+                         if all(c[x] == x for x in P))
 
     def fully_normalized(self, P: MemberSet) -> bool:
         n = len(self.n_s(P))
@@ -154,25 +163,37 @@ def _maps_as_group(G: Group, P: MemberSet, keys: Sequence[MapKey]) -> Group:
 
 # -- constructions ----------------------------------------------------------
 
+def _conjugation_maps(G: Group, S: Subgroup, subgroups: List[MemberSet],
+                      among: Optional[Sequence[int]] = None) -> Dict[MemberSet, Set[MapKey]]:
+    """The maps c_g on each P in subgroups, for every g (of ``among`` if
+    given) with P^g <= S.
+
+    Row i of ``images`` is s_i^g for every g, one conj_all per member of S;
+    the maps on P are the distinct columns of P's rows over the g with
+    P <= S_g.  A Python set removes the repeats: np.unique would import
+    numpy.ma (about 1 MiB) and was no faster here.
+    """
+    row = {s: i for i, s in enumerate(S.sorted_members)}
+    images = np.stack([G.conj_all(s) for s in S.sorted_members])
+    if among is not None:
+        images = images[:, among]
+    in_s = member_mask(G, S.members)[images]
+    maps_from: Dict[MemberSet, Set[MapKey]] = {}
+    for P in subgroups:
+        xs = sorted(P)
+        rows = [row[x] for x in xs]
+        hits = in_s[rows].all(axis=0)
+        maps_from[P] = {tuple(zip(xs, m)) for m in zip(*images[rows][:, hits].tolist())}
+    return maps_from
+
+
 def fusion_of_group(G: Group, S: Subgroup, prime: Optional[int] = None,
                     name: str = "") -> FusionSystem:
     """F_S(G): all conjugation maps between subgroups of S."""
     prime = prime or _prime_of(S)
     if p_part(G.order, prime) != S.order:
         raise FusionError("S is not a Sylow p-subgroup of G")
-    sm = S.members
-    maps_from: Dict[MemberSet, Set[MapKey]] = {}
-    for P in all_subgroups(S):
-        gens = G.subgroup(P).gens()
-        seen: Set[MapKey] = set()
-        for g in range(G.order):
-            if not all(G.conj(x, g) in sm for x in gens):
-                continue
-            mapping = {x: G.conj(x, g) for x in P}
-            if not frozenset(mapping.values()) <= sm:
-                continue
-            seen.add(_map_key(mapping))
-        maps_from[P] = seen
+    maps_from = _conjugation_maps(G, S, all_subgroups(S))
     return FusionSystem(G, S, prime, maps_from, name or f"F_S({G.name})")
 
 
@@ -180,15 +201,8 @@ def fusion_of_locality(L) -> FusionSystem:
     """F_S(L): generated by the conjugation maps c_g on subgroups of S_g."""
     G = L.ambient
     S = L.sylow
-    sm = S.members
     subgroups = all_subgroups(S)
-    maps_from: Dict[MemberSet, Set[MapKey]] = {P: set() for P in subgroups}
-
-    for g in L.carrier:
-        sg = L.s_word((g,))
-        for P in subgroups:
-            if P <= sg:
-                maps_from[P].add(_map_key({x: G.conj(x, g) for x in P}))
+    maps_from = _conjugation_maps(G, S, subgroups, L.carrier)
 
     # close under restriction and composition
     changed = True
@@ -284,16 +298,15 @@ def _fully_automized(F: FusionSystem, P: MemberSet) -> bool:
 
 
 def _receptive_failure(F: FusionSystem, P: MemberSet) -> Optional[str]:
-    G = F.group
+    aut_s_P = set(F.aut_s(P))
+    s_conj = F.s_conj()
     for Q in F.class_of(P):
         for k in F.isos(Q, P):
             d = _key_dict(k)
-            dinv = {y: x for x, y in d.items()}
-            aut_s_P = set(F.aut_s(P))
             n_phi = set()
             for g in F.n_s(Q):
-                conj_map = {x: G.conj(x, g) for x in Q}
-                moved = _map_key({d[x]: d[conj_map[x]] for x in Q})
+                c = s_conj[g]
+                moved = _map_key({d[x]: d[c[x]] for x in Q})
                 if moved in aut_s_P:
                     n_phi.add(g)
             n_phi_set = frozenset(n_phi)
@@ -354,21 +367,13 @@ def has_strongly_p_embedded(H: Group, p: int) -> bool:
     """Search all subgroups M with p | |M| and p coprime |M cap M^g| off M."""
     if H.order % p != 0:
         return False
-    from .permgroups import all_subgroups as subs_of
-
-    candidates = subs_of(H.full_subgroup())
-    for M in candidates:
+    for M in all_subgroups(H.full_subgroup()):
         if len(M) == H.order or len(M) % p != 0:
             continue
-        good = True
-        for g in range(H.order):
-            if g in M:
-                continue
-            Mg = frozenset(H.conj(x, g) for x in M)
-            if len(M & Mg) % p == 0:
-                good = False
-                break
-        if good:
+        # |M cap M^g| = #{x in M : x^g in M}, for every g at once
+        in_m = member_mask(H, M)
+        meets = np.sum([in_m[H.conj_all(x)] for x in M], axis=0)
+        if (meets[~in_m] % p != 0).all():
             return True
     return False
 

@@ -6,8 +6,9 @@ tracked subgroup S_w is an object (sound and complete for localities; the
 checkers below re-derive membership through explicit object chains instead
 of trusting this rule).  S_w is the intersection of the sets
 S_h = {s in S : s^h in S} over the prefix products h of w; each S_h is an
-int bitmask over the sorted members of S, computed once per ambient element
-and owned by the locality, so S_w costs one AND per letter.
+int bitmask over the sorted members of S, owned by the locality, so S_w
+costs one AND per letter.  A locality computes S_h for every ambient element
+at once from |S| ``conj_all`` columns; L_Delta(G) reads its carrier off them.
 
 Word-level axiom checks run exhaustively up to length 3 via a compressed
 state graph (a state is the pair (product, S_w mask), which determines the
@@ -15,8 +16,7 @@ tracked map s -> s^{Pi(w)}, and every word of bounded length lands in a
 recorded state; the graph is built once per locality and shared by both
 checkers), then by seeded sampling at lengths 4-5.  The step-wise
 pair tracking of ``s_word_pairs`` stays as an independent oracle for the
-tracked map.  Explicit multiplication tables, used for negative tests, are
-checked word by word without any compression.
+tracked map.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ from __future__ import annotations
 import random
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .permgroups import Group, Subgroup, all_subgroups, p_part
+import numpy as np
+
+from .permgroups import Group, Subgroup, all_subgroups, member_mask, p_part
 
 Word = Tuple[int, ...]
 MemberSet = FrozenSet[int]
@@ -74,28 +76,31 @@ class Locality:
     """A locality (carrier, Delta, S) inside an ambient group."""
 
     def __init__(self, ambient: Group, sylow: Subgroup, prime: int,
-                 objects: Iterable[MemberSet], carrier: Iterable[int],
+                 objects: Iterable[MemberSet], carrier: Optional[Iterable[int]],
                  name: str = "L"):
+        """A carrier of None means L_Delta(G): every g with S_g in Delta."""
         self.ambient = ambient
         self.sylow = sylow
         self.prime = prime
         self.objects: FrozenSet[MemberSet] = frozenset(frozenset(o) for o in objects)
-        self.carrier: Tuple[int, ...] = tuple(sorted(set(carrier)))
-        self.carrier_set: MemberSet = frozenset(self.carrier)
         self.name = name
         if not self.objects:
             raise LocalityError("object set is empty")
         for obj in self.objects:
             if not obj <= sylow.members:
                 raise LocalityError("object not contained in S")
-        # S-bit of each member of S, in sorted order; S_h as an int mask per
-        # ambient element h, filled on first use
+        # S-bit of each member of S, in sorted order, and S_h as an int mask
+        # for every ambient element h
         self._s_bits: Tuple[Tuple[int, int], ...] = tuple(
             (s, 1 << i) for i, s in enumerate(sylow.sorted_members))
         self._full_mask = (1 << len(self._s_bits)) - 1
-        self._masks: Dict[int, int] = {}
+        self._masks: List[int] = _all_s_masks(ambient, sylow)
         self._mask_sets: Dict[int, MemberSet] = {}
         self._object_masks = frozenset(self._mask_of(o) for o in self.objects)
+        if carrier is None:
+            carrier = (g for g, m in enumerate(self._masks) if m in self._object_masks)
+        self.carrier: Tuple[int, ...] = tuple(sorted(set(carrier)))
+        self.carrier_set: MemberSet = frozenset(self.carrier)
         self._conj_memo: Dict[int, Optional[int]] = {}
         self._graph: Optional[_StateGraph] = None
 
@@ -129,19 +134,6 @@ class Locality:
             self._mask_sets[mask] = members
         return members
 
-    def _s_mask(self, h: int) -> int:
-        """S_h = {s in S : s^h in S} as a mask."""
-        mask = self._masks.get(h)
-        if mask is None:
-            conj = self.ambient.conj
-            sm = self.sylow.members
-            mask = 0
-            for s, bit in self._s_bits:
-                if conj(s, h) in sm:
-                    mask |= bit
-            self._masks[h] = mask
-        return mask
-
     def _word_mask(self, word: Sequence[int]) -> int:
         """S_w as the AND of S_h over the prefix products h of w."""
         mul = self.ambient.mul
@@ -150,8 +142,7 @@ class Locality:
         mask = self._full_mask
         for g in word:
             h = mul(h, g)
-            m = masks.get(h)
-            mask &= self._s_mask(h) if m is None else m
+            mask &= masks[h]
         return mask
 
     # -- words ----------------------------------------------------------
@@ -303,7 +294,7 @@ def _object_closure_failures(L: Locality) -> Iterator[str]:
     for P in L.sorted_objects:
         pmask = L._mask_of(P)
         for g in L.carrier:
-            if (L._s_mask(g) & pmask == pmask
+            if (L._masks[g] & pmask == pmask
                     and frozenset(conj(x, g) for x in P) not in objs):
                 yield (f"not conjugation-closed: image of an order {len(P)} "
                        f"object under g={g} missing")
@@ -323,15 +314,22 @@ def build_locality(G: Group, S: Subgroup, objects: Iterable[MemberSet],
     """L_Delta(G) = {g : S cap S^g in Delta} with the word-tracked domain."""
     if p_part(G.order, prime) != S.order:
         raise LocalityError("S is not a Sylow p-subgroup")
-    objs = frozenset(frozenset(o) for o in objects)
-    sm = S.members
-    carrier = []
-    for g in range(G.order):
-        tracked = frozenset(x for x in sm if G.conj(x, g) in sm)
-        if tracked in objs:
-            carrier.append(g)
-    return _closed(Locality(G, S, prime, objs, carrier,
+    return _closed(Locality(G, S, prime, objects, None,
                             name=name or f"L_Delta({G.name})"))
+
+
+def _all_s_masks(G: Group, S: Subgroup) -> List[int]:
+    """S_g = {s in S : s^g in S} as a mask for every g of G, bit i standing
+    for the i-th member of S.
+
+    Column i, the g with s_i^g in S, is one conj_all of s_i.
+    """
+    in_s = member_mask(G, S.members)
+    tracked = np.stack([in_s[G.conj_all(s)] for s in S.sorted_members], axis=1)
+    packed = np.packbits(tracked, axis=1, bitorder="little")
+    width, data = packed.shape[1], packed.tobytes()
+    return [int.from_bytes(data[i:i + width], "little")
+            for i in range(0, len(data), width)]
 
 
 # -- state graph ----------------------------------------------------------
@@ -350,7 +348,7 @@ class _StateGraph:
     def __init__(self, L: Locality, depth: int):
         G = L.ambient
         mul = G.mul
-        s_mask = L._s_mask
+        s_masks = L._masks
         carrier = L.carrier
         current: Dict[Tuple[int, int], Word] = {(G.identity, L._full_mask): ()}
         self.levels: List[Dict[Tuple[int, int], Word]] = [current]
@@ -359,7 +357,7 @@ class _StateGraph:
             for (prod, mask), word in current.items():
                 for g in carrier:
                     h = mul(prod, g)
-                    key = (h, mask & s_mask(h))
+                    key = (h, mask & s_masks[h])
                     if key not in nxt:
                         nxt[key] = word + (g,)
             self.levels.append(nxt)
@@ -666,7 +664,8 @@ def quotient_locality(L: Locality, N: PartialNormalSubgroup,
         raise LocalityError("; ".join(report.failures))
     report.note("maximal_cosets", len(maximal))
 
-    K = G.subgroup(G.normal_closure(N.members), name="K")
+    conjugates = {y for x in N.members for y in G.conj_all(x).tolist()}
+    K = G.generated_subgroup(conjugates, name="K")
     Q, proj = quotient_group(G, K)
     # each maximal coset must sit inside one K-coset, distinct ones apart
     rep_of: Dict[MemberSet, int] = {}
@@ -811,58 +810,3 @@ def _quotient_has_char_p(G: Group, NP: Subgroup, opp_members: MemberSet, p: int)
     opp_local = {NPg.index(G.perm(x)) for x in opp_members}
     Q, _ = quotient_group(NPg, NPg.subgroup(opp_local))
     return bool(char_p_tests(Q, p)["is_characteristic_p"])
-
-
-# -- explicit tables for negative tests ------------------------------------
-
-class ExplicitPartialGroup:
-    """A partial group given by an explicit word table (for negative tests).
-
-    ``check`` can only reject: no finite table satisfies the inversion
-    axiom.  (x,) in D forces x^-1 o x = (x^-1, x) into D, that word forces
-    (x^-1, x, x^-1, x), and so on, so the longest words of any finite D
-    always report "w^-1 o w missing from D".  A table that should pass
-    needs D given by a rule (a membership predicate), not by a finite set.
-    """
-
-    def __init__(self, size: int, inv: Sequence[int],
-                 table: Dict[Word, int], identity: int = 0):
-        self.size = size
-        self.inv = list(inv)
-        self.table = dict(table)
-        self.identity = identity
-
-    def check(self) -> CheckReport:
-        report = CheckReport("explicit-partial-group")
-        dom = set(self.table)
-        dom.add(())
-        self.table.setdefault((), self.identity)
-        for x in range(self.size):
-            if (x,) not in dom:
-                report.fail(f"length-1 word ({x},) missing from D")
-            elif self.table[(x,)] != x:
-                report.fail(f"Pi does not restrict to identity at {x}")
-        # subword closure, then splice: replacing any segment by its
-        # product must give a word of D with the same product
-        for w in sorted(dom, key=len):
-            for i in range(len(w)):
-                for j in range(i + 1, len(w) + 1):
-                    v = w[i:j]
-                    if v not in dom:
-                        report.fail(f"subword {v} of {w} missing from D")
-                        continue
-                    spliced = w[:i] + (self.table[v],) + w[j:]
-                    if spliced not in dom:
-                        report.fail(f"spliced word {spliced} of {w} missing from D")
-                    elif self.table[spliced] != self.table[w]:
-                        report.fail(f"splice inconsistency at {w}")
-        # inversion: w^-1 o w lies in D with product 1
-        for w in sorted(dom, key=len):
-            if not w:
-                continue
-            wi = tuple(self.inv[x] for x in reversed(w))
-            if wi + w not in dom:
-                report.fail(f"w^-1 o w missing from D at {w}")
-            elif self.table[wi + w] != self.identity:
-                report.fail(f"Pi(w^-1 o w) != 1 at {w}")
-        return report

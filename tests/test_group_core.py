@@ -3,19 +3,31 @@
 Random groups come from hypothesis: one to three random permutations of
 degree <= 7, cut down to the longest prefix of generators whose group has
 order <= 200.  Group facts are compared with ``sympy.combinatorics``; the
-scans over G (transporters, normalizers, O_p, O_p') are compared with
-oracles written here with the scalar ``Group.conj`` over every element.
+scans over G (``conj_all``, transporters, normalizers, O_p, O_p') are
+compared with oracles written here with the scalar ``Group.conj`` over
+every element.  SL3(4) at p = 3 closes the file: its scans over 60,480
+elements are the reason for the vector core.
 """
 
+import json
+import random
+
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
+from locus.cli import main
+from locus.fusion import fusion_of_group, fusion_of_locality, is_saturated
+from locus.locality import build_locality, delta_min_order
 from locus.permgroups import (
     Group,
     GroupError,
     center,
     centralizer_set,
+    conjugacy_classes,
+    load_group,
     normalizer_set,
     o_p,
     o_pprime,
@@ -23,6 +35,8 @@ from locus.permgroups import (
     sylow,
     transporter,
 )
+
+from conftest import bundled
 
 ORDER_CAP = 200
 
@@ -71,6 +85,15 @@ def test_group_facts_match_sympy(G):
     ours = sorted(G.order // len(centralizer_set(G, [x])) for x in range(G.order))
     theirs = sorted(len(c) for c in SG.conjugacy_classes() for _ in c)
     assert ours == theirs
+    assert sorted(len(c) for c in conjugacy_classes(G)) == sorted(
+        len(c) for c in SG.conjugacy_classes())
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_groups())
+def test_conj_all_matches_scalar_conj(G):
+    for x in range(G.order):
+        assert G.conj_all(x).tolist() == [G.conj(x, g) for g in range(G.order)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -101,3 +124,70 @@ def test_op_and_opprime_match_scans(G):
         opp = {x for x in range(G.order)
                if len(G.closure(_scan_class(G, x))) % p != 0}
         assert o_pprime(G, p).members == opp
+
+
+PSL3_3 = """degree 13
+(2 8 11)(3 9 13)(4 10 12)
+(1 3 4)(6 9 12)(7 13 10)
+(5 6 7)(8 9 10)(11 12 13)
+"""
+
+
+def test_conj_all_matches_scalar_conj_on_psl3_3():
+    G = load_group(PSL3_3, name="psl3_3")
+    assert G.order == 5616
+    rng = random.Random(2024)
+    for x in rng.sample(range(G.order), 20):
+        row = G.conj_all(x)
+        for g in rng.sample(range(G.order), 1000):
+            assert row[g] == G.conj(x, g)
+
+
+def test_conj_all_keys_wider_than_int64():
+    # C2^8 as 8 disjoint transpositions on 300 points: uint16 rows and a
+    # base of 8 points, so degree ** len(base) = 300^8 > 2^63 and each key
+    # is a 16-byte string
+    gens = []
+    for i in range(8):
+        p = list(range(300))
+        p[2 * i], p[2 * i + 1] = 2 * i + 1, 2 * i
+        gens.append(tuple(p))
+    G = Group(300, gens)
+    assert G.order == 256 and 300 ** 8 > 2 ** 63
+    E, einv_base, keys, _ = G._base_core()
+    assert E.dtype == np.uint16 and einv_base.shape == (256, 8)
+    assert keys.dtype.kind == "V" and keys.dtype.itemsize == 16
+    G.build_tables()  # the scalar oracle reads its own table
+    for x in range(G.order):
+        assert G.conj_all(x).tolist() == [G.conj(x, g) for g in range(G.order)]
+
+
+def test_conj_all_raises_on_a_missing_key():
+    G = load_group("degree 4\n(1 2 3 4)\n(1 2)")
+    E, einv_base, keys, order = G._base_core()
+    G._core = (E, einv_base, keys[1:], order[1:])
+    with pytest.raises(GroupError):
+        G.conj_all(int(order[0]))
+
+
+@pytest.mark.slow
+def test_sl3_4_bigcover_sequence():
+    M = bundled("sl3_4")
+    S = sylow(M, 3)
+    L = build_locality(M, S, delta_min_order(S, 9), 3)
+    assert (len(L.carrier), len(L.objects)) == (216, 5)
+    assert is_saturated(fusion_of_group(M, S, 3))[0]
+    assert is_saturated(fusion_of_locality(L))[0]
+    assert o_p(M, 3).order == 3
+
+
+@pytest.mark.slow
+def test_sl3_4_group_inspect(tmp_path):
+    path = tmp_path / "report.json"
+    assert main(["group-inspect", "--group", "sl3_4", "--prime", "3",
+                 "--report", str(path)]) == 0
+    results = json.loads(path.read_text())["results"]
+    assert {k: results[k] for k in ("order", "sylow_order", "O_p_order",
+                                    "O_pprime_order", "center_order")} == {
+        "order": 60480, "sylow_order": 27, "O_p_order": 3,
+        "O_pprime_order": 1, "center_order": 3}

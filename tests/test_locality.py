@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locus.locality import (
-    ExplicitPartialGroup,
     Locality,
     LocalityError,
     PartialNormalSubgroup,
@@ -121,35 +120,6 @@ def test_check_partial_group_s4():
 def test_check_partial_group_a6():
     L = punctured("a6", 2)
     assert check_partial_group(L, samples=5000).passed
-
-
-def test_corrupted_table_fails():
-    # materialize a tiny explicit table and corrupt one inversion product
-    table = {}
-    size = 3  # C3 as a total group: elements 0,1,2 with addition mod 3
-    inv = [0, 2, 1]
-    words = [()]
-    for a in range(size):
-        words.append((a,))
-        for b in range(size):
-            words.append((a, b))
-    for w in words:
-        table[w] = sum(w) % 3
-    table[(1, 2)] = 1  # corrupt Pi(g, g^-1)
-    rep = ExplicitPartialGroup(size, inv, table).check()
-    assert not rep.passed
-    assert any("Pi(w^-1 o w)" in f or "splice" in f for f in rep.failures)
-
-
-@pytest.mark.parametrize("table, why", [
-    ({(0,): 0, (1,): 1, (1, 1): 0}, "(0, 0) missing"),
-    ({(0,): 0, (1,): 1, (1, 1): 0, (0, 0): 0, (1, 1, 1): 1},
-     "(0, 1) and (1, 0) missing"),
-])
-def test_explicit_table_missing_words_fails(table, why):
-    rep = ExplicitPartialGroup(2, [0, 1], table).check()
-    assert not rep.passed, why
-    assert any("missing from D" in f for f in rep.failures), rep.failures
 
 
 def test_locality_axioms_a6():
