@@ -1,0 +1,111 @@
+"""Alternating parent/change perfbench runs, collected into one BENCH file.
+
+    python scripts/bench_pairs.py --parent PARENT_CHECKOUT --change . \\
+        --workload bigcover --pairs 10 --traced --out BENCH_6.json
+
+Each side is a checkout run with its own ``perfbench/run.py`` at the same
+``--seconds`` and seed.  Pair i runs the parent first when i is even and
+the change first when i is odd.  After every run the record that the
+benchmark wrote to ``<checkout>/.bench_out/`` is read back.  With
+``--traced`` one traced run per side follows the pairs.
+
+The output file gets one entry per workload; entries of other workloads
+already in the file are kept.  An entry holds every run's record
+(machine block, medians and quartiles, checks),
+each side's median and quartiles over its run medians, the number of pairs
+the change won for every end-to-end metric (lower is better, ties count
+for neither), the item digests of ``perfbench/expected.json`` and, with
+``--traced``, each side's per-layer metrics.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+E2E = ["wall_s", "setup_s", "cpu_s", "peak_rss_mb"]
+KEPT = ["machine", "elapsed_s", "spread", "failures", "result"]
+
+
+def bench(checkout: Path, workload: str, seconds: int, seed: int, trace: int) -> dict:
+    """One perfbench run of one checkout; the record it wrote, trimmed."""
+    subprocess.run([sys.executable, str(checkout / "perfbench" / "run.py"),
+                    "--workload", workload, "--seconds", str(seconds),
+                    "--seed", str(seed), "--trace", str(trace)],
+                   check=True, stdout=subprocess.DEVNULL)
+    path = checkout / ".bench_out" / f"{workload}-seed{seed}-trace{trace}.json"
+    record = json.loads(path.read_text())
+    return {k: record[k] for k in KEPT}
+
+
+def spread(values: list) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"q1": q1, "median": median, "q3": q3, "n": len(values)}
+
+
+def value(record: dict, metric: str) -> float:
+    return record["result"]["metrics"][metric]["value"]
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=int, default=40)
+    ap.add_argument("--seed", type=int, default=2024)
+    ap.add_argument("--traced", action="store_true")
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args()
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+
+    runs = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+        for side in order:
+            runs[side].append(bench(sides[side], args.workload, args.seconds, args.seed, 0))
+        print(f"pair {i + 1}: " + ", ".join(
+            f"{side} wall_s {value(runs[side][-1], 'wall_s'):.3f}" for side in order),
+            file=sys.stderr)
+
+    entry = {
+        "seconds": args.seconds, "seed": args.seed, "pairs": args.pairs,
+        "correct": all(r["result"]["correct"] for rs in runs.values() for r in rs),
+        "expected_sha256": {
+            side: [item["sha256"] for item in json.loads(
+                (path / "perfbench" / "expected.json").read_text())[args.workload]]
+            for side, path in sides.items()},
+        "metrics": {},
+        "runs": runs,
+    }
+    for metric in E2E:
+        parent = [value(r, metric) for r in runs["parent"]]
+        change = [value(r, metric) for r in runs["change"]]
+        entry["metrics"][metric] = {
+            "parent": spread(parent), "change": spread(change),
+            "change_wins": sum(c < p for p, c in zip(parent, change)),
+            "parent_wins": sum(p < c for p, c in zip(parent, change)),
+        }
+    if args.traced:
+        entry["traced"] = {side: bench(path, args.workload, args.seconds, args.seed, 1)
+                           for side, path in sides.items()}
+
+    out = json.loads(args.out.read_text()) if args.out.exists() else {}
+    out[args.workload] = entry
+    args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+    for metric, m in entry["metrics"].items():
+        print(f"{args.workload} {metric}: parent {m['parent']['median']:.4g} "
+              f"[{m['parent']['q1']:.4g}, {m['parent']['q3']:.4g}], change "
+              f"{m['change']['median']:.4g} [{m['change']['q1']:.4g}, "
+              f"{m['change']['q3']:.4g}], change better in "
+              f"{m['change_wins']}/{args.pairs}")
+    return 0 if entry["correct"] else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
