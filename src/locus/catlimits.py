@@ -466,7 +466,7 @@ def p_orbit_category(Gamma: Group, p: int) -> Tuple[FiniteCategory, List[FrozenS
     S = sylow(Gamma, p)
     reps: List[FrozenSet[int]] = []
     seen: Set[FrozenSet[int]] = set()
-    for m in sorted(all_subgroups(S), key=lambda m: (len(m), sorted(m))):
+    for m in all_subgroups(S):
         if m in seen:
             continue
         orbit = {m}
@@ -507,27 +507,18 @@ def p_orbit_category(Gamma: Group, p: int) -> Tuple[FiniteCategory, List[FrozenS
 
 
 def lambda_dims(Gamma: Group, p: int, module_dim: int,
-                action: Optional[Dict[int, np.ndarray]] = None,
                 max_degree: int = 4) -> List[int]:
-    """Lambda^*(Gamma, M): higher limits of the atomic functor on the free
-    orbit over the p-orbit category.
-
-    ``action`` maps each element of Gamma to its matrix on M acting on the
-    right (so the assignment is an anti-homomorphism); omitted means the
-    trivial module.
+    """Lambda^*(Gamma, M) for the trivial module M = F_p^module_dim: higher
+    limits of the atomic functor on the free orbit over the p-orbit category.
     """
     cat, reps = p_orbit_category(Gamma, p)
     free = next(i for i, P in enumerate(reps) if len(P) == 1)
     dims = [module_dim if i == free else 0 for i in range(cat.n)]
     mats: Dict[int, np.ndarray] = {}
     for m in range(len(cat.labels)):
-        coset, i, j = cat.labels[m]
+        _, i, j = cat.labels[m]
         if i == free and j == free:
-            g = min(coset)  # the coset is a singleton on the free orbit
-            if action is None:
-                mats[m] = np.eye(module_dim, dtype=np.int64)
-            else:
-                mats[m] = action[g]
+            mats[m] = np.eye(module_dim, dtype=np.int64)
         else:
             mats[m] = np.zeros((dims[cat.src[m]], dims[cat.tgt[m]]),
                                dtype=np.int64)
@@ -588,7 +579,7 @@ def atomic_comparison(OT, class_rep: MemberSet, module_dim: int = 1,
     functor = atomic_functor(sub, rep_idx, module_dim, p, aut_action)
     ot_side = higher_limits(functor, max_degree)
     Gamma = OT.aut(cat.objects[keep[rep_idx]])
-    lam_side = lambda_dims(Gamma, p, module_dim, None, max_degree)
+    lam_side = lambda_dims(Gamma, p, module_dim, max_degree)
     return ot_side, lam_side
 
 
@@ -642,8 +633,7 @@ def proto_mackey_check(OT, fam: CohomologyFamily, j: int) -> Dict[str, object]:
         key = (flab, P, Q)
         if key not in mstar_cache:
             mapping = {x: OT.T.left_conj(x, flab) for x in P}
-            mstar_cache[key] = transfer_along(fam.of(P), fam.of(Q), mapping,
-                                              j, fam._cache)
+            mstar_cache[key] = transfer_along(fam, P, Q, mapping, j)
         return mstar_cache[key]
 
     # (a) equal values: same fam.of(P) on both sides -- structural.

@@ -4,12 +4,13 @@ Cochains in degree n are functions on n-tuples of nonidentity elements,
 with the usual inhomogeneous differential (terms whose inner product hits
 the identity drop out).  Restriction is precomposition; transfer walks
 coset representatives.  Everything is exact linear algebra over F_p.
+``CohomologyFamily`` is the one cache of these groups over an ambient group.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
@@ -260,58 +261,46 @@ def transfer_map(H_big: FpCohomology, H_small: FpCohomology, n: int) -> np.ndarr
     return np.array(cols, dtype=np.int64).T
 
 
-def transfer_along(H_source: FpCohomology, H_target: FpCohomology,
-                   mapping: Dict[int, int], n: int,
-                   cache: Optional[Dict] = None) -> np.ndarray:
-    """Covariant map H^n(source) -> H^n(target) for an injective hom.
-
-    Factors as isomorphism onto the image followed by the coset transfer;
-    on an isomorphism this is restriction along the inverse.
-    """
-    G = H_source.group
-    image = frozenset(mapping.values())
-    inv_map = {y: x for x, y in mapping.items()}
-    if image == H_target.sub.members:
-        return restriction_map(H_source, H_target, inv_map, n)
-    H_img = _cohomology_of(G, image, H_source.p, H_source.jmax, cache)
-    iso = restriction_map(H_source, H_img, inv_map, n)
-    tr = transfer_map(H_target, H_img, n)
-    return (tr @ iso) % H_source.p
-
-
-def _cohomology_of(G: Group, members: MemberSet, p: int, jmax: int,
-                   cache: Optional[Dict]) -> FpCohomology:
-    if cache is None:
-        return FpCohomology(G, G.subgroup(members), p, jmax)
-    key = (members, p, jmax)
-    if key not in cache:
-        cache[key] = FpCohomology(G, G.subgroup(members), p, jmax)
-    return cache[key]
-
-
 class CohomologyFamily:
-    """Shared cache of FpCohomology objects over one ambient group."""
+    """The one cache of FpCohomology objects over one ambient group."""
 
     def __init__(self, G: Group, p: int, jmax: int):
         self.group = G
         self.p = p
         self.jmax = jmax
-        self._cache: Dict = {}
+        self._cache: Dict[MemberSet, FpCohomology] = {}
 
     def of(self, members: MemberSet) -> FpCohomology:
-        return _cohomology_of(self.group, frozenset(members), self.p,
-                              self.jmax, self._cache)
+        members = frozenset(members)
+        if members not in self._cache:
+            self._cache[members] = FpCohomology(
+                self.group, self.group.subgroup(members), self.p, self.jmax)
+        return self._cache[members]
 
 
-def mackey_square(fam_ambient: Group, H: Dict[MemberSet, FpCohomology],
-                  P: MemberSet, K: MemberSet, Q: MemberSet, n: int) -> bool:
+def transfer_along(fam: CohomologyFamily, P: MemberSet, Q: MemberSet,
+                   mapping: Dict[int, int], n: int) -> np.ndarray:
+    """Covariant map H^n(P) -> H^n(Q) for an injective hom P -> Q.
+
+    Factors as isomorphism onto the image followed by the coset transfer;
+    on an isomorphism this is restriction along the inverse.
+    """
+    image = frozenset(mapping.values())
+    inv_map = {y: x for x, y in mapping.items()}
+    iso = restriction_map(fam.of(P), fam.of(image), inv_map, n)
+    if image == frozenset(Q):
+        return iso
+    return (transfer_map(fam.of(Q), fam.of(image), n) @ iso) % fam.p
+
+
+def mackey_square(fam: CohomologyFamily, P: MemberSet, K: MemberSet,
+                  Q: MemberSet, n: int) -> bool:
     """res^Q_K o tr^Q_P equals the double-coset sum, as matrices."""
-    G = fam_ambient
-    p = H[Q].p
-    incl_K = {x: x for x in K}
-    incl_P = {x: x for x in P}
-    lhs = (restriction_map(H[Q], H[K], incl_K, n)
-           @ transfer_map(H[Q], H[P], n)) % p
+    G = fam.group
+    p = fam.p
+    H = fam.of
+    lhs = (restriction_map(H(Q), H(K), {x: x for x in K}, n)
+           @ transfer_map(H(Q), H(P), n)) % p
     rhs = np.zeros_like(lhs)
     seen = set()
     for x in sorted(Q):
@@ -324,13 +313,9 @@ def mackey_square(fam_ambient: Group, H: Dict[MemberSet, FpCohomology],
         inter = frozenset(y for y in K if y in conj_P)      # K cap ^xP
         if len(inter) == 0:
             continue
-        Hc = FpCohomology(G, G.subgroup(conj_P), H[P].p, H[P].jmax) \
-            if conj_P not in H else H[conj_P]
-        Hi = FpCohomology(G, G.subgroup(inter), H[P].p, H[P].jmax) \
-            if inter not in H else H[inter]
         # c_x : H(P) -> H(^xP) induced by the hom ^xP -> P, y -> y^x
-        cx = restriction_map(H[P], Hc, {y: G.conj(y, x) for y in conj_P}, n)
-        res = restriction_map(Hc, Hi, {y: y for y in inter}, n)
-        tr = transfer_map(H[K], Hi, n)
+        cx = restriction_map(H(P), H(conj_P), {y: G.conj(y, x) for y in conj_P}, n)
+        res = restriction_map(H(conj_P), H(inter), {y: y for y in inter}, n)
+        tr = transfer_map(H(K), H(inter), n)
         rhs = (rhs + tr @ res @ cx) % p
     return not np.any((lhs - rhs) % p)

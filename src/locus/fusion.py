@@ -49,8 +49,7 @@ class FusionSystem:
         self.group = group
         self.sylow = sylow_sub
         self.prime = prime
-        self.subgroups: List[MemberSet] = sorted(
-            all_subgroups(sylow_sub), key=lambda m: (len(m), sorted(m)))
+        self.subgroups: Sequence[MemberSet] = all_subgroups(sylow_sub)
         self.maps_from = {P: set(maps_from.get(P, set())) for P in self.subgroups}
         self.provenance = provenance
         self._classes: Optional[List[List[MemberSet]]] = None
@@ -163,7 +162,7 @@ def _maps_as_group(G: Group, P: MemberSet, keys: Sequence[MapKey]) -> Group:
 
 # -- constructions ----------------------------------------------------------
 
-def _conjugation_maps(G: Group, S: Subgroup, subgroups: List[MemberSet],
+def _conjugation_maps(G: Group, S: Subgroup, subgroups: Sequence[MemberSet],
                       among: Optional[Sequence[int]] = None) -> Dict[MemberSet, Set[MapKey]]:
     """The maps c_g on each P in subgroups, for every g (of ``among`` if
     given) with P^g <= S.
@@ -187,14 +186,12 @@ def _conjugation_maps(G: Group, S: Subgroup, subgroups: List[MemberSet],
     return maps_from
 
 
-def fusion_of_group(G: Group, S: Subgroup, prime: Optional[int] = None,
-                    name: str = "") -> FusionSystem:
+def fusion_of_group(G: Group, S: Subgroup, prime: int) -> FusionSystem:
     """F_S(G): all conjugation maps between subgroups of S."""
-    prime = prime or _prime_of(S)
     if p_part(G.order, prime) != S.order:
         raise FusionError("S is not a Sylow p-subgroup of G")
     maps_from = _conjugation_maps(G, S, all_subgroups(S))
-    return FusionSystem(G, S, prime, maps_from, name or f"F_S({G.name})")
+    return FusionSystem(G, S, prime, maps_from, f"F_S({G.name})")
 
 
 def fusion_of_locality(L) -> FusionSystem:
@@ -225,16 +222,6 @@ def fusion_of_locality(L) -> FusionSystem:
                         maps_from[P].add(ck)
                         changed = True
     return FusionSystem(G, S, L.prime, maps_from, f"F_S({L.name})")
-
-
-def _prime_of(S: Subgroup) -> int:
-    n = S.order
-    if n == 1:
-        raise FusionError("trivial S has no prime")
-    for p in (2, 3, 5, 7, 11, 13):
-        if n % p == 0:
-            return p
-    raise FusionError("S is not a p-group for a small prime")
 
 
 def fusion_systems_equal(F1: FusionSystem, F2: FusionSystem) -> bool:

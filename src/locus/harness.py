@@ -42,6 +42,7 @@ from .fusion import (
 )
 from .locality import (
     Locality,
+    LocalityError,
     build_locality,
     check_locality_axioms,
     check_partial_group,
@@ -199,7 +200,11 @@ def resolve_objects(G: pg.Group, S: pg.Subgroup, prime: int, selector: str):
     if selector == "all-nontrivial":
         return delta_all_nontrivial(S)
     if selector.startswith("min-order:"):
-        return delta_min_order(S, int(selector.split(":")[1]))
+        bound = selector.split(":", 1)[1]
+        if not bound.isdecimal():
+            raise LocalityError(f"object selector {selector!r}: min-order needs "
+                                f"a non-negative integer, got {bound!r}")
+        return delta_min_order(S, int(bound))
     if selector == "centric":
         F = fusion_of_group(G, S, prime)
         cls = classify_subgroups_core_only(F)
@@ -208,7 +213,8 @@ def resolve_objects(G: pg.Group, S: pg.Subgroup, prime: int, selector: str):
         F = fusion_of_group(G, S, prime)
         cls = classify_subgroups(F)
         return cls.all_with("subcentric")
-    raise ValueError(f"unknown object selector {selector!r}")
+    raise LocalityError(f"unknown object selector {selector!r}; choose from "
+                        f"all-nontrivial, centric, subcentric, min-order:N")
 
 
 def locality_from_config(config: RunConfig) -> Locality:
@@ -609,13 +615,12 @@ def full_acceptance(config: RunConfig) -> Report:
                         if not np.array_equal((tr @ res) % 2, want % 2):
                             trres_ok = False
         mackey_ok = True
-        H = {m: fam.of(m) for m in subs}
         for Q in subs:
             inner = [m for m in subs if m <= Q]
             for P in inner:
                 for K in inner:
                     for j in range(3):
-                        if not mackey_square(Gd8, H, P, K, Q, j):
+                        if not mackey_square(fam, P, K, Q, j):
                             mackey_ok = False
         c8["transfer_restriction_index"] = trres_ok
         c8["mackey_squares"] = mackey_ok
@@ -649,11 +654,11 @@ def full_acceptance(config: RunConfig) -> Report:
     def _c10():
         c10 = {}
         G1 = pg.load_group("degree 1\n()", name="1")
-        c10["lambda_trivial"] = lambda_dims(G1, 2, 1, None, 4) == [1, 0, 0, 0, 0]
+        c10["lambda_trivial"] = lambda_dims(G1, 2, 1, 4) == [1, 0, 0, 0, 0]
         C2g = pg.load_group("degree 2\n(1 2)", name="C2")
-        c10["lambda_C2_zero"] = lambda_dims(C2g, 2, 1, None, 4) == [0] * 5
+        c10["lambda_C2_zero"] = lambda_dims(C2g, 2, 1, 4) == [0] * 5
         S3g = pg.load_group("degree 3\n(1 2)\n(1 2 3)", name="S3")
-        lam_s3 = lambda_dims(S3g, 2, 1, None, 4)
+        lam_s3 = lambda_dims(S3g, 2, 1, 4)
         c10["lambda_S3_higher_zero"] = lam_s3[1:] == [0, 0, 0, 0]
         c10["lambda_S3_dims"] = lam_s3
         La6p = locality("a6", 2, "all-nontrivial")

@@ -310,12 +310,11 @@ def _closed(L: Locality) -> Locality:
 
 
 def build_locality(G: Group, S: Subgroup, objects: Iterable[MemberSet],
-                   prime: int, name: str = "") -> Locality:
+                   prime: int) -> Locality:
     """L_Delta(G) = {g : S cap S^g in Delta} with the word-tracked domain."""
     if p_part(G.order, prime) != S.order:
         raise LocalityError("S is not a Sylow p-subgroup")
-    return _closed(Locality(G, S, prime, objects, None,
-                            name=name or f"L_Delta({G.name})"))
+    return _closed(Locality(G, S, prime, objects, None, name=f"L_Delta({G.name})"))
 
 
 def _all_s_masks(G: Group, S: Subgroup) -> List[int]:

@@ -9,6 +9,7 @@ tuples, so every iteration order below is deterministic.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from array import array
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -57,14 +58,8 @@ def perm_order(p: Perm) -> int:
             j = p[j]
             length += 1
         if length > 1:
-            order = _lcm(order, length)
+            order = math.lcm(order, length)
     return order
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a // gcd(a, b) * b
 
 
 def cycle_string(p: Perm) -> str:
@@ -143,6 +138,9 @@ class Group:
         self._conj_table: Optional[array] = None
         # base-image arrays behind conj_all, built on its first call
         self._core: Optional[Tuple[np.ndarray, ...]] = None
+        # the members of one Sylow subgroup per prime, found on the first
+        # sylow(G, p); members only, so that no cycle keeps G alive
+        self._sylow: Dict[int, FrozenSet[int]] = {}
 
     # -- basics ---------------------------------------------------------
 
@@ -277,10 +275,8 @@ class Group:
     def full_subgroup(self) -> "Subgroup":
         return Subgroup(self, frozenset(range(self.order)), name=self.name)
 
-    def generated_subgroup(self, gens: Iterable[int], name: str = "",
-                           limit: Optional[int] = None) -> "Subgroup":
-        members = self.closure(gens, limit=limit)
-        return Subgroup(self, frozenset(members), name=name)
+    def generated_subgroup(self, gens: Iterable[int], name: str = "") -> "Subgroup":
+        return Subgroup(self, self.closure(gens), name=name)
 
     def closure(self, gens: Iterable[int], limit: Optional[int] = None) -> FrozenSet[int]:
         """Subgroup generated by gens; aborts past ``limit`` if given."""
@@ -348,6 +344,7 @@ class Subgroup:
             raise GroupError("subgroup must contain the identity")
         self._sorted: Optional[Tuple[int, ...]] = None
         self._gens: Optional[List[int]] = None
+        self._lattice: Optional[Tuple[FrozenSet[int], ...]] = None
 
     @property
     def order(self) -> int:
@@ -423,13 +420,6 @@ class Subgroup:
         return self.is_abelian() and all(
             x == G.identity or G.element_order(x) == p for x in self.members)
 
-    def exponent(self) -> int:
-        G = self.parent
-        e = 1
-        for x in self.members:
-            e = _lcm(e, G.element_order(x))
-        return e
-
     def __repr__(self) -> str:
         label = self.name or "H"
         return f"Subgroup({label}, order={self.order})"
@@ -457,19 +447,20 @@ def load_group(text: str, name: str = "G", order_cap: int = DEFAULT_ORDER_CAP) -
     return Group(degree, gens, name=name, order_cap=order_cap)
 
 
-def load_group_file(path, name: Optional[str] = None,
-                    order_cap: int = DEFAULT_ORDER_CAP) -> Group:
+def load_group_file(path) -> Group:
+    """A group file, named after its stem."""
     from pathlib import Path
 
     p = Path(path)
-    return load_group(p.read_text(encoding="utf-8"), name=name or p.stem,
-                      order_cap=order_cap)
+    return load_group(p.read_text(encoding="utf-8"), name=p.stem)
 
 
 # -- standard queries ---------------------------------------------------
 
 def p_part(n: int, p: int) -> int:
-    """The largest power of p dividing n (n >= 1)."""
+    """The largest power of p dividing n (n >= 1, p >= 2)."""
+    if p < 2:
+        raise GroupError(f"p = {p} is not a prime")
     m = 1
     while n % p == 0:
         n //= p
@@ -478,7 +469,19 @@ def p_part(n: int, p: int) -> int:
 
 
 def sylow(G: Group, p: int) -> Subgroup:
-    """A Sylow p-subgroup, grown deterministically inside normalizers."""
+    """A Sylow p-subgroup, grown deterministically inside normalizers.
+
+    Grown once per (G, p); later calls return a subgroup with the same
+    member set.
+    """
+    if p not in G._sylow:
+        G._sylow[p] = _grow_sylow(G, p)
+    return G.subgroup(G._sylow[p], name=f"Syl_{p}({G.name})")
+
+
+def _grow_sylow(G: Group, p: int) -> FrozenSet[int]:
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise GroupError(f"p = {p} is not a prime")
     target = p_part(G.order, p)
     current = G.subgroup([G.identity])
     while current.order < target:
@@ -497,8 +500,7 @@ def sylow(G: Group, p: int) -> Subgroup:
                 break
         if not extended:
             raise GroupError("sylow construction failed (internal error)")
-    current.name = f"Syl_{p}({G.name})"
-    return current
+    return current.members
 
 
 def member_mask(G: Group, members: Iterable[int]) -> np.ndarray:
@@ -601,8 +603,15 @@ def char_p_tests(G: Group, p: int) -> Dict[str, object]:
     }
 
 
-def all_subgroups(S: Subgroup) -> List[FrozenSet[int]]:
-    """Every subgroup of S as a member set (S must be small)."""
+def all_subgroups(S: Subgroup) -> Tuple[FrozenSet[int], ...]:
+    """Every subgroup of S as a member set (S must be small), ordered by
+    (order, sorted members); built once per S."""
+    if S._lattice is None:
+        S._lattice = _subgroup_lattice(S)
+    return S._lattice
+
+
+def _subgroup_lattice(S: Subgroup) -> Tuple[FrozenSet[int], ...]:
     if S.order > SUBGROUP_LATTICE_CAP:
         raise GroupError(f"subgroup lattice cap exceeded: |S|={S.order}")
     G = S.parent
@@ -622,7 +631,7 @@ def all_subgroups(S: Subgroup) -> List[FrozenSet[int]]:
                     found.add(J)
                     new.append(J)
         frontier = new
-    return sorted(found, key=lambda m: (len(m), sorted(m)))
+    return tuple(sorted(found, key=lambda m: (len(m), sorted(m))))
 
 
 def subgroups_up_to_conjugacy(S: Subgroup) -> List[List[Subgroup]]:

@@ -241,14 +241,6 @@ def _so7_root_vector(alpha: Vec) -> np.ndarray:
     return X
 
 
-def _check_so7(X: np.ndarray) -> bool:
-    J = np.zeros((7, 7), dtype=np.int64)
-    for i, mi in ((0, 4), (1, 5), (2, 6)):
-        J[i, mi] = J[mi, i] = 1
-    J[3, 3] = 2
-    return not np.any(X.T @ J + J @ X)
-
-
 def x_element(alpha: Vec, t: Fraction) -> np.ndarray:
     """x_alpha(t) = exp(t X_alpha) as an exact rational matrix."""
     X = np.array(_so7_root_vector(alpha), dtype=object)
@@ -268,12 +260,6 @@ def n_element(alpha: Vec, t: Fraction = Fraction(1)) -> np.ndarray:
     t = Fraction(t)
     return (x_element(alpha, t) @ x_element(tuple(-a for a in alpha), -1 / t)
             @ x_element(alpha, t))
-
-
-def _h_element_exact(alpha: Vec, t: Fraction) -> np.ndarray:
-    n1 = n_element(alpha, Fraction(1))
-    nt = n_element(alpha, Fraction(t))
-    return _mat_inv_exact(n1) @ nt
 
 
 class SignTable:
@@ -332,38 +318,6 @@ class SignTable:
                 if self.c(BETAS[i], BETAS[j]) != want:
                     out["bibj"] = False
         return out
-
-
-def verify_chevalley_torus_relations() -> Dict[str, bool]:
-    """E:hn, E:n2, E:nn (n-form), and the pairing action, in so(7)."""
-    out = {"hn": True, "n2": True, "nn": True, "pairing_action": True}
-    roots = all_roots()
-    lam = Fraction(2)
-    signs = SignTable()
-    ns = {a: n_element(a) for a in roots}
-    n_inv = {a: _mat_inv_exact(ns[a]) for a in roots}
-    for b in roots:
-        for a in roots:
-            w = reflect(a, b)
-            lhs = n_inv[b] @ _h_element_exact(a, lam) @ ns[b]
-            if not np.array_equal(lhs, _h_element_exact(w, lam)):
-                out["hn"] = False
-            lhs_n = n_inv[b] @ n_element(a, Fraction(1)) @ ns[b]
-            c = signs.c(a, b)
-            if not np.array_equal(lhs_n, n_element(w, Fraction(c))):
-                out["nn"] = False
-        if not np.array_equal(ns[b] @ ns[b], _h_element_exact(b, Fraction(-1))):
-            out["n2"] = False
-    # x_alpha(mu)^{h_beta(lam)} = x_alpha(lam^{<a,b>} mu)
-    for b in roots[:6]:
-        hb = _h_element_exact(b, lam)
-        hbi = _mat_inv_exact(hb)
-        for a in roots:
-            lhs = hbi @ x_element(a, Fraction(1)) @ hb
-            rhs = x_element(a, lam ** pairing(a, b))
-            if not np.array_equal(lhs, rhs):
-                out["pairing_action"] = False
-    return out
 
 
 # -- finite torus -------------------------------------------------------------
@@ -498,13 +452,9 @@ class NormalizerModel:
             acc = self._mul_simple(acc, s)
         return acc
 
-    def n_beta(self, beta: Sequence[int], exponent_of_lambda: int = 0) -> Tuple[int, Vec]:
-        """n_beta(lambda) = n_beta(1) h_beta(lambda), lambda = g^e."""
-        wb = self.windex[weyl_matrix(beta).tobytes()]
-        base = self.n_of_weyl(wb)
-        if exponent_of_lambda % self.torus.mod == 0:
-            return base
-        return self.mul(base, self.h_pair(self.torus.h(beta, exponent_of_lambda)))
+    def n_beta(self, beta: Sequence[int]) -> Tuple[int, Vec]:
+        """n_beta(1), the Tits lift of the reflection in beta."""
+        return self.n_of_weyl(self.windex[weyl_matrix(beta).tobytes()])
 
     # -- derived queries ----------------------------------------------------
 
@@ -720,36 +670,6 @@ def lattice_index_of_beta_coroots() -> int:
     return abs(inner(a, cross))
 
 
-# -- external root-system files --------------------------------------------
-
-def load_roots(text: str) -> List[Tuple[int, ...]]:
-    """Root vectors from a data file: one integer vector per line.
-
-    Validates closure under negation and integrality of all pairings; the
-    rank-independent operations (pairing, reflect, pairing_table, Weyl
-    closure) work on the result.
-    """
-    roots: List[Tuple[int, ...]] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        vec = tuple(int(tok) for tok in line.replace(",", " ").split())
-        roots.append(vec)
-    if not roots:
-        raise RootDataError("empty root file")
-    rank = len(roots[0])
-    if any(len(r) != rank for r in roots):
-        raise RootDataError("inconsistent vector lengths")
-    rootset = set(roots)
-    for r in roots:
-        if tuple(-x for x in r) not in rootset:
-            raise RootDataError(f"roots not closed under negation at {r}")
-        for s in roots:
-            pairing(r, s)  # raises if non-integral
-    return roots
-
-
 def pairing_table(roots: Sequence[Sequence[int]]) -> Dict[str, int]:
     """All pairings <alpha, beta>, keyed by the vector pair."""
     out: Dict[str, int] = {}
@@ -757,32 +677,3 @@ def pairing_table(roots: Sequence[Sequence[int]]) -> Dict[str, int]:
         for b in roots:
             out[f"{tuple(a)}|{tuple(b)}"] = pairing(a, b)
     return out
-
-
-def weyl_closure_order(roots: Sequence[Sequence[int]], cap: int = 10 ** 6) -> int:
-    """Order of the group generated by all root reflections."""
-    rank = len(roots[0])
-    gens = []
-    for b in roots:
-        cols = []
-        for i in range(rank):
-            e = [0] * rank
-            e[i] = 1
-            cols.append(reflect(e, b))
-        gens.append(np.array(cols, dtype=np.int64).T)
-    ident = np.eye(rank, dtype=np.int64)
-    seen = {ident.tobytes()}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for m in frontier:
-            for g in gens:
-                nm = m @ g
-                key = nm.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    new.append(nm)
-                    if len(seen) > cap:
-                        raise RootDataError("Weyl closure exceeds cap")
-        frontier = new
-    return len(seen)

@@ -339,31 +339,3 @@ def characteristic_p_reduction(L: Locality) -> Tuple[QuotientLocality, CheckRepo
     report.note("objects", len(Lbar.objects))
     return quotient, report
 
-
-# -- theta input files ----------------------------------------------------
-
-def parse_theta_file(L: Locality, text: str) -> ElementSignalizer:
-    """Custom assignments, one line per element: ``elem-perm : gen-perms``.
-
-    Permutations are in cycle notation over the ambient group's degree; the
-    right-hand generators generate theta(a) inside the ambient group.
-    """
-    from .permgroups import parse_perm
-
-    G = L.ambient
-    assignment: Dict[int, MemberSet] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        lhs, _, rhs = line.partition(":")
-        a = G.index(parse_perm(lhs.strip(), G.degree))
-        gens = []
-        rhs = rhs.strip()
-        if rhs:
-            for tok in rhs.split(";"):
-                gens.append(G.index(parse_perm(tok.strip(), G.degree)))
-        assignment[a] = G.closure(gens)
-    for a in order_p_elements(L, L.sylow.members):
-        assignment.setdefault(a, frozenset([G.identity]))
-    return ElementSignalizer(L, assignment)

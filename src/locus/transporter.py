@@ -244,11 +244,6 @@ class OrbitCategory:
     def mor(self, P: MemberSet, Q: MemberSet) -> List[FrozenSet[int]]:
         return self._orbits[(frozenset(P), frozenset(Q))]
 
-    def cls(self, phi: Mor) -> FrozenSet[int]:
-        """The orbit [phi]."""
-        f, P, Q = phi
-        return self._orbit_of[(f, P, Q)]
-
     def compose(self, psi_orbit: FrozenSet[int], Q: MemberSet, R: MemberSet,
                 phi_orbit: FrozenSet[int], P: MemberSet) -> FrozenSet[int]:
         """[psi] o [phi]: P -> R via representatives."""

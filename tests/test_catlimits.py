@@ -151,12 +151,12 @@ def test_pushout_poset_limits():
 
 def test_lambda_trivial_group():
     G1 = load_group("degree 1\n()", name="1")
-    assert lambda_dims(G1, 2, 3, None, 4) == [3, 0, 0, 0, 0]
+    assert lambda_dims(G1, 2, 3, 4) == [3, 0, 0, 0, 0]
 
 
 def test_lambda_c2_vanishes():
     C2 = load_group("degree 2\n(1 2)")
-    assert lambda_dims(C2, 2, 1, None, 4) == [0, 0, 0, 0, 0]
+    assert lambda_dims(C2, 2, 1, 4) == [0, 0, 0, 0, 0]
 
 
 def test_lambda_s3_higher_degrees_vanish():
@@ -164,7 +164,7 @@ def test_lambda_s3_higher_degrees_vanish():
     # computed from the definition (projections to orbits with 2-group
     # isotropy kill the free-orbit coordinate, so it is 0 here)
     S3 = load_group("degree 3\n(1 2)\n(1 2 3)")
-    dims = lambda_dims(S3, 2, 1, None, 4)
+    dims = lambda_dims(S3, 2, 1, 4)
     assert dims[1:] == [0, 0, 0, 0]
     assert dims[0] == 0
 
@@ -173,7 +173,7 @@ def test_lambda_c3_at_2_degree_zero_only():
     # p'-group: the p-orbit category is the one-object orbit Gamma/1 with
     # Gamma worth of automorphisms; fixed points in degree 0
     C3 = load_group("degree 3\n(1 2 3)")
-    dims = lambda_dims(C3, 2, 1, None, 3)
+    dims = lambda_dims(C3, 2, 1, 3)
     assert dims == [1, 0, 0, 0]
 
 

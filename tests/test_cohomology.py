@@ -181,10 +181,10 @@ def test_transfer_along_iso_is_inverse_restriction():
                 if m != A and {G.conj(x, g) for x in A} == m)
     B, g = pair
     mapping = {x: G.conj(x, g) for x in A}
-    HA, HB = fam.of(A), fam.of(B)
     for j in range(3):
-        lhs = transfer_along(HA, HB, mapping, j, cache=fam._cache)
-        rhs = restriction_map(HA, HB, {y: G.conj(y, G.inv(g)) for y in B}, j)
+        lhs = transfer_along(fam, A, B, mapping, j)
+        rhs = restriction_map(fam.of(A), fam.of(B),
+                              {y: G.conj(y, G.inv(g)) for y in B}, j)
         assert np.array_equal(lhs % 2, rhs % 2)
 
 
@@ -196,23 +196,20 @@ def test_mackey_square_v4_c4_in_d8():
     C4 = next(m for m in subs if len(m) == 4
               and any(G.element_order(x) == 4 for x in m))
     Q = frozenset(range(G.order))
-    H = {m: fam.of(m) for m in subs}
-    H[Q] = fam.of(Q)
     for j in range(3):
-        assert mackey_square(G, H, V, C4, Q, j)
+        assert mackey_square(fam, V, C4, Q, j)
 
 
 def test_mackey_square_all_cospans_in_d8():
     G = bundled("d8")
     fam = CohomologyFamily(G, 2, 2)
     subs = all_subgroups(G.full_subgroup())
-    H = {m: fam.of(m) for m in subs}
     for Q in subs:
         inner = [m for m in subs if m <= Q]
         for P in inner:
             for K in inner:
                 for j in range(3):
-                    assert mackey_square(G, H, P, K, Q, j), (len(P), len(K), len(Q), j)
+                    assert mackey_square(fam, P, K, Q, j), (len(P), len(K), len(Q), j)
 
 
 def test_budget_bounds_the_dense_differential(monkeypatch):

@@ -85,8 +85,53 @@ def test_sylow_orders():
 
 
 def test_sylow_deterministic():
-    A6 = bundled("a6")
-    assert sylow(A6, 2).members == sylow(A6, 2).members
+    from locus.harness import load_bundled
+
+    # a second load of the group builds its Sylow subgroup afresh
+    assert sylow(bundled("a6"), 2).members == sylow(load_bundled("a6"), 2).members
+
+
+def test_sylow_built_once_per_prime(monkeypatch):
+    import locus.permgroups as pg
+
+    grown = []
+    grow = pg._grow_sylow
+    monkeypatch.setattr(pg, "_grow_sylow", lambda G, p: grown.append(p) or grow(G, p))
+    G = load_group("degree 4\n(1 2 3 4)\n(1 2)", name="S4")
+    assert sylow(G, 2) == sylow(G, 2) and o_p(G, 2).order == 4
+    assert sylow(G, 3).order == 3
+    assert grown == [2, 3]
+
+
+def test_sylow_memo_leaves_no_reference_cycle():
+    import gc
+    import weakref
+
+    G = load_group("degree 4\n(1 2 3 4)\n(1 2)", name="S4")
+    all_subgroups(sylow(G, 2))
+    ref = weakref.ref(G)
+    gc.disable()
+    try:
+        del G
+        assert ref() is None  # freed without waiting for the cycle collector
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("p", [-3, 0, 1])
+def test_p_part_rejects_p_below_2(deadline, p):
+    with pytest.raises(GroupError, match=f"p = {p} is not a prime"):
+        p_part(24, p)
+
+
+def test_subgroup_lattice_built_once():
+    S = sylow(bundled("a6"), 2)
+    lattice = all_subgroups(S)
+    assert all_subgroups(S) is lattice
+    assert isinstance(lattice, tuple)
+    # a fresh Subgroup object with the same members rebuilds the same lattice
+    assert all_subgroups(S.parent.subgroup(S.members)) == lattice
+    assert list(lattice) == sorted(lattice, key=lambda m: (len(m), sorted(m)))
 
 
 def test_sylow_conjugacy_small_group():

@@ -12,6 +12,7 @@ from locus.harness import (
     resolve_objects,
     run,
 )
+from locus.locality import LocalityError
 from locus.permgroups import GroupError, sylow
 
 
@@ -45,7 +46,7 @@ def test_resolve_objects_selectors():
     assert len(sub) == 9
     ge4 = resolve_objects(G, S, 2, "min-order:4")
     assert set(ge4) == set(cent)
-    with pytest.raises(ValueError):
+    with pytest.raises(LocalityError, match="choose from all-nontrivial"):
         resolve_objects(G, S, 2, "everything")
 
 
@@ -122,3 +123,16 @@ def test_budget_exceeded_marks_skipped(monkeypatch):
     r = Report("demo", {})
     r.put("item", node)
     assert r.passed  # skipped, not failed
+
+
+@pytest.mark.parametrize("pipeline", ["group-inspect", "locality-check"])
+@pytest.mark.parametrize("prime", [0, 1, 4])
+def test_bad_prime_fails_fast_and_names_it(deadline, pipeline, prime):
+    with pytest.raises(GroupError, match=f"p = {prime} is not a prime"):
+        run(RunConfig(pipeline=pipeline, group="s4", prime=prime, samples=100))
+
+
+@pytest.mark.parametrize("selector", ["min-order:x", "min-order:", "min-order:-2"])
+def test_malformed_min_order_selector_is_named(deadline, selector):
+    with pytest.raises(LocalityError, match="min-order needs a non-negative integer"):
+        run(RunConfig(pipeline="locality-check", group="s4", objects=selector))

@@ -1,9 +1,11 @@
-"""Source hygiene: no unused imports, and every traced entry point exists."""
+"""Source hygiene: no unused imports, no code that no pipeline reaches, and
+every traced entry point exists."""
 
 import ast
 import importlib
 import importlib.util
 from pathlib import Path
+from typing import Dict, Iterable, List, Tuple
 
 import pytest
 
@@ -52,3 +54,121 @@ def test_traced_entry_points_exist():
         if attr not in owner.__dict__:  # the tracer reads owner.__dict__[attr]
             missing.append(f"locus.{layer}.{dotted}")
     assert missing == []
+
+
+# -- reachability from the pipelines ---------------------------------------------
+
+# where the pipelines start: ``locus`` on the command line, and harness.run
+ENTRY_POINTS = [("cli", "main"), ("harness", "run")]
+
+TRACER_PINNED = "wrapped by perfbench/tracer.py SPANS; delete at the next benchmark change"
+
+# functions and methods that no pipeline reaches but that stay, with the reason
+ALLOWED_UNREACHED = {
+    "catlimits.proto_mackey_check": TRACER_PINNED,
+    "signalizer.characteristic_p_reduction": TRACER_PINNED,
+    "fusion.centralizer_subsystem": TRACER_PINNED,
+    "permgroups.normalizer": TRACER_PINNED,
+    "cohomology.transfer_along": "called only by proto_mackey_check, which perfbench/"
+                                 "tracer.py SPANS wraps; delete with it",
+    "fusion.FusionSystem.fully_centralized": "called only by centralizer_subsystem, which "
+                                             "perfbench/tracer.py SPANS wraps; delete with it",
+    "permgroups.cycle_string": "writes the bundled groups in scripts/make_groups.py",
+    "locality.Locality.restrict": "the restriction L|Delta' of the paper; tested",
+}
+
+
+def _references(node: ast.AST) -> Iterable[Tuple[bool, str]]:
+    """(is_attribute, name) for every bare name and attribute under node."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield False, n.id
+        elif isinstance(n, ast.Attribute):
+            yield True, n.attr
+
+
+def _unreached(sources: Dict[str, str], entry_points) -> List[str]:
+    """Functions and methods (dunders aside) that no entry point reaches.
+
+    The walk goes by name.  Module-level code and class bodies run on
+    import, so they are reached, as are the entry points.  A reached body
+    reaches every module-level function or class its bare names name, and
+    through an attribute ``x.f`` also every method ``f``; a reached class
+    reaches its dunder methods, which Python calls implicitly.  A local
+    variable that shares a method's name does not reach the method.
+    """
+    functions: Dict[str, List[Tuple[str, ast.AST]]] = {}
+    methods: Dict[str, List[Tuple[str, ast.AST]]] = {}
+    dunders: Dict[str, List[Tuple[str, ast.AST]]] = {}  # class name -> its dunders
+    todo: List[ast.AST] = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                functions.setdefault(node.name, []).append((f"{module}.{node.name}", node))
+                if (module, node.name) in entry_points:
+                    todo.append(node)
+            elif isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        qualname = f"{module}.{node.name}.{sub.name}"
+                        methods.setdefault(sub.name, []).append((qualname, sub))
+                        if sub.name.startswith("__"):
+                            dunders.setdefault(node.name, []).append((qualname, sub))
+                    else:
+                        todo.append(sub)
+                todo += node.decorator_list + node.bases
+            else:
+                todo.append(node)
+    reached, seen = set(), set()
+    while todo:
+        for ref in _references(todo.pop()):
+            if ref in seen:
+                continue
+            seen.add(ref)
+            is_attribute, name = ref
+            hits = functions.get(name, []) + dunders.get(name, [])
+            if is_attribute:
+                hits += methods.get(name, [])
+            for qualname, node in hits:
+                reached.add(qualname)
+                todo.append(node)
+    defined = [q for group in (functions, methods) for name, defs in group.items()
+               if not name.startswith("__") for q, _ in defs]
+    return sorted(q for q in defined if q not in reached)
+
+
+def _locus_unreached() -> List[str]:
+    return _unreached({path.stem: path.read_text() for path in MODULES}, ENTRY_POINTS)
+
+
+def test_every_function_is_reached_from_a_pipeline():
+    unexplained = [q for q in _locus_unreached() if q not in ALLOWED_UNREACHED]
+    assert unexplained == [], "delete them, or add them to ALLOWED_UNREACHED with a reason"
+
+
+def test_allowlist_has_no_stale_entries():
+    assert sorted(set(ALLOWED_UNREACHED) - set(_locus_unreached())) == []
+
+
+def test_tracer_pinned_names_are_traced():
+    tracer = _load_tracer()
+    traced = {f"{layer}.{dotted}" for layer, stems in tracer.SPANS.items()
+              for dotted_list in stems.values() for dotted in dotted_list}
+    pinned = {q for q, reason in ALLOWED_UNREACHED.items() if reason == TRACER_PINNED}
+    assert sorted(pinned - traced) == []
+
+
+def test_unreached_detector():
+    sources = {
+        "cli": "from .core import run\n"
+               "def main():\n    return run()\n"
+               "if __name__ == '__main__':\n    main()\n",
+        "core": "class Box:\n"
+                "    def __init__(self):\n        self.v = helper()\n"
+                "    def used(self):\n        return 1\n"
+                "    def unused(self):\n        return 2\n"
+                "def helper():\n    return 0\n"
+                "def run():\n    unused = Box()\n    return unused.used()\n"
+                "def orphan():\n    return run()\n",
+    }
+    assert _unreached(sources, [("cli", "main")]) == ["core.Box.unused", "core.orphan"]

@@ -19,17 +19,65 @@ from locus.rootdata import (
     mu_candidates,
     n_element,
     pairing,
+    pairing_table,
+    reduced_word,
     reflect,
-    verify_chevalley_torus_relations,
     verify_chevrels,
     weyl_group,
-    weyl_matrix,
     x_element,
-    _check_so7,
+    _mat_inv_exact,
     _so7_root_vector,
 )
 
 import functools
+
+
+# -- checks of the so(7) matrix model ------------------------------------------
+
+def _check_so7(X: np.ndarray) -> bool:
+    J = np.zeros((7, 7), dtype=np.int64)
+    for i, mi in ((0, 4), (1, 5), (2, 6)):
+        J[i, mi] = J[mi, i] = 1
+    J[3, 3] = 2
+    return not np.any(X.T @ J + J @ X)
+
+
+def _h_element_exact(alpha, t: Fraction) -> np.ndarray:
+    n1 = n_element(alpha, Fraction(1))
+    nt = n_element(alpha, Fraction(t))
+    return _mat_inv_exact(n1) @ nt
+
+
+def verify_chevalley_torus_relations() -> dict:
+    """E:hn, E:n2, E:nn (n-form), and the pairing action, in so(7)."""
+    out = {"hn": True, "n2": True, "nn": True, "pairing_action": True}
+    roots = all_roots()
+    lam = Fraction(2)
+    signs = SignTable()
+    ns = {a: n_element(a) for a in roots}
+    n_inv = {a: _mat_inv_exact(ns[a]) for a in roots}
+    for b in roots:
+        for a in roots:
+            w = reflect(a, b)
+            lhs = n_inv[b] @ _h_element_exact(a, lam) @ ns[b]
+            if not np.array_equal(lhs, _h_element_exact(w, lam)):
+                out["hn"] = False
+            lhs_n = n_inv[b] @ n_element(a, Fraction(1)) @ ns[b]
+            c = signs.c(a, b)
+            if not np.array_equal(lhs_n, n_element(w, Fraction(c))):
+                out["nn"] = False
+        if not np.array_equal(ns[b] @ ns[b], _h_element_exact(b, Fraction(-1))):
+            out["n2"] = False
+    # x_alpha(mu)^{h_beta(lam)} = x_alpha(lam^{<a,b>} mu)
+    for b in roots[:6]:
+        hb = _h_element_exact(b, lam)
+        hbi = _mat_inv_exact(hb)
+        for a in roots:
+            lhs = hbi @ x_element(a, Fraction(1)) @ hb
+            rhs = x_element(a, lam ** pairing(a, b))
+            if not np.array_equal(lhs, rhs):
+                out["pairing_action"] = False
+    return out
 
 
 def test_root_count_and_negation():
@@ -177,8 +225,6 @@ def test_extended_weyl_matches_so7_matrices():
     N = NormalizerModel(T)
     hatW = N.extended_weyl()
     assert len(hatW) == 384
-    from locus.rootdata import _h_element_exact, reduced_word
-
     def as_int64(M):
         # at t = +-1 the exact matrices are integral, so int64 is exact too
         assert all(Fraction(x).denominator == 1 for x in M.flat)
@@ -262,32 +308,7 @@ def test_mu_exists_small_q():
         assert mu_candidates(T), q
 
 
-def test_load_roots_external_file():
-    from locus.rootdata import load_roots, pairing_table, weyl_closure_order
-
-    # A2 supplied as a data file
-    text = """# A2
-1 -1 0
--1 1 0
-0 1 -1
-0 -1 1
-1 0 -1
--1 0 1
-"""
-    roots = load_roots(text)
-    assert len(roots) == 6
-    table = pairing_table(roots)
-    assert table["(1, -1, 0)|(0, 1, -1)"] == -1
-    assert weyl_closure_order(roots) == 6  # W(A2) = S3
-
-    with pytest.raises(Exception):
-        load_roots("1 0 0\n0 1 0\n")  # not closed under negation
-
-
-def test_b3_weyl_closure_via_file_interface():
-    from locus.rootdata import pairing_table, weyl_closure_order
-
-    roots = all_roots()
-    assert weyl_closure_order(roots) == 48
-    table = pairing_table(roots)
+def test_b3_pairing_table():
+    table = pairing_table(all_roots())
+    assert len(table) == 18 * 18
     assert table[f"{BETAS[0]}|{(0, 1, 0)}"] == -2

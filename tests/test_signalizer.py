@@ -17,7 +17,6 @@ from locus.signalizer import (
     check_element_signalizer,
     default_theta,
     order_p_elements,
-    parse_theta_file,
     theta_hat,
     theta_hat_quotient,
     theta_on_objects,
@@ -191,17 +190,8 @@ def test_fusion_preserved_by_signalizer_quotient():
     assert fusion_systems_agree_via(FL, FQ, iso)
 
 
-def test_theta_file_parsing():
+def test_theta_hat_is_union_of_theta():
     L = punctured("a6xc3", 2)
-    G = L.ambient
-    from locus.permgroups import cycle_string
-
-    lines = []
-    c3gen = next(x for x in range(G.order)
-                 if G.element_order(x) == 3
-                 and all(G.perm(x)[i] == i for i in range(6)))
-    for a in order_p_elements(L, L.sylow.members):
-        lines.append(f"{cycle_string(G.perm(a))} : {cycle_string(G.perm(c3gen))}")
-    theta = parse_theta_file(L, "\n".join(lines))
+    theta = default_theta(L)
     assert check_element_signalizer(theta).passed
     assert theta_hat(theta_on_objects(theta)[0]) == theta.union()
