@@ -320,16 +320,18 @@ def _differential_entries(functor: ModuleFunctor,
     return out
 
 
-def skeleton_functor(functor: ModuleFunctor) -> ModuleFunctor:
-    """Restrict to one object per isomorphism class (an equivalence)."""
-    cat = functor.cat
-    classes = cat.iso_classes()
-    keep = [cls[0] for cls in classes]
-    sub, _ = cat.full_subcategory(keep)
+def restrict_functor(functor: ModuleFunctor, keep: Sequence[int]) -> ModuleFunctor:
+    """The functor on the full subcategory of the objects ``keep``."""
+    sub, _ = functor.cat.full_subcategory(keep)
     # morphism labels in the subcategory are the original morphism indices
     mats = {m: functor.mats[sub.labels[m]] for m in range(len(sub.labels))}
     dims = [functor.dims[keep[i]] for i in range(sub.n)]
     return ModuleFunctor(sub, functor.p, dims, mats)
+
+
+def skeleton_functor(functor: ModuleFunctor) -> ModuleFunctor:
+    """Restrict to one object per isomorphism class (an equivalence)."""
+    return restrict_functor(functor, [cls[0] for cls in functor.cat.iso_classes()])
 
 
 # -- categories from fusion/transporter data ---------------------------------
@@ -513,26 +515,16 @@ def lambda_dims(Gamma: Group, p: int, module_dim: int,
     """
     cat, reps = p_orbit_category(Gamma, p)
     free = next(i for i, P in enumerate(reps) if len(P) == 1)
-    dims = [module_dim if i == free else 0 for i in range(cat.n)]
-    mats: Dict[int, np.ndarray] = {}
-    for m in range(len(cat.labels)):
-        _, i, j = cat.labels[m]
-        if i == free and j == free:
-            mats[m] = np.eye(module_dim, dtype=np.int64)
-        else:
-            mats[m] = np.zeros((dims[cat.src[m]], dims[cat.tgt[m]]),
-                               dtype=np.int64)
-    functor = ModuleFunctor(cat, p, dims, mats)
-    return higher_limits(functor, max_degree)
+    return higher_limits(atomic_functor(cat, free, module_dim, p), max_degree)
 
 
 # -- atomic functors and comparisons ------------------------------------------
 
 def atomic_functor(cat: FiniteCategory, obj_index: int, module_dim: int,
-                   p: int, aut_action: Dict) -> ModuleFunctor:
-    """Functor concentrated on one object (after skeletonizing a class).
+                   p: int) -> ModuleFunctor:
+    """Functor concentrated on one object with the trivial module there.
 
-    ``aut_action`` maps each endomorphism label at the object to a matrix;
+    Every endomorphism of the object acts as the identity on F_p^module_dim;
     all other morphisms carry zero.
     """
     dims = [module_dim if i == obj_index else 0 for i in range(cat.n)]
@@ -540,7 +532,7 @@ def atomic_functor(cat: FiniteCategory, obj_index: int, module_dim: int,
     for m in range(len(cat.labels)):
         i, j = cat.src[m], cat.tgt[m]
         if i == obj_index and j == obj_index:
-            mats[m] = np.asarray(aut_action[cat.labels[m]], dtype=np.int64)
+            mats[m] = np.eye(module_dim, dtype=np.int64)
         else:
             mats[m] = np.zeros((dims[i], dims[j]), dtype=np.int64)
     return ModuleFunctor(cat, p, dims, mats)
@@ -560,24 +552,10 @@ def atomic_comparison(OT, class_rep: MemberSet, module_dim: int = 1,
     classes = cat.iso_classes()
     keep = [cls[0] for cls in classes]
     sub, _ = cat.full_subcategory(keep)
-    # locate the object of the class of class_rep in the skeleton
-    rep_idx = None
-    for pos, old in enumerate(keep):
-        obj = cat.objects[old]
-        if obj == frozenset(class_rep):
-            rep_idx = pos
-    if rep_idx is None:
-        # class_rep conjugate to a kept object: find via iso classes
-        target = cat.objects.index(frozenset(class_rep))
-        for pos, cls in enumerate(classes):
-            if target in cls:
-                rep_idx = pos
-    aut_action = {}
-    for m in range(len(sub.labels)):
-        if sub.src[m] == rep_idx and sub.tgt[m] == rep_idx:
-            aut_action[sub.labels[m]] = np.eye(module_dim, dtype=np.int64)
-    functor = atomic_functor(sub, rep_idx, module_dim, p, aut_action)
-    ot_side = higher_limits(functor, max_degree)
+    # the skeleton object of the class of class_rep
+    target = cat.objects.index(frozenset(class_rep))
+    rep_idx = next(pos for pos, cls in enumerate(classes) if target in cls)
+    ot_side = higher_limits(atomic_functor(sub, rep_idx, module_dim, p), max_degree)
     Gamma = OT.aut(cat.objects[keep[rep_idx]])
     lam_side = lambda_dims(Gamma, p, module_dim, max_degree)
     return ot_side, lam_side
@@ -596,11 +574,7 @@ def restrict_to_centrics_comparison(OT, F, fam: CohomologyFamily, j: int,
     cls = classify_subgroups_core_only(F)
     centrics = set(cls.all_with("centric"))
     keep = [i for i, P in enumerate(cat.objects) if P in centrics]
-    sub, _ = cat.full_subcategory(keep)
-    mats = {m: functor.mats[sub.labels[m]] for m in range(len(sub.labels))}
-    dims = [functor.dims[keep[i]] for i in range(sub.n)]
-    centric_funct = ModuleFunctor(sub, functor.p, dims, mats)
-    centric = higher_limits(skeleton_functor(centric_funct), max_degree)
+    centric = higher_limits(skeleton_functor(restrict_functor(functor, keep)), max_degree)
     return full, centric
 
 

@@ -6,7 +6,19 @@ import argparse
 import json
 import sys
 
+from .catlimits import FunctorError
+from .cohomology import BudgetError
+from .fusion import FusionError
 from .harness import PIPELINES, RunConfig, run
+from .locality import LocalityError
+from .permgroups import GroupError
+from .rootdata import RootDataError
+from .signalizer import SignalizerError
+from .transporter import TransporterError
+
+# the package's named errors: a rejected input, reported in one line
+INPUT_ERRORS = (GroupError, LocalityError, FusionError, TransporterError,
+                SignalizerError, FunctorError, RootDataError, BudgetError)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -29,13 +41,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Exit status 0 when every verdict passes, 1 when one fails, 2 when the
+    input is rejected with one of the package's named errors."""
     args = build_parser().parse_args(argv)
     config = RunConfig(
         pipeline=args.pipeline, group=args.group, prime=args.prime,
         objects=args.objects, jmax=args.jmax, seed=args.seed,
         samples=args.samples, q=args.q,
         report_path=args.report_path)
-    report = run(config)
+    try:
+        report = run(config)
+    except INPUT_ERRORS as exc:
+        sys.stderr.write(f"locus: {type(exc).__name__}: {exc}\n")
+        return 2
     sys.stdout.write(report.canonical_bytes().decode() + "\n")
     if report.timings:
         sys.stderr.write("timings (s): " + json.dumps(report.timings) + "\n")

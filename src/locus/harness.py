@@ -327,7 +327,7 @@ def _run_signalizer_quotient(config: RunConfig) -> Report:
     theta = default_theta(L)
     rep = check_element_signalizer(theta)
     report.put("element_signalizer", rep.as_dict())
-    Theta, orep = theta_on_objects(theta, precheck=False)
+    Theta, orep = theta_on_objects(theta)
     report.put("object_signalizer", orep.as_dict())
     N, quotient, qrep = theta_hat_quotient(Theta, element_theta=theta)
     report.put("theta_hat_order", N.order)
@@ -519,7 +519,7 @@ def full_acceptance(config: RunConfig) -> Report:
     Lac = locality("a6xc3", 2, "all-nontrivial")
     theta = default_theta(Lac)
     erep = check_element_signalizer(theta)
-    Theta, orep = theta_on_objects(theta, precheck=False)
+    Theta, orep = theta_on_objects(theta)
     N, quotient, qrep = theta_hat_quotient(Theta, element_theta=theta)
     report.put("criterion_04_signalizer", {
         "conjugacy_balance": erep.passed and orep.passed,

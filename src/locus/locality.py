@@ -89,6 +89,11 @@ class Locality:
         for obj in self.objects:
             if not obj <= sylow.members:
                 raise LocalityError("object not contained in S")
+        self.sorted_objects: Tuple[MemberSet, ...] = tuple(
+            sorted(self.objects, key=lambda m: (len(m), sorted(m))))
+        # inclusion-minimal objects: chain witnesses factor through these
+        self.min_objects: Tuple[MemberSet, ...] = tuple(
+            o for o in self.sorted_objects if not any(q < o for q in self.sorted_objects))
         # S-bit of each member of S, in sorted order, and S_h as an int mask
         # for every ambient element h
         self._s_bits: Tuple[Tuple[int, int], ...] = tuple(
@@ -97,6 +102,7 @@ class Locality:
         self._masks: List[int] = _all_s_masks(ambient, sylow)
         self._mask_sets: Dict[int, MemberSet] = {}
         self._object_masks = frozenset(self._mask_of(o) for o in self.objects)
+        self._min_masks = tuple(self._mask_of(o) for o in self.min_objects)
         if carrier is None:
             carrier = (g for g, m in enumerate(self._masks) if m in self._object_masks)
         self.carrier: Tuple[int, ...] = tuple(sorted(set(carrier)))
@@ -105,15 +111,6 @@ class Locality:
         self._graph: Optional[_StateGraph] = None
 
     # -- plumbing -------------------------------------------------------
-
-    @property
-    def sorted_objects(self) -> List[MemberSet]:
-        return sorted(self.objects, key=lambda m: (len(m), sorted(m)))
-
-    def min_objects(self) -> List[MemberSet]:
-        """Inclusion-minimal objects (chain witnesses factor through these)."""
-        objs = self.sorted_objects
-        return [o for o in objs if not any(q < o for q in objs)]
 
     def state_graph(self) -> "_StateGraph":
         """The state graph of words up to MAX_EXHAUSTIVE_LEN, built once."""
@@ -217,8 +214,8 @@ class Locality:
 
     # -- local subgroups -------------------------------------------------
 
-    def local_subgroup(self, P: MemberSet, mode: str = "normalizer") -> Tuple[Subgroup, bool]:
-        """N_L(P) or C_L(P); flag is False when P is not an object.
+    def local_subgroup(self, P: MemberSet, mode: str = "normalizer") -> Subgroup:
+        """N_L(P) or C_L(P), checked to be a subgroup when P is an object.
 
         Membership requires every conjugation x^g (x in P) to be defined in
         the partial group, not merely in the ambient group.
@@ -246,10 +243,9 @@ class Locality:
             else:
                 raise ValueError(f"unknown mode {mode!r}")
         sub = G.subgroup(found, name=f"{mode[0].upper()}_L(P)")
-        guaranteed = frozenset(P) in self.objects
-        if guaranteed and not sub.verify():
+        if frozenset(P) in self.objects and not sub.verify():
             raise LocalityError(f"{mode} of an object is not closed (bug)")
-        return sub, guaranteed
+        return sub
 
     # -- restriction ------------------------------------------------------
 
@@ -419,7 +415,6 @@ def check_partial_group(L: Locality, samples: int = 100000,
     # domain words, the remaining samples get the cheap domain consistency
     rng = random.Random(seed)
     carrier = L.carrier
-    minimal = [L._mask_of(q) for q in L.min_objects()]
     battery = 0
     for _ in range(samples):
         n = rng.randint(2, SAMPLE_LEN)
@@ -430,7 +425,7 @@ def check_partial_group(L: Locality, samples: int = 100000,
                 _check_word_axioms(L, word, report)
         else:
             mask = L._word_mask(word)
-            if (mask in L._object_masks) != any(q & mask == q for q in minimal):
+            if (mask in L._object_masks) != any(q & mask == q for q in L._min_masks):
                 report.fail(f"domain test inconsistent on sampled word {word}")
         if not report.passed and len(report.failures) > 5:
             break
@@ -502,10 +497,9 @@ def check_locality_axioms(L: Locality, samples: int = 20000,
     # Delta must coincide with the existence of an object chain; chains all
     # factor through minimal objects inside S_w.
     graph = L.state_graph()
-    minimal = [L._mask_of(q) for q in L.min_objects()]
     for length in range(1, MAX_EXHAUSTIVE_LEN + 1):
         for (prod, mask), witness in graph.states(length):
-            has_min = any(q & mask == q for q in minimal)
+            has_min = any(q & mask == q for q in L._min_masks)
             if (mask in L._object_masks) != has_min:
                 report.fail(f"(L2) mismatch on state of word {witness}")
         report.note(f"L2_states_len{length}", len(graph.levels[length]))
@@ -531,7 +525,7 @@ def _exists_chain_by_search(L: Locality, word: Word) -> bool:
     """Independent chain search: some object tracks through the whole word."""
     G = L.ambient
     sm = L.sylow.members
-    for P in L.min_objects():
+    for P in L.min_objects:
         current = P
         ok = True
         for g in word:
@@ -716,7 +710,7 @@ def o_pprime_locality(L: Locality,
     p = L.prime
     locals_: Dict[MemberSet, Subgroup] = {}
     for P in L.sorted_objects:
-        NP, _ = L.local_subgroup(P, "normalizer")
+        NP = L.local_subgroup(P, "normalizer")
         locals_[P] = NP
     local_opprime: Dict[MemberSet, FrozenSet[int]] = {}
     for P, NP in locals_.items():
@@ -742,7 +736,7 @@ def o_pprime_locality(L: Locality,
     # fallback: seeds O_{p'}(C_L(P)) generate the candidate
     seeds: set = {L.ambient.identity}
     for P in L.sorted_objects:
-        CP, _ = L.local_subgroup(P, "centralizer")
+        CP = L.local_subgroup(P, "centralizer")
         seeds |= subgroup_o_pprime(L.ambient, CP, p)
     candidate = _partial_closure(L, frozenset(seeds))
     ok, why = is_partial_normal(L, candidate)

@@ -4,7 +4,10 @@ and the extended Weyl group.
 Signs c_{alpha,beta} are read off from explicit 7x7 Chevalley generators of
 so(7): the one-parameter subgroups x_alpha(t) are exponentials of root
 vectors solved from the defining representation, and n_beta(1)-conjugation
-moves x_alpha(1) to x_{w(alpha)}(+-1).  Torus elements live in coroot
+moves x_alpha(1) to x_{w(alpha)}(+-1).  The model is integral: every root
+vector X satisfies X^3 = 0 and has an even square, so
+x_alpha(t) = 1 + tX + t^2 (X^2/2) is an integer matrix for integer t, and
+n_beta(1)^-1 = n_beta(-1) needs no inverse.  Torus elements live in coroot
 coordinates modulo Q-1 (field arithmetic reduces to exponent arithmetic),
 and the extended Weyl group is the group of pairs (torsion, w) multiplied
 through the reduced-word cocycle n_w n_s = n_{ws} (length up) or
@@ -13,7 +16,7 @@ n_{ws} h_{alpha_s}(-1) (length down).
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -65,9 +68,14 @@ def pairing(alpha: Sequence[int], beta: Sequence[int]) -> int:
     return num // bb
 
 
-def coroot(alpha: Sequence[int]) -> Tuple[Fraction, ...]:
+def coroot(alpha: Sequence[int]) -> Vec:
+    """alpha-vee = 2 alpha/(alpha, alpha)."""
     bb = inner(alpha, alpha)
-    return tuple(Fraction(2 * a, bb) for a in alpha)
+    if bb == 0:
+        raise RootDataError("alpha must be nonzero")
+    if any(2 * a % bb for a in alpha):
+        raise RootDataError("coroot is not integral")
+    return tuple(2 * a // bb for a in alpha)
 
 
 def reflect(alpha: Sequence[int], beta: Sequence[int]) -> Vec:
@@ -76,37 +84,28 @@ def reflect(alpha: Sequence[int], beta: Sequence[int]) -> Vec:
     return tuple(a - n * b for a, b in zip(alpha, beta))
 
 
-def _mat_inv_exact(M: np.ndarray) -> np.ndarray:
-    """Exact inverse of a rational matrix by Gauss-Jordan."""
-    n = M.shape[0]
-    A = [[Fraction(M[i, j]) for j in range(n)] for i in range(n)]
-    I = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next(r for r in range(c, n) if A[r][c] != 0)
-        A[c], A[piv] = A[piv], A[c]
-        I[c], I[piv] = I[piv], I[c]
-        inv = 1 / A[c][c]
-        A[c] = [v * inv for v in A[c]]
-        I[c] = [v * inv for v in I[c]]
-        for r in range(n):
-            if r != c and A[r][c] != 0:
-                f = A[r][c]
-                A[r] = [a - f * b for a, b in zip(A[r], A[c])]
-                I[r] = [a - f * b for a, b in zip(I[r], I[c])]
-    return np.array(I, dtype=object)
+def _triple(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> int:
+    """det[a b c] = (a, b x c)."""
+    return inner(a, (b[1] * c[2] - b[2] * c[1], b[2] * c[0] - b[0] * c[2],
+                     b[0] * c[1] - b[1] * c[0]))
 
 
-# inverse of the matrix whose columns are the simple coroots
-_SIMPLE_COROOTS_INV = _mat_inv_exact(np.array(
-    [[c[i] for c in map(coroot, SIMPLE)] for i in range(3)], dtype=object))
+_SIMPLE_COROOTS = tuple(coroot(a) for a in SIMPLE)
+_SIMPLE_COROOTS_DET = _triple(*_SIMPLE_COROOTS)
 
 
 def coroot_coords(beta: Sequence[int]) -> Vec:
-    """Coordinates of beta-vee in the basis of simple coroots."""
-    x = _SIMPLE_COROOTS_INV @ np.array(coroot(beta), dtype=object)
-    if any(v.denominator != 1 for v in x):
-        raise RootDataError("coroot is not an integer combination")
-    return tuple(int(v) for v in x)
+    """Coordinates of beta-vee in the basis of simple coroots (Cramer's rule)."""
+    v = coroot(beta)
+    out = []
+    for i in range(3):
+        cols = list(_SIMPLE_COROOTS)
+        cols[i] = v
+        num = _triple(*cols)
+        if num % _SIMPLE_COROOTS_DET:
+            raise RootDataError("coroot is not an integer combination")
+        out.append(num // _SIMPLE_COROOTS_DET)
+    return tuple(out)
 
 
 def weyl_matrix(beta: Sequence[int]) -> np.ndarray:
@@ -241,24 +240,20 @@ def _so7_root_vector(alpha: Vec) -> np.ndarray:
     return X
 
 
-def x_element(alpha: Vec, t: Fraction) -> np.ndarray:
-    """x_alpha(t) = exp(t X_alpha) as an exact rational matrix."""
-    X = np.array(_so7_root_vector(alpha), dtype=object)
-    t = Fraction(t)
-    I = np.array([[Fraction(int(i == j)) for j in range(7)] for i in range(7)],
-                 dtype=object)
-    acc = I + t * X
+def x_element(alpha: Vec, t: int) -> np.ndarray:
+    """x_alpha(t) = exp(t X_alpha) = 1 + t X + t^2 (X^2/2), exactly."""
+    X = _so7_root_vector(alpha)
     X2 = X @ X
-    if np.any(X2 != 0):
-        acc = acc + (t * t * Fraction(1, 2)) * X2
-        if np.any(X @ X2 != 0):
-            raise RootDataError("root vector not 3-step nilpotent")
-    return acc
+    if np.any(X @ X2) or np.any(X2 % 2):
+        raise RootDataError("root vector not 3-step nilpotent with even square")
+    return np.eye(7, dtype=np.int64) + t * X + t * t * (X2 // 2)
 
 
-def n_element(alpha: Vec, t: Fraction = Fraction(1)) -> np.ndarray:
-    t = Fraction(t)
-    return (x_element(alpha, t) @ x_element(tuple(-a for a in alpha), -1 / t)
+def n_element(alpha: Vec, t: int = 1) -> np.ndarray:
+    """n_alpha(t) = x_alpha(t) x_-alpha(-1/t) x_alpha(t) for t = +-1."""
+    if t not in (1, -1):
+        raise RootDataError("n_element takes t = 1 or t = -1")
+    return (x_element(alpha, t) @ x_element(tuple(-a for a in alpha), -t)
             @ x_element(alpha, t))
 
 
@@ -268,18 +263,19 @@ class SignTable:
     def __init__(self):
         roots = all_roots()
         self.roots = roots
-        xs = {a: x_element(a, Fraction(1)) for a in roots}
-        ns = {a: n_element(a) for a in roots}
-        n_inv = {a: _mat_inv_exact(ns[a]) for a in roots}
+        xs = {a: x_element(a, 1) for a in roots}
+        ident = np.eye(7, dtype=np.int64)
         self.table: Dict[Tuple[Vec, Vec], int] = {}
         for b in roots:
-            nb, nbi = ns[b], n_inv[b]
+            nb, nbi = n_element(b, 1), n_element(b, -1)
+            if not np.array_equal(nb @ nbi, ident):
+                raise RootDataError(f"n_{b}(-1) is not the inverse of n_{b}(1)")
             for a in roots:
                 target = reflect(a, b)
                 conj = nbi @ xs[a] @ nb
                 if np.array_equal(conj, xs[target]):
                     self.table[(a, b)] = 1
-                elif np.array_equal(conj, x_element(target, Fraction(-1))):
+                elif np.array_equal(conj, x_element(target, -1)):
                     self.table[(a, b)] = -1
                 else:
                     raise RootDataError(
@@ -359,8 +355,6 @@ class Torus:
 
     def fixed_count(self, scale: int) -> int:
         """Number of t with t^scale = t, per coordinate gcd(scale-1, Q-1)."""
-        from math import gcd
-
         return gcd(scale - 1, self.mod) ** 3
 
     def roots_trivial_on(self, elements: Iterable[Sequence[int]]) -> List[Vec]:
@@ -500,7 +494,7 @@ def mu_candidates(T: Torus) -> List[int]:
     mod = T.mod
     i_exp = mod // 4
     for m in range(mod):
-        order = mod // __import__("math").gcd(mod, m) if m else 1
+        order = mod // gcd(mod, m) if m else 1
         if order & (order - 1):
             continue  # not a 2-power
         if order < 4:
@@ -664,10 +658,7 @@ def extended_weyl_report(T: Torus) -> Dict[str, object]:
 
 def lattice_index_of_beta_coroots() -> int:
     """Index of Z<beta_i-vee> inside the full coroot lattice."""
-    a, b, c = (coroot_coords(beta) for beta in BETAS)
-    cross = (b[1] * c[2] - b[2] * c[1], b[2] * c[0] - b[0] * c[2],
-             b[0] * c[1] - b[1] * c[0])
-    return abs(inner(a, cross))
+    return abs(_triple(*(coroot_coords(beta) for beta in BETAS)))
 
 
 def pairing_table(roots: Sequence[Sequence[int]]) -> Dict[str, int]:

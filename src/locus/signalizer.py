@@ -67,7 +67,7 @@ def default_theta(L: Locality) -> ElementSignalizer:
     G = L.ambient
     assignment: Dict[int, MemberSet] = {}
     for a in order_p_elements(L, L.sylow.members):
-        C, _ = L.local_subgroup(G.closure([a]), "centralizer")
+        C = L.local_subgroup(G.closure([a]), "centralizer")
         assignment[a] = subgroup_o_pprime(G, C, L.prime)
     return ElementSignalizer(L, assignment)
 
@@ -90,7 +90,7 @@ def check_element_signalizer(theta: ElementSignalizer) -> CheckReport:
     elems = order_p_elements(L, sm)
     cents: Dict[int, FrozenSet[int]] = {}
     for a in elems:
-        C, _ = L.local_subgroup(G.closure([a]), "centralizer")
+        C = L.local_subgroup(G.closure([a]), "centralizer")
         cents[a] = frozenset(C.members)
         v = theta(a)
         if not v <= cents[a]:
@@ -144,19 +144,14 @@ def check_element_signalizer(theta: ElementSignalizer) -> CheckReport:
     return report
 
 
-def theta_on_objects(theta: ElementSignalizer,
-                     precheck: bool = True) -> Tuple[ObjectSignalizer, CheckReport]:
+def theta_on_objects(theta: ElementSignalizer) -> Tuple[ObjectSignalizer, CheckReport]:
     """Theta(P) = (cap_{x in I_p(P)} theta(x)) cap C_L(P), then verified."""
     L = theta.host
-    if precheck:
-        rep = check_element_signalizer(theta)
-        if not rep.passed:
-            raise SignalizerError(f"element signalizer invalid: {rep.failures[:1]}")
     G = L.ambient
     assignment: Dict[MemberSet, MemberSet] = {}
     for P in L.sorted_objects:
         xs = order_p_elements(L, P)
-        C, _ = L.local_subgroup(P, "centralizer")
+        C = L.local_subgroup(P, "centralizer")
         value = set(C.members)
         for x in xs:
             value &= theta(x)
@@ -188,7 +183,7 @@ def check_object_signalizer(Theta: ObjectSignalizer) -> CheckReport:
     p = L.prime
     for P in L.sorted_objects:
         v = Theta(P)
-        NP, _ = L.local_subgroup(P, "normalizer")
+        NP = L.local_subgroup(P, "normalizer")
         if not v <= NP.members:
             report.fail(f"Theta(P) escapes N_L(P), |P|={len(P)}")
             continue
@@ -220,7 +215,7 @@ def check_object_signalizer(Theta: ObjectSignalizer) -> CheckReport:
                 break
 
     balance = 0
-    cents = {Q: L.local_subgroup(Q, "centralizer")[0].members
+    cents = {Q: L.local_subgroup(Q, "centralizer").members
              for Q in L.sorted_objects}
     for P in L.sorted_objects:
         for Q in L.sorted_objects:
@@ -288,9 +283,9 @@ def theta_hat_quotient(Theta: ObjectSignalizer,
     # kernels of the normalizer maps are exactly Theta(P)
     proj = quotient.projection
     for P in L.sorted_objects:
-        NP, _ = L.local_subgroup(P, "normalizer")
+        NP = L.local_subgroup(P, "normalizer")
         Pbar = frozenset(proj[x] for x in P)
-        NPbar, _ = quotient.locality.local_subgroup(Pbar, "normalizer")
+        NPbar = quotient.locality.local_subgroup(Pbar, "normalizer")
         kernel = frozenset(
             x for x in NP.members
             if proj[x] == quotient.locality.ambient.identity)
@@ -316,7 +311,7 @@ def characteristic_p_reduction(L: Locality) -> Tuple[QuotientLocality, CheckRepo
     G = L.ambient
     local: Dict[MemberSet, MemberSet] = {}
     for P in L.sorted_objects:
-        NP, _ = L.local_subgroup(P, "normalizer")
+        NP = L.local_subgroup(P, "normalizer")
         opp = subgroup_o_pprime(G, NP, L.prime)
         if not _quotient_has_char_p(G, NP, opp, L.prime):
             raise SignalizerError(
@@ -332,7 +327,7 @@ def characteristic_p_reduction(L: Locality) -> Tuple[QuotientLocality, CheckRepo
     # quotient is of objective characteristic p
     Lbar = quotient.locality
     for P in Lbar.sorted_objects:
-        NPbar, _ = Lbar.local_subgroup(P, "normalizer")
+        NPbar = Lbar.local_subgroup(P, "normalizer")
         sub = as_group(Lbar.ambient, NPbar)
         if not char_p_tests(sub, L.prime)["is_characteristic_p"]:
             report.fail(f"quotient normalizer not of characteristic p, |P|={len(P)}")

@@ -29,7 +29,7 @@ class TransporterSystem:
     def __init__(self, L: Locality):
         self.locality = L
         self.group = L.ambient
-        self.objects: List[MemberSet] = L.sorted_objects
+        self.objects: Tuple[MemberSet, ...] = L.sorted_objects
         self._mor: Dict[Tuple[MemberSet, MemberSet], List[int]] = {
             (P, Q): [] for P in self.objects for Q in self.objects}
         for P in self.objects:

@@ -7,6 +7,7 @@ process runs ``python -m locus.cli full-acceptance`` under a different
 pass/fail line prints per criterion.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -23,6 +24,15 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def acceptance_report():
     rep = full_acceptance(RunConfig(pipeline="full-acceptance"))
     return rep
+
+
+# sha256 of the canonical full-acceptance report at the default seed 2024
+FULL_ACCEPTANCE_SHA256 = "2efb4a7985d8150c124e13e502d503836c7a35eb75ccf956abc1062672f06fd1"
+
+
+def test_report_bytes_pinned(acceptance_report):
+    digest = hashlib.sha256(acceptance_report.canonical_bytes()).hexdigest()
+    assert digest == FULL_ACCEPTANCE_SHA256
 
 
 def _flag(report, key):

@@ -1,5 +1,6 @@
 """Harness pipelines, report determinism, and CLI plumbing."""
 
+import hashlib
 import json
 
 import pytest
@@ -102,6 +103,36 @@ def test_cli_parser_and_exit_code(tmp_path):
     assert code == 0
     payload = json.loads(path.read_text())
     assert payload["results"]["chevrels"]["passed"] is True
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["locality-check", "--group", "s4", "--prime", "4"],
+     "locus: GroupError: p = 4 is not a prime\n"),
+    (["group-inspect", "--group", "nosuch"],
+     "locus: GroupError: unknown group 'nosuch'"),
+])
+def test_cli_rejects_bad_input_in_one_line(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1
+
+
+# sha256 of the canonical lie-verify report, recorded before the so(7) model
+# moved from Fraction matrices to int64
+LIE_VERIFY_SHA256 = {
+    3: "e393121925463d5cb6646b43bce759fe3b6eac7632111faa73c4cff1cf3c23b0",
+    5: "3086b763d95c9b69f3ba9335410c5e3154bd682cf78b019bea9f9f0f1a113241",
+    7: "25542e026e319b37c3f681df124f2854ce18578fb162491735df72d000cee8fe",
+    11: "546bead250acafe8675c7a5bfb8f68a68ada703ff1e5ed57dcd3b89cf762f2c7",
+}
+
+
+@pytest.mark.parametrize("q", sorted(LIE_VERIFY_SHA256))
+def test_lie_verify_bytes_pinned(q):
+    data = run(RunConfig(pipeline="lie-verify", q=q)).canonical_bytes()
+    assert hashlib.sha256(data).hexdigest() == LIE_VERIFY_SHA256[q]
 
 
 def test_budget_exceeded_marks_skipped(monkeypatch):

@@ -32,6 +32,28 @@ def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
 
 
+def _imports_fractions(source: str) -> bool:
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) and any(
+                a.name.split(".")[0] == "fractions" for a in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "fractions":
+            return True
+    return False
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_fractions_import(path):
+    # every matrix the package builds is integral; exact rationals live in tests
+    assert not _imports_fractions(path.read_text())
+
+
+def test_fractions_import_detector():
+    assert _imports_fractions("from fractions import Fraction\n")
+    assert _imports_fractions("def f():\n    import fractions\n")
+    assert not _imports_fractions("import math\n")
+
+
 def test_unused_import_detector():
     assert _unused_imports("import os\nfrom a.b import c, d as e\nprint(e)\n") == ["c", "os"]
 

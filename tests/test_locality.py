@@ -153,7 +153,7 @@ def test_restriction_to_s_is_normalizer():
     L = punctured("a6", 2)
     S = L.sylow
     LS = L.restrict([frozenset(S.members)])
-    NS, _ = L.local_subgroup(frozenset(S.members), "normalizer")
+    NS = L.local_subgroup(frozenset(S.members), "normalizer")
     assert set(LS.carrier) == set(NS.members)
 
 
@@ -203,22 +203,23 @@ def test_local_subgroup_examples():
     z = next(x for x in L.sylow.members
              if x != G.identity
              and all(G.mul(x, s) == G.mul(s, x) for s in L.sylow.members))
-    NZ, guaranteed = L.local_subgroup(frozenset([G.identity, z]), "normalizer")
-    assert guaranteed and NZ.order == 8
+    Z = frozenset([G.identity, z])
+    assert Z in L.objects
+    assert L.local_subgroup(Z, "normalizer").order == 8
 
     L2 = punctured("a6xc3", 2)
     G2 = L2.ambient
     z2 = next(x for x in L2.sylow.members
               if x != G2.identity
               and all(G2.mul(x, s) == G2.mul(s, x) for s in L2.sylow.members))
-    NZ2, _ = L2.local_subgroup(frozenset([G2.identity, z2]), "normalizer")
+    NZ2 = L2.local_subgroup(frozenset([G2.identity, z2]), "normalizer")
     assert NZ2.order == 24
 
     L3 = punctured("s4", 2)
     from locus.permgroups import o_p
 
     V4 = frozenset(o_p(L3.ambient, 2).members)
-    NV, _ = L3.local_subgroup(V4, "normalizer")
+    NV = L3.local_subgroup(V4, "normalizer")
     assert NV.order == 24
 
 

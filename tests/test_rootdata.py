@@ -25,7 +25,6 @@ from locus.rootdata import (
     verify_chevrels,
     weyl_group,
     x_element,
-    _mat_inv_exact,
     _so7_root_vector,
 )
 
@@ -42,10 +41,20 @@ def _check_so7(X: np.ndarray) -> bool:
     return not np.any(X.T @ J + J @ X)
 
 
+def _assert_inverse(A: np.ndarray, B: np.ndarray) -> None:
+    assert np.array_equal(A @ B, np.eye(7, dtype=np.int64))
+
+
+def _n_element_exact(alpha, t: Fraction) -> np.ndarray:
+    """n_alpha(t) = x_alpha(t) x_-alpha(-1/t) x_alpha(t) at a rational t."""
+    t = Fraction(t)
+    return (x_element(alpha, t) @ x_element(tuple(-a for a in alpha), -1 / t)
+            @ x_element(alpha, t))
+
+
 def _h_element_exact(alpha, t: Fraction) -> np.ndarray:
-    n1 = n_element(alpha, Fraction(1))
-    nt = n_element(alpha, Fraction(t))
-    return _mat_inv_exact(n1) @ nt
+    """h_alpha(t) = n_alpha(1)^-1 n_alpha(t), with n_alpha(1)^-1 = n_alpha(-1)."""
+    return n_element(alpha, -1) @ _n_element_exact(alpha, t)
 
 
 def verify_chevalley_torus_relations() -> dict:
@@ -55,25 +64,28 @@ def verify_chevalley_torus_relations() -> dict:
     lam = Fraction(2)
     signs = SignTable()
     ns = {a: n_element(a) for a in roots}
-    n_inv = {a: _mat_inv_exact(ns[a]) for a in roots}
+    n_inv = {a: n_element(a, -1) for a in roots}
+    hs = {a: _h_element_exact(a, lam) for a in roots}
     for b in roots:
+        _assert_inverse(ns[b], n_inv[b])
+        _assert_inverse(n_inv[b], ns[b])
         for a in roots:
             w = reflect(a, b)
-            lhs = n_inv[b] @ _h_element_exact(a, lam) @ ns[b]
-            if not np.array_equal(lhs, _h_element_exact(w, lam)):
+            if not np.array_equal(n_inv[b] @ hs[a] @ ns[b], hs[w]):
                 out["hn"] = False
-            lhs_n = n_inv[b] @ n_element(a, Fraction(1)) @ ns[b]
-            c = signs.c(a, b)
-            if not np.array_equal(lhs_n, n_element(w, Fraction(c))):
+            lhs_n = n_inv[b] @ ns[a] @ ns[b]
+            if not np.array_equal(lhs_n, n_element(w, signs.c(a, b))):
                 out["nn"] = False
         if not np.array_equal(ns[b] @ ns[b], _h_element_exact(b, Fraction(-1))):
             out["n2"] = False
     # x_alpha(mu)^{h_beta(lam)} = x_alpha(lam^{<a,b>} mu)
     for b in roots[:6]:
-        hb = _h_element_exact(b, lam)
-        hbi = _mat_inv_exact(hb)
+        hb = hs[b]
+        hbi = _h_element_exact(b, 1 / lam)
+        _assert_inverse(hb, hbi)
+        _assert_inverse(hbi, hb)
         for a in roots:
-            lhs = hbi @ x_element(a, Fraction(1)) @ hb
+            lhs = hbi @ x_element(a, 1) @ hb
             rhs = x_element(a, lam ** pairing(a, b))
             if not np.array_equal(lhs, rhs):
                 out["pairing_action"] = False
@@ -226,11 +238,11 @@ def test_extended_weyl_matches_so7_matrices():
     hatW = N.extended_weyl()
     assert len(hatW) == 384
     def as_int64(M):
-        # at t = +-1 the exact matrices are integral, so int64 is exact too
+        # at t = -1 the exact matrices are integral, so int64 is exact too
         assert all(Fraction(x).denominator == 1 for x in M.flat)
         return np.array(M.tolist(), dtype=np.int64)
 
-    n_mats = [as_int64(n_element(a)) for a in SIMPLE]
+    n_mats = [n_element(a) for a in SIMPLE]
     h_mats = [as_int64(_h_element_exact(a, Fraction(-1))) for a in SIMPLE]
     ident = np.eye(7, dtype=np.int64)
 
