@@ -119,8 +119,7 @@ def test_cli_rejects_bad_input_in_one_line(capsys, argv, message):
     assert captured.err.count("\n") == 1
 
 
-# sha256 of the canonical lie-verify report, recorded before the so(7) model
-# moved from Fraction matrices to int64
+# sha256 of the canonical lie-verify report at each q
 LIE_VERIFY_SHA256 = {
     3: "e393121925463d5cb6646b43bce759fe3b6eac7632111faa73c4cff1cf3c23b0",
     5: "3086b763d95c9b69f3ba9335410c5e3154bd682cf78b019bea9f9f0f1a113241",
