@@ -3,8 +3,10 @@
 The cochain model is the normalized bar complex: an n-chain is a string of
 n composable nonidentity morphisms, carrying the functor value at its
 source object; faces whose inner composite collapses to an identity drop
-out.  Ranks of the differentials are computed sparsely over F_p by pivot
-insertion (``linalg.rank_sparse_modp``); no dense matrix is built.
+out.  Ranks of the differentials are computed over F_p by pivot insertion
+(``linalg.rank_sparse_modp``): each row of d_n is built from one
+(n+1)-chain straight into the eliminator's representation and reduced at
+once, so neither a dense matrix nor a list of entries is built.
 
 Higher limits are invariant under equivalence of categories, so the
 comparisons on orbit categories run on a skeleton (one object per
@@ -14,12 +16,12 @@ on categories small enough to do both computations.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .cohomology import BudgetError, CohomologyFamily, budget_mb, restriction_map
-from .linalg import rank_sparse_modp
+from .linalg import Row, rank_sparse_modp
 from .permgroups import Group
 
 MemberSet = FrozenSet[int]
@@ -217,107 +219,94 @@ def chain_counts(cat: FiniteCategory, dims: Sequence[int],
 # tracemalloc on chain_levels plus the offset dicts of the s4 and a6 centric
 # orbit categories read 36-148 bytes per chain at levels 0-5.
 CHAIN_BYTES = 112
-# Bytes per nonzero entry of a differential while its rank is computed; a
-# coordinate gives at most max(dims) + depth entries.  The tracemalloc peak
-# of higher_limits less the chain bytes, on the same categories with H^j for
-# j = 0..3, reads 111-145 bytes per bounded entry.
-ENTRY_BYTES = 160
+# Bytes per row the rank holds besides its columns (int or dict header and
+# pivot-table slot: 56-99 read at p = 2 on the same categories, 224 for the
+# smallest dict), and per column at odd p (dict slot, key and value ints);
+# an int row at p = 2 packs 30 columns in 4 bytes.
+ROW_BYTES, CELL_BYTES = 256, 128
+
+
+def limits_bytes(functor: ModuleFunctor, max_degree: int) -> Tuple[List[int], List[int], int]:
+    """Chains and coordinates per degree (``chain_counts``) and a bound on the
+    bytes ``higher_limits`` holds: the chains with their offsets, the face-0
+    rows of the morphisms (dim C^1 rows of at most max(dims) columns) and the
+    pivots of one d_n, at most min(dim C^n, dim C^{n+1}) rows of dim C^n
+    columns."""
+    counts, sizes = chain_counts(functor.cat, functor.dims, max_degree + 1)
+    col_bytes = 4 / 30 if functor.p == 2 else CELL_BYTES
+    need = sum((CHAIN_BYTES + 8 * n) * c for n, c in enumerate(counts))
+    need += sizes[1] * (ROW_BYTES + max(functor.dims, default=0) * col_bytes)
+    need += max(min(sizes[n], sizes[n + 1]) * (ROW_BYTES + sizes[n] * col_bytes)
+                for n in range(max_degree + 1))
+    return counts, sizes, int(need)
 
 
 def higher_limits(functor: ModuleFunctor, max_degree: int = 4) -> List[int]:
     """Dimensions of lim^i for 0 <= i <= max_degree.
 
-    Raises ``BudgetError`` before any chain is built when the chains, their
-    offsets and the cochain coordinates would exceed the memory budget.
+    Raises ``BudgetError`` before any chain is built when ``limits_bytes``
+    exceeds the memory budget.
     """
-    cat, p = functor.cat, functor.p
-    depth = max_degree + 1
-    counts, sizes = chain_counts(cat, functor.dims, depth)
-    need = sum((CHAIN_BYTES + 8 * n) * c for n, c in enumerate(counts))
-    need += ENTRY_BYTES * (max(functor.dims, default=0) + depth) * sum(sizes)
+    counts, sizes, need = limits_bytes(functor, max_degree)
     if need > budget_mb() * 1_000_000:
         raise BudgetError(
             f"cochain complex too large: chains per degree {counts}, "
             f"coordinates per degree {sizes}, about {need} bytes "
             f"(budget {budget_mb()} MB)")
-    levels = chain_levels(cat, depth)
-
-    def chain_source(level: int, chain: Tuple[int, ...]) -> int:
-        if level == 0:
-            return chain[0]
-        return cat.src[chain[0]]
-
-    offsets: List[Dict[Tuple[int, ...], int]] = []
-    for n, chains in enumerate(levels):
-        off: Dict[Tuple[int, ...], int] = {}
+    cat = functor.cat
+    levels = chain_levels(cat, max_degree + 1)
+    ranks = []
+    for n, chains in enumerate(levels[:-1]):
+        off: Dict[Tuple[int, ...], int] = {}  # first column of each n-chain
         pos = 0
         for c in chains:
             off[c] = pos
-            pos += functor.dims[chain_source(n, c)]
-        offsets.append(off)
-
-    ranks: List[int] = []
-    for n in range(max_degree + 1):
-        entries = _differential_entries(functor, levels, offsets, n)
-        ranks.append(rank_sparse_modp(sizes[n + 1], sizes[n], entries, p))
-    dims_out: List[int] = []
-    for n in range(max_degree + 1):
-        prev = ranks[n - 1] if n > 0 else 0
-        dims_out.append(sizes[n] - ranks[n] - prev)
-    return dims_out
+            pos += functor.dims[c[0] if n == 0 else cat.src[c[0]]]
+        rows = _differential_rows(functor, levels[n + 1], off, n)
+        ranks.append(rank_sparse_modp(sizes[n + 1], sizes[n], rows, functor.p))
+    return [sizes[n] - ranks[n] - (ranks[n - 1] if n else 0) for n in range(max_degree + 1)]
 
 
-def _differential_entries(functor: ModuleFunctor,
-                          levels: List[List[Tuple[int, ...]]],
-                          offsets: List[Dict[Tuple[int, ...], int]],
-                          n: int) -> List[Tuple[int, int, int]]:
-    """Sparse entries of d_n : C^n -> C^{n+1}."""
+def _differential_rows(functor: ModuleFunctor, chains: List[Tuple[int, ...]],
+                       off: Dict[Tuple[int, ...], int], n: int) -> Iterator[Row]:
+    """Rows of d_n : C^n -> C^{n+1}, one (n+1)-chain at a time, in the
+    representation ``rank_sparse_modp`` reads at the functor's p.
+
+    Row i of the chain (f_1, ..., f_{n+1}) is row i of f_1's matrix at face
+    0, plus (-1)^k at coordinate i of each inner face k whose composite is
+    not an identity, plus (-1)^(n+1) at coordinate i of the last face.
+    """
     cat, p = functor.cat, functor.p
-    nonzero: Dict[int, List[Tuple[int, int, int]]] = {}
-
-    def entries_of(m: int) -> List[Tuple[int, int, int]]:
-        """(i, j, value) of the nonzero entries of morphism m's matrix."""
-        got = nonzero.get(m)
-        if got is None:
-            M = functor.mats[m] % p
-            ii, jj = M.nonzero()
-            got = nonzero[m] = list(zip(ii.tolist(), jj.tolist(), M[ii, jj].tolist()))
-        return got
-
-    out: List[Tuple[int, int, int]] = []
-    for chain in levels[n + 1]:
-        row0 = offsets[n + 1][chain]
-        if n == 0:
-            f = chain[0]
-            X0, X1 = cat.src[f], cat.tgt[f]
-            col0 = offsets[0][(X1,)]
-            out.extend((row0 + i, col0 + j, v) for i, j, v in entries_of(f))
-            col0 = offsets[0][(X0,)]
-            for i in range(functor.dims[X0]):
-                out.append((row0 + i, col0 + i, -1))
-            continue
-        # face 0: apply the functor along the first morphism
+    identities = set(cat.identity)
+    face0_rows: Dict[int, List[Row]] = {}  # each first morphism's matrix rows
+    for chain in chains:
         f1 = chain[0]
-        face0 = chain[1:]
-        col0 = offsets[n][face0]
-        dim_row = functor.dims[cat.src[f1]]
-        out.extend((row0 + i, col0 + j, v) for i, j, v in entries_of(f1))
-        # inner faces: compose adjacent morphisms (drop identities)
-        sign = -1
+        if f1 not in face0_rows:
+            M = functor.mats[f1]
+            cols = [np.flatnonzero(r).tolist() for r in M]
+            face0_rows[f1] = ([sum(1 << j for j in js) for js in cols] if p == 2 else
+                              [dict(zip(js, r[js].tolist())) for r, js in zip(M, cols)])
+        face0, last = (chain[1:], chain[:-1]) if n else ((cat.tgt[f1],), (cat.src[f1],))
+        col0 = off[face0]
+        faces = [(off[last], (-1) ** (n + 1))]  # (first column, sign)
         for k in range(1, n + 1):
             comp = cat.comp[(chain[k], chain[k - 1])]
-            if comp not in cat.identity:
-                merged = chain[:k - 1] + (comp,) + chain[k + 1:]
-                colm = offsets[n][merged]
-                for i in range(dim_row):
-                    out.append((row0 + i, colm + i, sign))
-            sign = -sign
-        # last face: drop the final morphism
-        last = chain[:-1]
-        coll = offsets[n][last]
-        for i in range(dim_row):
-            out.append((row0 + i, coll + i, sign))
-    return out
+            if comp not in identities:
+                faces.append((off[chain[:k - 1] + (comp,) + chain[k + 1:]], (-1) ** k))
+        for i, base in enumerate(face0_rows[f1]):
+            if p == 2:
+                row = base << col0
+                for c, _ in faces:
+                    row ^= 1 << (c + i)
+            else:
+                row = {col0 + j: v for j, v in base.items()}
+                for c, sign in faces:
+                    v = (row.get(c + i, 0) + sign) % p
+                    if v:
+                        row[c + i] = v
+                    else:
+                        del row[c + i]
+            yield row
 
 
 def restrict_functor(functor: ModuleFunctor, keep: Sequence[int]) -> ModuleFunctor:
@@ -707,6 +696,8 @@ def sharpness_pipeline(L, jmax: int = 2, max_degree: int = 4) -> Dict[str, objec
     """
     from .fusion import classify_subgroups_core_only, fusion_of_locality, is_saturated
 
+    if jmax < 0:
+        raise FunctorError(f"jmax = {jmax} is negative")
     G = L.ambient
     F = fusion_of_locality(L)
     sat, wit = is_saturated(F)

@@ -422,7 +422,7 @@ def _run_lie_verify(config: RunConfig) -> Report:
     from .rootdata import pairing_table
 
     report = Report("lie-verify", _inputs(config))
-    q = config.q or 7
+    q = 7 if config.q is None else config.q
     report.put("pairing_table", pairing_table(all_roots()))
     report.put("pairing_beta1_alpha23", pairing(BETAS[0], (0, 1, 0)))
     report.put("pairing_alpha3_even",

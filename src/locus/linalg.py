@@ -3,17 +3,20 @@
 Two engines: a dense mod-p eliminator on small numpy matrices, and a sparse
 pivot-insertion rank for the cochain-complex differentials (tens of
 thousands of columns, well under one percent nonzero) produced by the
-higher-limit computations.  The sparse rank keeps one pivot row per leading
-column and reduces each new row against them; rows are Python ``int``
-bitsets at p = 2 and ``{col: value}`` dicts at odd p, so nothing dense is
-ever allocated.
+higher-limit computations.  The sparse rank reads the rows of a matrix from
+an iterable, one at a time, and reduces each against one pivot row per
+leading column as it arrives; rows are Python ``int`` bitsets at p = 2 and
+``{col: value}`` dicts at odd p, so neither the whole matrix nor anything
+dense is ever allocated.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Tuple, Union
 
 import numpy as np
+
+Row = Union[int, Dict[int, int]]
 
 
 def _as_modp(A: np.ndarray, p: int) -> np.ndarray:
@@ -67,39 +70,29 @@ def nullspace_modp(A: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
-def rank_sparse_modp(nrows: int, ncols: int,
-                     entries: Iterable[Tuple[int, int, int]], p: int) -> int:
-    """Rank over F_p of a sparse integer matrix given by (row, col, value).
+def rank_sparse_modp(nrows: int, ncols: int, rows: Iterable[Row], p: int) -> int:
+    """Rank over F_p of the nrows x ncols matrix whose rows ``rows`` yields.
 
-    Indices and values are Python ints (a numpy index would overflow the
-    bit shift at p = 2); values at a repeated coordinate add up mod p.  The
-    matrix is read as its transpose when that has fewer rows (rank is
-    invariant under transpose), so at most min(nrows, ncols) rows are held.
+    A row is an ``int`` bitset at p = 2 (bit j set for a 1 in column j) and
+    a ``{col: value}`` dict with values nonzero mod p at odd p.  Rows are
+    reduced one at a time as they arrive, so only the pivots (at most
+    min(nrows, ncols) of them) are held.
     """
     if nrows == 0 or ncols == 0:
         return 0
-    swap = nrows > ncols
     if p == 2:
-        return _rank_gf2(entries, swap)
-    return _rank_odd(entries, swap, p)
+        return _rank_gf2(rows)
+    return _rank_odd(rows, p)
 
 
-def _rank_gf2(entries: Iterable[Tuple[int, int, int]], swap: bool) -> int:
-    # a row is an int with bit j set for column j, so a repeated
-    # coordinate cancels by XOR and the leading column is bit_length()
-    rows: Dict[int, int] = {}
-    get = rows.get
-    for i, j, v in entries:
-        if v & 1:
-            if swap:
-                i, j = j, i
-            rows[i] = get(i, 0) ^ (1 << j)
+def _rank_gf2(rows: Iterable[int]) -> int:
+    # the leading column of a row is its bit_length()
     pivots: Dict[int, int] = {}
-    for i in list(rows):
-        row = rows.pop(i)  # input rows are freed as pivots accumulate
+    get = pivots.get
+    for row in rows:
         while row:
             lead = row.bit_length()
-            piv = pivots.get(lead)
+            piv = get(lead)
             if piv is None:
                 pivots[lead] = row
                 break
@@ -107,23 +100,11 @@ def _rank_gf2(entries: Iterable[Tuple[int, int, int]], swap: bool) -> int:
     return len(pivots)
 
 
-def _rank_odd(entries: Iterable[Tuple[int, int, int]], swap: bool,
-              p: int) -> int:
-    # a row is {col: nonzero value}; pivot rows are scaled so that the
-    # coefficient at their leading (largest) column is 1
-    rows: Dict[int, Dict[int, int]] = {}
-    for i, j, v in entries:
-        if swap:
-            i, j = j, i
-        row = rows.setdefault(i, {})
-        v = (row.get(j, 0) + v) % p
-        if v:
-            row[j] = v
-        else:
-            row.pop(j, None)
+def _rank_odd(rows: Iterable[Dict[int, int]], p: int) -> int:
+    # pivot rows are scaled so that the coefficient at their leading
+    # (largest) column is 1
     pivots: Dict[int, Dict[int, int]] = {}
-    for i in list(rows):
-        row = rows.pop(i)  # input rows are freed as pivots accumulate
+    for row in rows:
         while row:
             lead = max(row)
             piv = pivots.get(lead)

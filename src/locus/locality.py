@@ -364,6 +364,11 @@ class _StateGraph:
 
 # -- axiom checkers -------------------------------------------------------
 
+def _check_samples(samples: int) -> None:
+    if samples < 0:
+        raise LocalityError(f"samples = {samples} is negative")
+
+
 def check_partial_group(L: Locality, samples: int = 100000,
                         seed: int = 2024) -> CheckReport:
     """Verify the partial-group axioms on the word domain of L.
@@ -371,6 +376,7 @@ def check_partial_group(L: Locality, samples: int = 100000,
     Exhaustive to MAX_EXHAUSTIVE_LEN through the state graph, then by
     seeded word sampling up to SAMPLE_LEN.
     """
+    _check_samples(samples)
     report = CheckReport("partial-group")
     G = L.ambient
     graph = L.state_graph()
@@ -469,6 +475,7 @@ def _check_word_axioms(L: Locality, word: Word, report: CheckReport) -> None:
 def check_locality_axioms(L: Locality, samples: int = 20000,
                           seed: int = 2024) -> CheckReport:
     """Verify (L1), (L2) in both directions, and (L3)."""
+    _check_samples(samples)
     report = CheckReport("locality-axioms")
     G = L.ambient
     sm = L.sylow.members

@@ -324,6 +324,8 @@ class Torus:
     def __init__(self, Q: int, eps: int = 1, q: Optional[int] = None):
         if Q % 2 == 0:
             raise RootDataError("field order must be odd")
+        if Q < 3 or (q is not None and q < 3):
+            raise RootDataError(f"field order must be at least 3 (Q = {Q}, q = {q})")
         self.Q = Q
         self.mod = Q - 1
         self.eps = eps
@@ -528,9 +530,9 @@ def verify_chevrels(q: int) -> Dict[str, object]:
     """
     eps = 1 if q % 4 == 1 else -1
     Q = q * q
+    T = Torus(Q, eps, q)  # rejects q < 3 before p_part(Q - 1) could see 0
     l = p_part(Q - 1, 2) // 8
     l = l.bit_length() - 1  # 2^{l+3} | Q-1 exactly
-    T = Torus(Q, eps, q)
     N = NormalizerModel(T)
     report: Dict[str, object] = {"q": q, "eps": eps, "l": l}
 

@@ -1,6 +1,7 @@
 """Higher limits, Lambda functors, and the comparison suites."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from locus.catlimits import (
 from locus.cohomology import MEMORY_BUDGET_ENV, BudgetError, CohomologyFamily
 from locus.fusion import classify_subgroups_core_only, fusion_of_group, fusion_of_locality
 from locus.locality import build_locality, delta_all_nontrivial
+from locus.linalg import row_echelon_modp
 from locus.permgroups import load_group, sylow
 from locus.transporter import orbit_category, transporter_of_locality
 
@@ -110,10 +112,20 @@ def test_one_object_c3_category_gives_group_cohomology(p, dims):
 
 
 def s4_centric_orbit_category():
+    return s4_centric_fusion()[1]
+
+
+@functools.lru_cache(maxsize=None)
+def s4_centric_fusion():
     G = bundled("s4")
     F = fusion_of_group(G, sylow(G, 2), 2)
     centrics = classify_subgroups_core_only(F).all_with("centric")
-    return fusion_orbit_category(F, centrics)[0]
+    return F, fusion_orbit_category(F, centrics)[0]
+
+
+def s4_centric_cohomology_functor(j):
+    F, cat = s4_centric_fusion()
+    return cohomology_functor_on_orbit_category(F, cat, CohomologyFamily(F.group, 2, 1), j)
 
 
 @pytest.mark.parametrize("make", [
@@ -139,6 +151,79 @@ def test_higher_limits_budget_raises_before_building_chains(monkeypatch):
     # 2^n chains at level n, about 2^18 in all at depth 17
     with pytest.raises(BudgetError, match="chains per degree"):
         higher_limits(constant_functor(c3_category(), 3, 1), 16)
+
+
+def a6_centric_h3_functor():
+    G = bundled("a6")
+    F = fusion_of_group(G, sylow(G, 2), 2)
+    cat, _ = fusion_orbit_category(F, classify_subgroups_core_only(F).all_with("centric"))
+    return cohomology_functor_on_orbit_category(F, cat, CohomologyFamily(G, 2, 3), 3)
+
+
+def test_higher_limits_peak_under_budget_estimate():
+    functor = a6_centric_h3_functor()
+    need = catlimits.limits_bytes(functor, 4)[2]
+    tracemalloc.start()
+    try:
+        assert higher_limits(functor, 4) == [2, 0, 0, 0, 0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < need
+
+
+def dense_differential_ranks(functor, max_degree):
+    """Ranks of the dense d_n, n <= max_degree, written from the normalized
+    coboundary: (d phi)(f_1, ..., f_{n+1}) = F(f_1) phi(f_2, ..., f_{n+1})
+    + sum_k (-1)^k phi(..., f_{k+1} f_k, ...) + (-1)^{n+1} phi(f_1, ..., f_n),
+    where a face whose composite is an identity is a degenerate chain, on
+    which normalized cochains vanish."""
+    cat, p, dims = functor.cat, functor.p, functor.dims
+    levels = chain_levels(cat, max_degree + 1)
+    starts = []
+    for n, level in enumerate(levels):
+        pos, start = 0, {}
+        for chain in level:
+            start[chain] = pos
+            pos += dims[chain[0] if n == 0 else cat.src[chain[0]]]
+        starts.append((start, pos))
+    ranks = []
+    for n in range(max_degree + 1):
+        (cols, ncols), (rows, nrows) = starts[n], starts[n + 1]
+        A = np.zeros((nrows, ncols), dtype=np.int64)
+        for chain, r in rows.items():
+            f = chain[0]
+            d = dims[cat.src[f]]
+            tail = chain[1:] if n else (cat.tgt[f],)
+            c = cols[tail]
+            A[r:r + d, c:c + dims[cat.tgt[f]]] += functor.mats[f]
+            faces = [((-1) ** (n + 1), chain[:-1] if n else (cat.src[f],))]
+            for k in range(1, n + 1):
+                comp = cat.comp[(chain[k], chain[k - 1])]
+                if comp not in cat.identity:
+                    faces.append(((-1) ** k, chain[:k - 1] + (comp,) + chain[k + 1:]))
+            for sign, face in faces:
+                c = cols[face]
+                A[r:r + d, c:c + d] += sign * np.eye(d, dtype=np.int64)
+        ranks.append(len(row_echelon_modp(A, p)[1]) if A.size else 0)
+    return ranks
+
+
+@pytest.mark.parametrize("make, max_degree", [
+    (lambda: constant_functor(c3_category(), 2, 1), 4),
+    (lambda: constant_functor(c3_category(), 3, 1), 4),
+    (lambda: constant_functor(c3_category(), 3, 2), 4),
+    (lambda: constant_functor(s4_centric_orbit_category(), 3, 2), 2),
+    (lambda: s4_centric_cohomology_functor(0), 3),
+    (lambda: s4_centric_cohomology_functor(1), 3),
+])
+def test_higher_limits_match_dense_differentials(make, max_degree):
+    functor = make()
+    ranks = dense_differential_ranks(functor, max_degree)
+    sizes = chain_counts(functor.cat, functor.dims, max_degree)[1]
+    expected = [sizes[n] - ranks[n] - (ranks[n - 1] if n else 0)
+                for n in range(max_degree + 1)]
+    assert higher_limits(functor, max_degree) == expected
 
 
 def test_pushout_poset_limits():

@@ -110,6 +110,13 @@ def test_cli_parser_and_exit_code(tmp_path):
      "locus: GroupError: p = 4 is not a prime\n"),
     (["group-inspect", "--group", "nosuch"],
      "locus: GroupError: unknown group 'nosuch'"),
+    (["lie-verify", "--q", "0"], "locus: RootDataError: field order must be odd\n"),
+    (["lie-verify", "--q", "1"], "locus: RootDataError: field order must be at least 3"),
+    (["lie-verify", "--q", "-3"], "locus: RootDataError: field order must be at least 3"),
+    (["sharpness", "--group", "s4", "--jmax", "-1"],
+     "locus: FunctorError: jmax = -1 is negative\n"),
+    (["locality-check", "--group", "s4", "--samples", "-5"],
+     "locus: LocalityError: samples = -5 is negative\n"),
 ])
 def test_cli_rejects_bad_input_in_one_line(capsys, argv, message):
     assert main(argv) == 2
