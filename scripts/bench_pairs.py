@@ -9,8 +9,9 @@ the change first when i is odd.  After every run the record that the
 benchmark wrote to ``<checkout>/.bench_out/`` is read back.  With
 ``--traced`` one traced run per side follows the pairs.
 
-The output file gets one entry per workload; entries of other workloads
-already in the file are kept.  An entry holds every run's record
+The output file gets one entry per workload, keyed ``<workload>`` at the
+default seed 2024 and ``<workload>/seed<N>`` at any other; entries under
+other keys already in the file are kept.  An entry holds every run's record
 (machine block, medians and quartiles, checks),
 each side's median and quartiles over its run medians, the number of pairs
 the change won for every end-to-end metric (lower is better, ties count
@@ -28,6 +29,7 @@ import sys
 from pathlib import Path
 
 E2E = ["wall_s", "setup_s", "cpu_s", "peak_rss_mb"]
+DEFAULT_SEED = 2024
 KEPT = ["machine", "elapsed_s", "spread", "failures", "result"]
 
 
@@ -51,14 +53,22 @@ def value(record: dict, metric: str) -> float:
     return record["result"]["metrics"][metric]["value"]
 
 
+def pair_count(text: str) -> int:
+    """--pairs: the quartiles of each side need at least two runs."""
+    pairs = int(text)
+    if pairs < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 pairs, got {pairs}")
+    return pairs
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--pairs", type=pair_count, default=10)
     ap.add_argument("--seconds", type=int, default=40)
-    ap.add_argument("--seed", type=int, default=2024)
+    ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
     ap.add_argument("--traced", action="store_true")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args()
@@ -96,7 +106,8 @@ def main() -> int:
                            for side, path in sides.items()}
 
     out = json.loads(args.out.read_text()) if args.out.exists() else {}
-    out[args.workload] = entry
+    key = args.workload if args.seed == DEFAULT_SEED else f"{args.workload}/seed{args.seed}"
+    out[key] = entry
     args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     for metric, m in entry["metrics"].items():
         print(f"{args.workload} {metric}: parent {m['parent']['median']:.4g} "

@@ -55,6 +55,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"locus: {type(exc).__name__}: {exc}\n")
         return 2
     sys.stdout.write(report.canonical_bytes().decode() + "\n")
+    for key, reason in report.skipped().items():
+        sys.stderr.write(f"locus: {key} {reason}\n")
     if report.timings:
         sys.stderr.write("timings (s): " + json.dumps(report.timings) + "\n")
     return 0 if report.passed else 1

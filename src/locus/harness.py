@@ -125,6 +125,11 @@ class Report:
     def passed(self) -> bool:
         return _all_passed(self.data["results"])
 
+    def skipped(self) -> Dict[str, str]:
+        """The results a budget guard skipped, each with its reason."""
+        return {key: node["skipped"] for key, node in self.data["results"].items()
+                if isinstance(node, dict) and node.get("skipped")}
+
     def canonical_bytes(self) -> bytes:
         payload = dict(self.data)
         payload["passed"] = self.passed

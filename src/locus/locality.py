@@ -14,19 +14,27 @@ Word-level axiom checks run exhaustively up to length 3 via a compressed
 state graph (a state is the pair (product, S_w mask), which determines the
 tracked map s -> s^{Pi(w)}, and every word of bounded length lands in a
 recorded state; the graph is built once per locality and shared by both
-checkers), then by seeded sampling at lengths 4-5.  The step-wise
-pair tracking of ``s_word_pairs`` stays as an independent oracle for the
-tracked map.
+checkers), then on seeded samples: lengths 2-5 for the partial-group axioms,
+1-5 for the locality axioms.  Sampled words are drawn SAMPLE_BLOCK at a time
+from ``random.Random(seed)`` (one ``choices`` call for the lengths, one per
+letter column), and each block's prefix products and S_w masks are numpy
+arrays: ``Group.mul_many`` per column and an AND over rows of
+``Locality.mask_rows``.  A given seed draws a different word sequence than
+the per-word sampler of earlier versions did.  The per-word oracles that keep
+the checkers independent (``in_domain`` in the battery, chain witnesses and
+chain search) run as before, and the step-wise pair tracking of
+``s_word_pairs`` stays as an independent oracle for the tracked map.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
-from .permgroups import Group, Subgroup, all_subgroups, member_mask, p_part
+from .permgroups import Group, Subgroup, _row_keys, all_subgroups, member_mask, p_part
 
 Word = Tuple[int, ...]
 MemberSet = FrozenSet[int]
@@ -37,6 +45,9 @@ MemberSet = FrozenSet[int]
 MAX_EXHAUSTIVE_LEN = 3
 SAMPLE_LEN = 5
 FULL_BATTERY_CAP = 1500
+# sampled words are drawn and reduced this many at a time, so the arrays of a
+# check do not grow with the number of samples
+SAMPLE_BLOCK = 16384
 
 
 class LocalityError(ValueError):
@@ -100,6 +111,7 @@ class Locality:
             (s, 1 << i) for i, s in enumerate(sylow.sorted_members))
         self._full_mask = (1 << len(self._s_bits)) - 1
         self._masks: List[int] = _all_s_masks(ambient, sylow)
+        self._mask_rows: Optional[np.ndarray] = None
         self._mask_sets: Dict[int, MemberSet] = {}
         self._object_masks = frozenset(self._mask_of(o) for o in self.objects)
         self._min_masks = tuple(self._mask_of(o) for o in self.min_objects)
@@ -130,6 +142,17 @@ class Locality:
             members = frozenset(s for s, bit in self._s_bits if mask & bit)
             self._mask_sets[mask] = members
         return members
+
+    def mask_rows(self) -> np.ndarray:
+        """S_h for every ambient element h as one row of little-endian uint64
+        words, bit i of the row being bit i of the int mask; built on the
+        first call (only the sampled checks need it)."""
+        if self._mask_rows is None:
+            width = 8 * max(1, -(-len(self._s_bits) // 64))
+            data = b"".join(m.to_bytes(width, "little") for m in self._masks)
+            self._mask_rows = np.frombuffer(data, dtype="<u8").reshape(
+                len(self._masks), width // 8)
+        return self._mask_rows
 
     def _word_mask(self, word: Sequence[int]) -> int:
         """S_w as the AND of S_h over the prefix products h of w."""
@@ -362,6 +385,58 @@ class _StateGraph:
         return self.levels[length].items()
 
 
+# -- sampled words in blocks ------------------------------------------------
+
+class _Block(NamedTuple):
+    """One block of sampled words with their products and S_w masks."""
+    letters: np.ndarray   # (k, SAMPLE_LEN) carrier elements, identity-padded
+    lengths: np.ndarray   # the length of each word
+    products: np.ndarray  # Pi(w) of each word
+    masks: List[int]      # the distinct S_w masks of the block
+    which: np.ndarray     # which[i]: index in masks of the S_w of word i
+    in_domain: np.ndarray  # whether the S_w of word i is an object
+
+    def word(self, i: int) -> Word:
+        return tuple(self.letters[i, :self.lengths[i]].tolist())
+
+
+def _sampled_blocks(L: Locality, samples: int, seed: int,
+                    min_len: int) -> Iterator[_Block]:
+    """``samples`` seeded words over the carrier, SAMPLE_BLOCK at a time.
+
+    Lengths are uniform on min_len..SAMPLE_LEN and letters uniform on the
+    carrier, drawn as small-int indices with ``choices``: one call for the
+    lengths of a block, then one per letter column for the words that
+    reach it.  Padding with the identity, whose S-mask is full, leaves each
+    product and S_w unchanged, so every column is one ``mul_many`` and one
+    AND of mask rows.
+    """
+    G = L.ambient
+    rng = random.Random(seed)
+    carrier = np.asarray(L.carrier, dtype=np.intp)
+    rows = L.mask_rows()
+    lengths_drawn = range(min_len, SAMPLE_LEN + 1)
+    positions = range(len(carrier))
+    for start in range(0, samples, SAMPLE_BLOCK):
+        k = min(SAMPLE_BLOCK, samples - start)
+        lengths = np.array(rng.choices(lengths_drawn, k=k), dtype=np.intp)
+        letters = np.full((k, SAMPLE_LEN), G.identity, dtype=np.intp)
+        for j in range(SAMPLE_LEN):
+            live = np.flatnonzero(lengths > j)
+            letters[live, j] = carrier[rng.choices(positions, k=len(live))]
+        products = letters[:, 0]
+        masks = rows[products]
+        for j in range(1, SAMPLE_LEN):
+            products = G.mul_many(products, letters[:, j])
+            masks &= rows[products]
+        distinct, which = np.unique(_row_keys(masks), return_inverse=True)
+        data, width = distinct.tobytes(), masks.itemsize * masks.shape[1]
+        ints = [int.from_bytes(data[i:i + width], "little")
+                for i in range(0, len(data), width)]
+        is_object = np.array([m in L._object_masks for m in ints], dtype=bool)
+        yield _Block(letters, lengths, products, ints, which, is_object[which])
+
+
 # -- axiom checkers -------------------------------------------------------
 
 def _check_samples(samples: int) -> None:
@@ -373,8 +448,11 @@ def check_partial_group(L: Locality, samples: int = 100000,
                         seed: int = 2024) -> CheckReport:
     """Verify the partial-group axioms on the word domain of L.
 
-    Exhaustive to MAX_EXHAUSTIVE_LEN through the state graph, then by
-    seeded word sampling up to SAMPLE_LEN.
+    Exhaustive to MAX_EXHAUSTIVE_LEN through the state graph, then on
+    ``samples`` seeded words of lengths 2..SAMPLE_LEN: the full word-level
+    battery on the first FULL_BATTERY_CAP domain words in sample order, and
+    the domain consistency test once per distinct S_w of each block, which
+    covers every sampled word.
     """
     _check_samples(samples)
     report = CheckReport("partial-group")
@@ -418,26 +496,38 @@ def check_partial_group(L: Locality, samples: int = 100000,
 
     # seeded sampling: honest word-level axioms at longer lengths; the full
     # battery (all subwords, splices, inversion) runs on a capped number of
-    # domain words, the remaining samples get the cheap domain consistency
-    rng = random.Random(seed)
-    carrier = L.carrier
+    # domain words, and the domain consistency test on every S_w sampled
     battery = 0
-    for _ in range(samples):
-        n = rng.randint(2, SAMPLE_LEN)
-        word = tuple(rng.choice(carrier) for _ in range(n))
-        if battery < FULL_BATTERY_CAP:
-            if L.in_domain(word):
-                battery += 1
-                _check_word_axioms(L, word, report)
-        else:
-            mask = L._word_mask(word)
-            if (mask in L._object_masks) != any(q & mask == q for q in L._min_masks):
-                report.fail(f"domain test inconsistent on sampled word {word}")
-        if not report.passed and len(report.failures) > 5:
+    for block in _sampled_blocks(L, samples, seed, 2):
+        battery += _check_block(L, block, FULL_BATTERY_CAP - battery, report)
+        if _enough_failures(report):
             break
     report.note("sampled_words", samples)
     report.note("sampled_full_battery", battery)
     return report
+
+
+def _enough_failures(report: CheckReport) -> bool:
+    return len(report.failures) > 5
+
+
+def _check_block(L: Locality, block: _Block, cap: int, report: CheckReport) -> int:
+    """The full battery on the first ``cap`` domain words of a block, then
+    the domain consistency test once per distinct S_w of the block; stops
+    after more than five failures.  Returns the number of battery words."""
+    battery = 0
+    for i in np.flatnonzero(block.in_domain)[:cap]:
+        if _enough_failures(report):
+            return battery
+        battery += 1
+        _check_word_axioms(L, block.word(i), report)
+    for j, mask in enumerate(block.masks):
+        if _enough_failures(report):
+            break
+        if (mask in L._object_masks) != any(q & mask == q for q in L._min_masks):
+            word = block.word(np.flatnonzero(block.which == j)[0])
+            report.fail(f"domain test inconsistent on sampled word {word}")
+    return battery
 
 
 def _check_word_axioms(L: Locality, word: Word, report: CheckReport) -> None:
@@ -511,21 +601,27 @@ def check_locality_axioms(L: Locality, samples: int = 20000,
                 report.fail(f"(L2) mismatch on state of word {witness}")
         report.note(f"L2_states_len{length}", len(graph.levels[length]))
 
-    # (L2), sampled honest chains
-    rng = random.Random(seed + 1)
-    for _ in range(samples):
-        n = rng.randint(1, SAMPLE_LEN)
-        word = tuple(rng.choice(L.carrier) for _ in range(n))
-        sw_in = L.s_word(word) in L.objects
-        chain = L.chain_witness(word)
-        if sw_in and chain is None:
-            report.fail(f"(L2) chain construction failed for {word}")
-            break
-        if not sw_in and _exists_chain_by_search(L, word):
-            report.fail(f"(L2) found chain for word outside D: {word}")
+    # (L2), sampled honest chains: S_w from the block, chains per word
+    for block in _sampled_blocks(L, samples, seed + 1, 1):
+        if _l2_chain_failure(L, block, report):
             break
     report.note("L2_sampled", samples)
     return report
+
+
+def _l2_chain_failure(L: Locality, block: _Block, report: CheckReport) -> bool:
+    """Report the first word of the block whose S_w membership in Delta
+    disagrees with its explicit chains; True if there was one."""
+    for i, sw_in in enumerate(block.in_domain.tolist()):
+        word = block.word(i)
+        chain = L.chain_witness(word)
+        if sw_in and chain is None:
+            report.fail(f"(L2) chain construction failed for {word}")
+            return True
+        if not sw_in and _exists_chain_by_search(L, word):
+            report.fail(f"(L2) found chain for word outside D: {word}")
+            return True
+    return False
 
 
 def _exists_chain_by_search(L: Locality, word: Word) -> bool:

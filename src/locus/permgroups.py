@@ -175,13 +175,36 @@ class Group:
         an element, so only they are computed, and each image row is looked
         up among the sorted base-image keys; GroupError if one is missing.
         """
-        E, einv_base, keys, order = self._base_core()
+        E, einv_base, _, _ = self._base_core()
         img = np.take_along_axis(E, E[x].take(einv_base), axis=1)
+        return self._lookup(img, "a conjugate")
+
+    def mul_many(self, a, b) -> np.ndarray:
+        """a[i] * b[i] for index arrays a and b of one shape, as ``mul`` does.
+
+        Tabled groups read a zero-copy view of the multiplication table.
+        Untabled ones compose at the base only: (ab)[x] = b[a[x]] for a
+        base point x, and the image row is looked up as in ``conj_all``.
+        """
+        a = np.asarray(a, dtype=np.intp)
+        b = np.asarray(b, dtype=np.intp)
+        if self._mul_table is not None:
+            table = np.frombuffer(self._mul_table, dtype=np.uint16)
+            return table[a * self.order + b]
+        E, einv_base, _, _ = self._base_core()
+        base = einv_base[self.identity]  # the identity's inverse fixes the base
+        img = E[b[..., None], E[a[..., None], base]]
+        return self._lookup(img.reshape(-1, len(base)), "a product").reshape(a.shape)
+
+    def _lookup(self, img: np.ndarray, what: str) -> np.ndarray:
+        """The element index of each row of base images; GroupError naming
+        ``what`` if a row is not among the sorted keys."""
+        _, _, keys, order = self._base_core()
         found = _row_keys(img)
         pos = np.searchsorted(keys, found)
         pos[pos == len(keys)] = 0
         if not np.array_equal(keys[pos], found):
-            raise GroupError("a conjugate is not an element (corrupt group core)")
+            raise GroupError(f"{what} is not an element (corrupt group core)")
         return order[pos]
 
     def _base_core(self) -> Tuple[np.ndarray, ...]:
@@ -461,6 +484,8 @@ def p_part(n: int, p: int) -> int:
     """The largest power of p dividing n (n >= 1, p >= 2)."""
     if p < 2:
         raise GroupError(f"p = {p} is not a prime")
+    if n < 1:
+        raise GroupError(f"n = {n} has no p-part (n must be positive)")
     m = 1
     while n % p == 0:
         n //= p

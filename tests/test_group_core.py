@@ -168,6 +168,36 @@ def test_conj_all_raises_on_a_missing_key():
     G._core = (E, einv_base, keys[1:], order[1:])
     with pytest.raises(GroupError):
         G.conj_all(int(order[0]))
+    with pytest.raises(GroupError, match="a product is not an element"):
+        G.mul_many([G.identity], [int(order[0])])
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_groups(), st.data())
+def test_mul_many_matches_mul(G, data):
+    index = st.integers(0, G.order - 1)
+    a = data.draw(st.lists(index, min_size=1, max_size=40))
+    b = data.draw(st.lists(index, min_size=len(a), max_size=len(a)))
+    want = [G.mul(x, y) for x, y in zip(a, b)]
+    assert G.mul_many(a, b).tolist() == want  # untabled: base images
+    G.build_tables()
+    assert G._mul_table is not None
+    assert G.mul_many(a, b).tolist() == want  # tabled: the table view
+    assert [G.mul(x, y) for x, y in zip(a, b)] == want
+
+
+def test_mul_many_matches_mul_untabled_above_the_cap():
+    gens = ["(1 2 3 4 5)", "(1 2 3)", "(6 7 8)", "(9 10 11)", "(12 13 14)"]
+    G = load_group("degree 14\n" + "\n".join(gens), name="a5xc3^3")
+    G.build_tables()
+    assert G.order == 1620 and G._mul_table is None
+    rng = random.Random(7)
+    a = np.array([rng.randrange(G.order) for _ in range(6000)]).reshape(2, 3000)
+    b = np.array([rng.randrange(G.order) for _ in range(6000)]).reshape(2, 3000)
+    got = G.mul_many(a, b)
+    assert got.shape == (2, 3000)
+    assert got.ravel().tolist() == [G.mul(x, y) for x, y in zip(a.ravel().tolist(),
+                                                                  b.ravel().tolist())]
 
 
 @pytest.mark.slow

@@ -124,6 +124,13 @@ def test_p_part_rejects_p_below_2(deadline, p):
         p_part(24, p)
 
 
+@pytest.mark.parametrize("n", [0, -8])
+def test_p_part_rejects_n_below_1(deadline, n):
+    # p_part(0, 2) once divided 0 by 2 forever
+    with pytest.raises(GroupError, match=f"n = {n} has no p-part"):
+        p_part(n, 2)
+
+
 def test_subgroup_lattice_built_once():
     S = sylow(bundled("a6"), 2)
     lattice = all_subgroups(S)

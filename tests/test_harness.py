@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +127,33 @@ def test_cli_rejects_bad_input_in_one_line(capsys, argv, message):
     assert captured.out == ""
     assert captured.err.startswith(message)
     assert captured.err.count("\n") == 1
+
+
+def test_cli_names_each_skipped_criterion_on_stderr(capsys, monkeypatch):
+    import locus.cli
+
+    report = Report("full-acceptance", {})
+    report.put("criterion_01_locality_axioms", {"passed": True})
+    report.put("criterion_09_sharpness",
+               {"skipped": "SKIPPED: cochain complex needs 9 MB, budget 1 MB"})
+    monkeypatch.setattr(locus.cli, "run", lambda config: report)
+    assert main(["full-acceptance"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == report.canonical_bytes().decode() + "\n"
+    assert captured.err == ("locus: criterion_09_sharpness SKIPPED: cochain complex "
+                            "needs 9 MB, budget 1 MB\n")
+
+
+def test_bench_pairs_rejects_fewer_than_two_pairs(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+    out = tmp_path / "bench.json"
+    done = subprocess.run(
+        [sys.executable, str(script), "--parent", str(tmp_path), "--change",
+         str(tmp_path), "--workload", "acceptance", "--pairs", "1", "--out", str(out)],
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "need at least 2 pairs, got 1" in done.stderr
+    assert not out.exists()
 
 
 # sha256 of the canonical lie-verify report at each q

@@ -1,12 +1,16 @@
 """Locality construction, axiom checking, quotients, and O_p' tests."""
 
+import copy
 import functools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locus import locality
 from locus.locality import (
+    SAMPLE_LEN,
     Locality,
     LocalityError,
     PartialNormalSubgroup,
@@ -18,6 +22,7 @@ from locus.locality import (
     is_partial_normal,
     o_pprime_locality,
     quotient_locality,
+    _sampled_blocks,
 )
 from locus.permgroups import TABLE_ORDER_CAP, Group, all_subgroups, parse_perm, sylow
 
@@ -410,15 +415,121 @@ def test_state_counts_match_seed(name):
     assert tuple(r2.stats[f"L2_states_len{k}"] for k in (1, 2, 3)) == want
 
 
+def _group(degree, cycles, name):
+    G = Group(degree, [parse_perm(t, degree) for t in cycles], name=name)
+    G.build_tables()  # no-op above TABLE_ORDER_CAP
+    return G
+
+
+@functools.lru_cache(maxsize=None)
+def a5xc3_cubed():
+    """The punctured locality of A5 x C3^3 at p = 2 (order 1620, untabled)."""
+    G = _group(14, ["(1 2 3 4 5)", "(1 2 3)", "(6 7 8)", "(9 10 11)", "(12 13 14)"],
+               "a5xc3^3")
+    S = sylow(G, 2)
+    return build_locality(G, S, delta_all_nontrivial(S), 2)
+
+
+def _cycle(first, last):
+    return "(" + " ".join(str(i) for i in range(first, last + 1)) + ")"
+
+
 def test_untabled_a5xc3_cubed_checkers_give_verdicts():
     # A5 x C3^3 has order 1620, above the table cap of build_tables, so the
     # checkers run on the untabled Group.mul / Group.conj path (they once
     # raised TypeError here).
-    gens = ["(1 2 3 4 5)", "(1 2 3)", "(6 7 8)", "(9 10 11)", "(12 13 14)"]
-    G = Group(14, [parse_perm(t, 14) for t in gens], name="a5xc3^3")
-    G.build_tables()
-    assert G.order == 1620 > TABLE_ORDER_CAP
-    S = sylow(G, 2)
-    L = build_locality(G, S, delta_all_nontrivial(S), 2)
+    L = a5xc3_cubed()
+    assert L.ambient.order == 1620 > TABLE_ORDER_CAP
     assert check_partial_group(L, samples=300).passed
     assert check_locality_axioms(L, samples=200).passed
+
+
+# -- sampled words in blocks ----------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def c128_times_s3():
+    """C128 x S3 on 131 points, left untabled, with every element in the
+    carrier.  |S| = 256, so a mask row is four uint64 words, and the C128
+    members, which S_g keeps for g outside N(S), sit on every other bit."""
+    G = Group(131, [parse_perm(t, 131) for t in (_cycle(1, 128), "(129 130 131)",
+                                                 "(129 130)")], name="c128xs3")
+    S = sylow(G, 2)
+    return Locality(G, S, 2, [S.members], range(G.order))
+
+
+BLOCK_CASES = {
+    "s4": lambda: cached_punctured("s4", 2),
+    "a6": lambda: cached_punctured("a6", 2),
+    "a6xc3": lambda: cached_punctured("a6xc3", 2),
+    "a5xc3^3": a5xc3_cubed,
+    "c128xs3": c128_times_s3,
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_block_products_and_masks_match_word_oracles(case, monkeypatch):
+    L = BLOCK_CASES[case]()
+    G = L.ambient
+    monkeypatch.setattr(locality, "SAMPLE_BLOCK", 700)  # several blocks, one short
+    for min_len in (1, 2):
+        sampled = 0
+        for block in _sampled_blocks(L, 2000, 11, min_len):
+            assert len(block.lengths) <= 700
+            for i in range(len(block.lengths)):
+                w = block.word(i)
+                assert min_len <= len(w) <= SAMPLE_LEN and set(w) <= L.carrier_set
+                assert (block.letters[i, len(w):] == G.identity).all()
+                assert block.products[i] == G.word(w)
+                assert block.masks[block.which[i]] == L._word_mask(w)
+                assert block.in_domain[i] == L.in_domain(w)
+            sampled += len(block.lengths)
+        assert sampled == 2000
+    if case == "c128xs3":
+        assert L.mask_rows().shape == (G.order, 4)
+        assert len(set(L._masks)) == 2
+
+
+def test_checkers_pass_with_masks_wider_than_64_bits():
+    # C128 as one 128-cycle at p = 2: S = G, so every mask has 128 bits
+    G = _group(128, [_cycle(1, 128)], "c128")
+    S = sylow(G, 2)
+    L = build_locality(G, S, delta_all_nontrivial(S), 2)
+    assert L.mask_rows().shape == (128, 2)
+    r1 = check_partial_group(L, samples=2000)
+    r2 = check_locality_axioms(L, samples=2000)
+    assert r1.passed and r2.passed, (r1.failures, r2.failures)
+    assert r1.stats["sampled_full_battery"] == 1500
+
+
+def test_corrupt_min_masks_make_the_domain_test_inconsistent(monkeypatch):
+    L = copy.copy(cached_punctured("s4", 2))
+    L._min_masks = (L._full_mask,)  # as if S were the only minimal object
+    monkeypatch.setattr(locality, "SAMPLE_BLOCK", 500)
+    rep = check_partial_group(L, samples=20_000)
+    assert not rep.passed
+    assert all(f.startswith("domain test inconsistent") for f in rep.failures)
+    assert len(rep.failures) == 6  # each block fails; stops after more than five
+
+
+def test_zero_samples_pass_with_zero_sampled_stats():
+    L = cached_punctured("s4", 2)
+    r1 = check_partial_group(L, samples=0)
+    r2 = check_locality_axioms(L, samples=0)
+    assert r1.passed and r2.passed
+    assert (r1.stats["sampled_words"], r1.stats["sampled_full_battery"]) == (0, 0)
+    assert r2.stats["L2_sampled"] == 0
+
+
+def _check_peak(L, samples):
+    tracemalloc.start()
+    try:
+        check_partial_group(L, samples=samples)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_check_partial_group_memory_is_bounded_by_blocks():
+    L = cached_punctured("s4", 2)
+    check_partial_group(L, samples=10)  # the state graph and mask rows, once
+    assert _check_peak(L, 400_000) <= 1.5 * _check_peak(L, 100_000)
