@@ -430,10 +430,6 @@ def a5xc3_cubed():
     return build_locality(G, S, delta_all_nontrivial(S), 2)
 
 
-def _cycle(first, last):
-    return "(" + " ".join(str(i) for i in range(first, last + 1)) + ")"
-
-
 def test_untabled_a5xc3_cubed_checkers_give_verdicts():
     # A5 x C3^3 has order 1620, above the table cap of build_tables, so the
     # checkers run on the untabled Group.mul / Group.conj path (they once
@@ -445,6 +441,10 @@ def test_untabled_a5xc3_cubed_checkers_give_verdicts():
 
 
 # -- sampled words in blocks ----------------------------------------------------
+
+def _cycle(first, last):
+    return "(" + " ".join(str(i) for i in range(first, last + 1)) + ")"
+
 
 @functools.lru_cache(maxsize=None)
 def c128_times_s3():
@@ -486,7 +486,7 @@ def test_block_products_and_masks_match_word_oracles(case, monkeypatch):
         assert sampled == 2000
     if case == "c128xs3":
         assert L.mask_rows().shape == (G.order, 4)
-        assert len(set(L._masks)) == 2
+        assert set(L._masks) == {L._full_mask, sum(1 << i for i in range(0, 256, 2))}
 
 
 def test_checkers_pass_with_masks_wider_than_64_bits():
