@@ -4,9 +4,12 @@ The cochain model is the normalized bar complex: an n-chain is a string of
 n composable nonidentity morphisms, carrying the functor value at its
 source object; faces whose inner composite collapses to an identity drop
 out.  Ranks of the differentials are computed over F_p by pivot insertion
-(``linalg.rank_sparse_modp``): each row of d_n is built from one
-(n+1)-chain straight into the eliminator's representation and reduced at
-once, so neither a dense matrix nor a list of entries is built.
+(``linalg.rank_sparse_modp``), in cohomology order with clearing: the rank
+of d_n is read off the coboundaries of the n-coordinates, each built
+straight into the eliminator's representation and reduced at once, and the
+coordinates that the pivots of d_{n-1} show to be dependent are skipped
+(``higher_limits``).  Neither a dense matrix nor a list of entries is
+built, and only chains that carry coordinates are enumerated.
 
 Higher limits are invariant under equivalence of categories, so the
 comparisons on orbit categories run on a skeleton (one object per
@@ -16,6 +19,7 @@ on categories small enough to do both computations.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -169,40 +173,49 @@ class ModuleFunctor:
                 raise FunctorError("functoriality fails on a composite")
 
 
-def chain_levels(cat: FiniteCategory, depth: int) -> List[List[Tuple[int, ...]]]:
-    """Normalized chains: level n lists n-tuples of composable nonidentity
-    morphisms; level 0 lists one empty tuple per object (marker by object)."""
-    levels: List[List[Tuple[int, ...]]] = [[(i,) for i in range(cat.n)]]
-    # level 0 entries are (object,); higher entries are morphism tuples
-    out = {i: cat.nonidentity_out(i) for i in range(cat.n)}
-    current: List[Tuple[int, ...]] = [(m,) for m in range(len(cat.labels))
-                                      if m not in cat.identity]
-    levels.append(sorted(current))
-    for _ in range(depth - 1):
-        nxt = []
-        for chain in levels[-1]:
-            last = chain[-1]
-            for m in out[cat.tgt[last]]:
-                nxt.append(chain + (m,))
-        levels.append(nxt)
+def chain_levels(cat: FiniteCategory, depth: int,
+                 dims: Sequence[int]) -> List[List[Tuple[int, ...]]]:
+    """Normalized chains that carry cochain coordinates: level n lists the
+    n-tuples of composable nonidentity morphisms whose first source has
+    nonzero dimension in ``dims``; level 0 lists one (object,) tuple per
+    such object.  Each level is in descending order of its reversed tuples,
+    the order ``higher_limits`` numbers cochain coordinates in.
+
+    Appending a morphism keeps the first source, so the chains of a level
+    are the extensions of the chains of the level below.
+    """
+    identities = set(cat.identity)
+    nonid = [m for m in reversed(range(len(cat.labels))) if m not in identities]
+    levels: List[List[Tuple[int, ...]]] = [[(i,) for i in reversed(range(cat.n)) if dims[i]]]
+    ending: Dict[int, List[Tuple[int, ...]]] = {i: [()] if dims[i] else []
+                                                for i in range(cat.n)}
+    for _ in range(depth):
+        # grouped by the last morphism, descending; within a group the
+        # previous level's order
+        level = [c + (m,) for m in nonid for c in ending[cat.src[m]]]
+        levels.append(level)
+        ending = {i: [] for i in range(cat.n)}
+        for c in level:
+            ending[cat.tgt[c[-1]]].append(c)
     return levels
 
 
 def chain_counts(cat: FiniteCategory, dims: Sequence[int],
                  depth: int) -> Tuple[List[int], List[int]]:
-    """Chains and cochain coordinates per level of ``chain_levels(cat, depth)``,
-    counted without building a chain.
+    """Chains and cochain coordinates per level of
+    ``chain_levels(cat, depth, dims)``, counted without building a chain.
 
     The n-chains ending at an object are the (n-1)-chains ending at the
     source of one of its nonidentity in-morphisms, extended by it; a chain
-    carries the dimension at its first source.
+    carries the dimension at its first source, and only chains that carry
+    a coordinate count.
     """
     identities = set(cat.identity)
     arrows = [(cat.src[m], cat.tgt[m]) for m in range(len(cat.labels))
               if m not in identities]
-    ending = [1] * cat.n              # chains ending at each object
-    coords = list(dims)               # their coordinates
-    chains_out, coords_out = [cat.n], [sum(coords)]
+    ending = [1 if d else 0 for d in dims]  # chains ending at each object
+    coords = list(dims)                     # their coordinates
+    chains_out, coords_out = [sum(ending)], [sum(coords)]
     for _ in range(depth):
         nxt_ending, nxt_coords = [0] * cat.n, [0] * cat.n
         for x, y in arrows:
@@ -228,21 +241,37 @@ ROW_BYTES, CELL_BYTES = 256, 128
 
 def limits_bytes(functor: ModuleFunctor, max_degree: int) -> Tuple[List[int], List[int], int]:
     """Chains and coordinates per degree (``chain_counts``) and a bound on the
-    bytes ``higher_limits`` holds: the chains with their offsets, the face-0
-    rows of the morphisms (dim C^1 rows of at most max(dims) columns) and the
-    pivots of one d_n, at most min(dim C^n, dim C^{n+1}) rows of dim C^n
-    columns."""
-    counts, sizes = chain_counts(functor.cat, functor.dims, max_degree + 1)
+    bytes ``higher_limits`` holds: the chains with their offsets, the
+    columns of the morphisms' matrices (one row of at most max(dims)
+    columns per coordinate of a target, for each morphism from a nonzero
+    source), the tables per object and morphism with the factorizations of
+    the morphisms (at most one per pair in ``cat.comp``) and the pivots of
+    one transposed d_n, at most min(dim C^n, dim C^{n+1}) rows of
+    dim C^{n+1} columns."""
+    cat, dims = functor.cat, functor.dims
+    counts, sizes = chain_counts(cat, dims, max_degree + 1)
     col_bytes = 4 / 30 if functor.p == 2 else CELL_BYTES
     need = sum((CHAIN_BYTES + 8 * n) * c for n, c in enumerate(counts))
-    need += sizes[1] * (ROW_BYTES + max(functor.dims, default=0) * col_bytes)
-    need += max(min(sizes[n], sizes[n + 1]) * (ROW_BYTES + sizes[n] * col_bytes)
+    columns = sum(dims[cat.tgt[m]] for m in range(len(cat.labels)) if dims[cat.src[m]])
+    need += columns * (ROW_BYTES + max(dims, default=0) * col_bytes)
+    need += (cat.n + len(cat.labels) + len(cat.comp)) * ROW_BYTES
+    need += max(min(sizes[n], sizes[n + 1]) * (ROW_BYTES + sizes[n + 1] * col_bytes)
                 for n in range(max_degree + 1))
     return counts, sizes, int(need)
 
 
 def higher_limits(functor: ModuleFunctor, max_degree: int = 4) -> List[int]:
     """Dimensions of lim^i for 0 <= i <= max_degree.
+
+    Degree by degree, the rank of d_n : C^n -> C^{n+1} is read off the rows
+    of its transpose: one coboundary d(e_x) per n-coordinate x, in
+    increasing order of x (``_coboundary_rows``).  Clearing skips the rows
+    whose coordinate is the leading column of a pivot of the transposed
+    d_{n-1}.  Such a pivot is a coboundary e_x + (terms below x), up to a
+    unit, and d_n kills coboundaries, so d(e_x) is a combination of the
+    d(e_y) with y < x: the row of x lies in the span of the earlier rows,
+    and skipping it leaves the rank as it is.  So d_n hands
+    dim C^n - rank d_{n-1} rows to the eliminator.
 
     Raises ``BudgetError`` before any chain is built when ``limits_bytes``
     exceeds the memory budget.
@@ -253,59 +282,107 @@ def higher_limits(functor: ModuleFunctor, max_degree: int = 4) -> List[int]:
             f"cochain complex too large: chains per degree {counts}, "
             f"coordinates per degree {sizes}, about {need} bytes "
             f"(budget {budget_mb()} MB)")
-    cat = functor.cat
-    levels = chain_levels(cat, max_degree + 1)
-    ranks = []
-    for n, chains in enumerate(levels[:-1]):
-        off: Dict[Tuple[int, ...], int] = {}  # first column of each n-chain
-        pos = 0
-        for c in chains:
-            off[c] = pos
-            pos += functor.dims[c[0] if n == 0 else cat.src[c[0]]]
-        rows = _differential_rows(functor, levels[n + 1], off, n)
-        ranks.append(rank_sparse_modp(sizes[n + 1], sizes[n], rows, functor.p))
+    levels = chain_levels(functor.cat, max_degree + 1, functor.dims)
+    tables = _coface_tables(functor)
+    ranks: List[int] = []
+    leads: Set[int] = set()  # leading coordinates of the previous pivots
+    for n in range(max_degree + 1):
+        rows = _coboundary_rows(functor, tables, levels[n], levels[n + 1], n, leads)
+        leads = rank_sparse_modp(sizes[n] - len(leads), sizes[n + 1], rows, functor.p)
+        ranks.append(len(leads))
     return [sizes[n] - ranks[n] - (ranks[n - 1] if n else 0) for n in range(max_degree + 1)]
 
 
-def _differential_rows(functor: ModuleFunctor, chains: List[Tuple[int, ...]],
-                       off: Dict[Tuple[int, ...], int], n: int) -> Iterator[Row]:
-    """Rows of d_n : C^n -> C^{n+1}, one (n+1)-chain at a time, in the
-    representation ``rank_sparse_modp`` reads at the functor's p.
+CofaceTables = Tuple[Dict[int, List[Tuple[int, List[Row]]]], Dict[int, List[int]],
+                     Dict[int, List[Tuple[int, int]]]]
 
-    Row i of the chain (f_1, ..., f_{n+1}) is row i of f_1's matrix at face
-    0, plus (-1)^k at coordinate i of each inner face k whose composite is
-    not an identity, plus (-1)^(n+1) at coordinate i of the last face.
+
+def _coface_tables(functor: ModuleFunctor) -> CofaceTables:
+    """What a coboundary reads from the functor and the category.
+
+    For each object s: the nonidentity morphisms f into s from an object of
+    nonzero dimension whose matrix is not zero, each with its matrix's
+    columns (column j as a row in the representation ``rank_sparse_modp``
+    reads at the functor's p); and the nonidentity morphisms out of s.  For
+    each morphism h: its factorizations h = b o a into nonidentity a and b,
+    as pairs (a, b), from ``cat.comp``.
     """
     cat, p = functor.cat, functor.p
     identities = set(cat.identity)
-    face0_rows: Dict[int, List[Row]] = {}  # each first morphism's matrix rows
-    for chain in chains:
-        f1 = chain[0]
-        if f1 not in face0_rows:
-            M = functor.mats[f1]
-            cols = [np.flatnonzero(r).tolist() for r in M]
-            face0_rows[f1] = ([sum(1 << j for j in js) for js in cols] if p == 2 else
-                              [dict(zip(js, r[js].tolist())) for r, js in zip(M, cols)])
-        face0, last = (chain[1:], chain[:-1]) if n else ((cat.tgt[f1],), (cat.src[f1],))
-        col0 = off[face0]
-        faces = [(off[last], (-1) ** (n + 1))]  # (first column, sign)
+    into: Dict[int, List[Tuple[int, List[Row]]]] = {s: [] for s in range(cat.n)}
+    for f in range(len(cat.labels)):
+        M = functor.mats[f]
+        if f in identities or not M.any():
+            continue
+        cols = [np.flatnonzero(col).tolist() for col in M.T]
+        into[cat.tgt[f]].append((f, [sum(1 << i for i in rows) for rows in cols] if p == 2 else
+                                    [dict(zip(rows, col[rows].tolist()))
+                                     for col, rows in zip(M.T, cols)]))
+    out = {s: cat.nonidentity_out(s) for s in range(cat.n)}
+    factors: Dict[int, List[Tuple[int, int]]] = {h: [] for h in range(len(cat.labels))}
+    for (b, a), h in cat.comp.items():
+        if a not in identities and b not in identities:
+            factors[h].append((a, b))
+    return into, out, factors
+
+
+def _coboundary_rows(functor: ModuleFunctor, tables: CofaceTables,
+                     chains: List[Tuple[int, ...]], upper: List[Tuple[int, ...]],
+                     n: int, cleared: Set[int]) -> Iterator[Row]:
+    """Rows of the transpose of d_n : C^n -> C^{n+1}: the coboundary of each
+    n-coordinate not in ``cleared``, in increasing order, in the
+    representation ``rank_sparse_modp`` reads at the functor's p.
+
+    Coordinates are numbered along ``chains`` (the n-chains) and ``upper``
+    (the (n+1)-chains), a chain's coordinates j = 0, 1, ... in a row.  The
+    coboundary of coordinate j of c = (c_1, ..., c_n), with first source s,
+    has three kinds of coface:
+
+    - (f, c_1, ..., c_n) for a nonidentity f into s: F(f)[i, j] at its
+      coordinate i (face 0);
+    - (c_1, ..., c_n, g) for a nonidentity g out of the target of c_n:
+      (-1)^(n+1) at its coordinate j (the last face);
+    - c with c_k split as b o a, a and b nonidentity: (-1)^k at its
+      coordinate j (inner face k).
+
+    For n = 0, c is an object s and the cofaces are (f,) and (g,).  Values
+    at a repeated coordinate add up mod p.
+    """
+    cat, dims, p = functor.cat, functor.dims, functor.p
+    into, out, factors = tables
+    # the first coordinate of each (n+1)-chain
+    off = dict(zip(upper, accumulate((dims[cat.src[c[0]]] for c in upper), initial=0)))
+    signs = [(-1) ** k for k in range(n + 2)]
+    firsts = accumulate((dims[c[0] if n == 0 else cat.src[c[0]]] for c in chains), initial=0)
+    for c, first in zip(chains, firsts):
+        s, tail, t = (c[0], (), c[0]) if n == 0 else (cat.src[c[0]], c, cat.tgt[c[-1]])
+        js = [j for j in range(dims[s]) if first + j not in cleared]
+        if not js:
+            continue
+        face0 = [(off[(f,) + tail], cols) for f, cols in into[s]]
+        units = [(off[tail + (g,)], signs[n + 1]) for g in out[t]]
         for k in range(1, n + 1):
-            comp = cat.comp[(chain[k], chain[k - 1])]
-            if comp not in identities:
-                faces.append((off[chain[:k - 1] + (comp,) + chain[k + 1:]], (-1) ** k))
-        for i, base in enumerate(face0_rows[f1]):
+            head, rest = c[:k - 1], c[k:]
+            units += [(off[head + ab + rest], signs[k]) for ab in factors[c[k - 1]]]
+        if p == 2:
+            unit = 0  # the unit cofaces of coordinate 0, shifted by j below
+            for base, _ in units:
+                unit ^= 1 << base
+        for j in js:
             if p == 2:
-                row = base << col0
-                for c, _ in faces:
-                    row ^= 1 << (c + i)
+                row = unit << j
+                for base, cols in face0:
+                    row ^= cols[j] << base
             else:
-                row = {col0 + j: v for j, v in base.items()}
-                for c, sign in faces:
-                    v = (row.get(c + i, 0) + sign) % p
-                    if v:
-                        row[c + i] = v
+                row = {}
+                entries = [(base + i, v) for base, cols in face0 for i, v in cols[j].items()]
+                entries += [(base + j, sign) for base, sign in units]
+                for col, v in entries:
+                    w = (row.get(col, 0) + v) % p
+                    if w:
+                        row[col] = w
                     else:
-                        del row[c + i]
+                        del row[col]
             yield row
 
 

@@ -3,7 +3,9 @@
 Cochains in degree n are functions on n-tuples of nonidentity elements,
 with the usual inhomogeneous differential (terms whose inner product hits
 the identity drop out).  Restriction is precomposition; transfer walks
-coset representatives.  Everything is exact linear algebra over F_p.
+coset representatives.  Everything is exact linear algebra over F_p.  The
+differentials are stored in uint8 when p < 256 and upcast to int64 a block
+of rows at a time where they are multiplied (``_mul_modp``).
 ``CohomologyFamily`` is the one cache of these groups over an ambient group.
 """
 
@@ -41,8 +43,9 @@ class FpCohomology:
         self.p = p
         self.jmax = jmax
         self.nonid = [x for x in P.sorted_members if x != G.identity]
-        # the largest allocation is the dense int64 diff[jmax] together
-        # with the copy row_echelon_modp reduces
+        # the largest allocation is diff[jmax] together with the copy
+        # row_echelon_modp reduces; 8 bytes a cell each bounds both at any
+        # p (uint8 at p < 256)
         est = 2 * 8 * self.dim_cochain(jmax + 1) * self.dim_cochain(jmax)
         if est > budget_mb() * 1_000_000:
             raise BudgetError(
@@ -54,8 +57,7 @@ class FpCohomology:
             self.diff.append(self._differential(n))
         # d o d = 0
         for n in range(jmax):
-            prod = (self.diff[n + 1] @ self.diff[n]) % p
-            if np.any(prod):
+            if np.any(_mul_modp(self.diff[n + 1], self.diff[n], p)):
                 raise AssertionError("bar differential does not square to zero")
         self._homology: List[Dict[str, np.ndarray]] = []
         for n in range(jmax + 1):
@@ -81,12 +83,13 @@ class FpCohomology:
         return out
 
     def _differential(self, n: int) -> np.ndarray:
-        """Matrix of d: C^n -> C^{n+1} for trivial F_p coefficients."""
+        """Matrix of d: C^n -> C^{n+1} for trivial F_p coefficients, in uint8
+        when p < 256 (built in int16: an entry sums at most n + 2 signs)."""
         G = self.group
         p = self.p
         rows = self.dim_cochain(n + 1)
         cols = self.dim_cochain(n)
-        D = np.zeros((rows, cols), dtype=np.int64)
+        D = np.zeros((rows, cols), dtype=np.int16 if p < 256 else np.int64)
         for r, tup in enumerate(self.tuples(n + 1)):
             # face 0 drops the first entry; face n+1 drops the last
             D[r, self.tuple_index(tup[1:])] += 1
@@ -98,7 +101,8 @@ class FpCohomology:
                     D[r, self.tuple_index(merged)] += sign
                 sign = -sign
             D[r, self.tuple_index(tup[:-1])] += sign
-        return D % p
+        D %= p
+        return D.astype(np.uint8) if p < 256 else D
 
     def _homology_data(self, n: int) -> Dict[str, np.ndarray]:
         p = self.p
@@ -106,7 +110,7 @@ class FpCohomology:
         if n == 0:
             boundaries = np.zeros((0, self.dim_cochain(0)), dtype=np.int64)
         else:
-            boundaries = self.diff[n - 1].T % p  # rows span B^n
+            boundaries = self.diff[n - 1].T  # rows span B^n
         b_ech, b_piv = row_echelon_modp(boundaries, p)
         b_rank = len(b_piv)
         b_ech = b_ech[:b_rank]
@@ -148,7 +152,7 @@ class FpCohomology:
     def coordinates(self, n: int, cocycle: np.ndarray) -> np.ndarray:
         """Coordinates of a cocycle's class in the chosen H^n basis."""
         p = self.p
-        if np.any((self.diff[n] @ cocycle) % p):
+        if np.any(_mul_modp(self.diff[n], cocycle, p)):
             raise ValueError("vector is not a cocycle")
         data = self._homology[n]
         v = _reduce_by(cocycle.copy() % p, data["b_ech"], list(data["b_piv"]), p)
@@ -160,6 +164,19 @@ class FpCohomology:
         if np.any(v % p):
             raise ValueError("cocycle does not reduce into the basis")
         return coeffs
+
+
+# cells of a differential upcast to int64 at a time by _mul_modp
+MUL_BLOCK_CELLS = 1 << 18
+
+
+def _mul_modp(D: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """(D @ B) mod p in int64, for D in uint8 or int64.  D is upcast a block
+    of rows at a time, so no int64 copy of all of it is made."""
+    B = B.astype(np.int64, copy=False)
+    step = max(1, MUL_BLOCK_CELLS // max(1, D.shape[1]))
+    return np.concatenate([D[i:i + step].astype(np.int64, copy=False) @ B
+                           for i in range(0, max(1, D.shape[0]), step)]) % p
 
 
 def _reduce_by(v: np.ndarray, ech: np.ndarray, pivots: Sequence[int], p: int) -> np.ndarray:
@@ -249,8 +266,8 @@ def transfer_map(H_big: FpCohomology, H_small: FpCohomology, n: int) -> np.ndarr
     M = transfer_cochain(H_big, H_small, n)
     # chain map sanity: d o tr = tr o d
     if n < H_big.jmax and n < H_small.jmax:
-        lhs = (H_big.diff[n] @ M) % p
-        rhs = (transfer_cochain(H_big, H_small, n + 1) @ H_small.diff[n]) % p
+        lhs = _mul_modp(H_big.diff[n], M, p)
+        rhs = _mul_modp(transfer_cochain(H_big, H_small, n + 1), H_small.diff[n], p)
         if np.any((lhs - rhs) % p):
             raise AssertionError("transfer is not a cochain map")
     cols = []

@@ -11,6 +11,7 @@ from locus.catlimits import (
     FiniteCategory,
     ModuleFunctor,
     atomic_comparison,
+    atomic_functor,
     chain_counts,
     chain_levels,
     cohomology_functor_on_orbit_category,
@@ -61,8 +62,13 @@ def poset_category(relations, n):
 
 
 def c3_category():
-    return FiniteCategory(["*"], {(0, 0): [0, 1, 2]},
-                          lambda g, f: (g + f) % 3, lambda i: 0)
+    return cyclic_category(3)
+
+
+def cyclic_category(n):
+    """One object whose morphisms form the cyclic group of order n."""
+    return FiniteCategory(["*"], {(0, 0): list(range(n))},
+                          lambda g, f: (g + f) % n, lambda i: 0)
 
 
 def constant_functor(cat, p, dim):
@@ -136,10 +142,26 @@ def s4_centric_cohomology_functor(j):
 def test_chain_counts_match_chain_levels(make):
     cat = make()
     dims = [i + 1 for i in range(cat.n)]
-    levels = chain_levels(cat, 5)
+    levels = chain_levels(cat, 5, dims)
     sizes = [sum(dims[c[0] if n == 0 else cat.src[c[0]]] for c in level)
              for n, level in enumerate(levels)]
     assert chain_counts(cat, dims, 5) == ([len(level) for level in levels], sizes)
+
+
+@pytest.mark.parametrize("dims", [[1, 0, 2, 0, 3], [0, 2, 0, 0, 1], [0, 0, 0, 0, 0]])
+def test_chain_levels_keep_only_chains_that_carry_coordinates(dims):
+    cat = s4_centric_orbit_category()
+    dims = dims[:cat.n]
+    first = lambda n, c: c[0] if n == 0 else cat.src[c[0]]
+    every = chain_levels(cat, 4, [1] * cat.n)
+    carried = chain_levels(cat, 4, dims)
+    assert carried == [[c for c in level if dims[first(n, c)]]
+                       for n, level in enumerate(every)]
+    # each level in descending order of its reversed tuples
+    assert all(level == sorted(level, key=lambda c: c[::-1], reverse=True)
+               for level in every)
+    sizes = [sum(dims[first(n, c)] for c in level) for n, level in enumerate(carried)]
+    assert chain_counts(cat, dims, 4) == ([len(level) for level in carried], sizes)
 
 
 def test_higher_limits_budget_raises_before_building_chains(monkeypatch):
@@ -153,6 +175,7 @@ def test_higher_limits_budget_raises_before_building_chains(monkeypatch):
         higher_limits(constant_functor(c3_category(), 3, 1), 16)
 
 
+@functools.lru_cache(maxsize=None)
 def a6_centric_h3_functor():
     G = bundled("a6")
     F = fusion_of_group(G, sylow(G, 2), 2)
@@ -172,6 +195,28 @@ def test_higher_limits_peak_under_budget_estimate():
     assert peak < need
 
 
+def test_clearing_hands_each_degree_the_uncleared_coordinates(monkeypatch):
+    # the transposed d_n gets one row per n-coordinate that is not the
+    # leading coordinate of a pivot of the transposed d_{n-1}
+    functor = a6_centric_h3_functor()
+    rank = catlimits.rank_sparse_modp
+    handed, ranks = [], []
+
+    def counting(nrows, ncols, rows, p):
+        rows = list(rows)
+        leads = rank(nrows, ncols, iter(rows), p)
+        assert len(rows) == nrows
+        handed.append(nrows)
+        ranks.append(len(leads))
+        return leads
+
+    monkeypatch.setattr(catlimits, "rank_sparse_modp", counting)
+    assert higher_limits(functor, 4) == [2, 0, 0, 0, 0]
+    sizes = chain_counts(functor.cat, functor.dims, 5)[1]
+    assert sizes[4] == 8002 and ranks[3] == 1335 and handed[4] == 6667
+    assert handed == [sizes[n] - (ranks[n - 1] if n else 0) for n in range(5)]
+
+
 def dense_differential_ranks(functor, max_degree):
     """Ranks of the dense d_n, n <= max_degree, written from the normalized
     coboundary: (d phi)(f_1, ..., f_{n+1}) = F(f_1) phi(f_2, ..., f_{n+1})
@@ -179,7 +224,7 @@ def dense_differential_ranks(functor, max_degree):
     where a face whose composite is an identity is a degenerate chain, on
     which normalized cochains vanish."""
     cat, p, dims = functor.cat, functor.p, functor.dims
-    levels = chain_levels(cat, max_degree + 1)
+    levels = chain_levels(cat, max_degree + 1, [1] * cat.n)  # every chain
     starts = []
     for n, level in enumerate(levels):
         pos, start = 0, {}
@@ -216,6 +261,11 @@ def dense_differential_ranks(functor, max_degree):
     (lambda: constant_functor(s4_centric_orbit_category(), 3, 2), 2),
     (lambda: s4_centric_cohomology_functor(0), 3),
     (lambda: s4_centric_cohomology_functor(1), 3),
+    (lambda: constant_functor(cyclic_category(5), 5, 2), 4),
+    # zero off one object: lim = [2, 0, 0, 0], [0, 0, 0, 1] and 0
+    (lambda: atomic_functor(s4_centric_orbit_category(), 3, 2, 2), 3),
+    (lambda: atomic_functor(s4_centric_orbit_category(), 1, 1, 3), 3),
+    (lambda: atomic_functor(s4_centric_orbit_category(), 1, 2, 5), 3),
 ])
 def test_higher_limits_match_dense_differentials(make, max_degree):
     functor = make()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from locus import cohomology
 from locus.cohomology import (
     MEMORY_BUDGET_ENV,
     BudgetError,
@@ -42,6 +43,22 @@ def test_dims_d8():
     G = bundled("d8")
     H = FpCohomology(G, G.full_subgroup(), 2, 3)
     assert H.dims() == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("group, p", [("d8", 2), ("c3", 3)])
+def test_bar_differentials_are_uint8_and_multiply_in_blocks(monkeypatch, group, p):
+    G = bundled("d8") if group == "d8" else load_group("degree 3\n(1 2 3)", name="C3")
+    H = FpCohomology(G, G.full_subgroup(), p, 3)
+    assert [d.dtype for d in H.diff] == [np.uint8] * 4
+    wide = [d.astype(np.int64) for d in H.diff]
+    assert all(not ((b @ a) % p).any() for a, b in zip(wide, wide[1:]))
+    # blocks of a few rows, one row, and all rows give the int64 product
+    v = np.arange(H.dim_cochain(3), dtype=np.int64) % p
+    for cells in (1, 7 * H.dim_cochain(3), 1 << 30):
+        monkeypatch.setattr(cohomology, "MUL_BLOCK_CELLS", cells)
+        assert np.array_equal(cohomology._mul_modp(H.diff[3], v, p), (wide[3] @ v) % p)
+        assert np.array_equal(cohomology._mul_modp(H.diff[2], H.diff[1], p),
+                              (wide[2] @ wide[1]) % p)
 
 
 def test_dims_c4():

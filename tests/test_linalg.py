@@ -1,9 +1,12 @@
-"""Sparse F_p rank against the dense eliminator."""
+"""The dense eliminator against sympy, and the sparse F_p rank against the
+dense eliminator."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from locus.linalg import rank_sparse_modp, row_echelon_modp
 
@@ -25,7 +28,8 @@ def rows_of(nrows, entries, p):
 
 
 def sparse_rank(nrows, ncols, entries, p):
-    return rank_sparse_modp(nrows, ncols, rows_of(nrows, entries, p), p)
+    """The rank: the number of pivot leads ``rank_sparse_modp`` returns."""
+    return len(rank_sparse_modp(nrows, ncols, rows_of(nrows, entries, p), p))
 
 
 def dense_rank(nrows, ncols, entries, p):
@@ -85,3 +89,33 @@ def test_transpose_invariant(p):
     tall = sparse_rank(7, 3, entries, p)
     wide = sparse_rank(3, 7, [(j, i, v) for i, j, v in entries], p)
     assert tall == wide == dense_rank(7, 3, entries, p) == 2
+
+
+@st.composite
+def dense_matrices(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    nrows, ncols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    values = draw(st.lists(st.integers(-2 * p, 2 * p), min_size=nrows * ncols,
+                           max_size=nrows * ncols))
+    return p, np.array(values, dtype=np.int64).reshape(nrows, ncols)
+
+
+@settings(max_examples=400, deadline=None)
+@given(dense_matrices())
+def test_row_echelon_matches_sympy_rref(case):
+    p, A = case
+    K = GF(p)
+    rref, pivots = DomainMatrix([[K(int(v)) for v in row] for row in A], A.shape, K).rref()
+    before = A.copy()
+    M, ours = row_echelon_modp(A, p)
+    assert np.array_equal(A, before)  # reduces a copy
+    assert M.dtype == (np.uint8 if p == 2 else np.int64)
+    assert ours == list(pivots)
+    assert M.tolist() == [[int(x) % p for x in row] for row in rref.to_list()]
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int64])
+def test_gf2_echelon_reads_parity_of_any_integer_dtype(dtype):
+    A = np.array([[3, -1, 2], [1, 1, 4], [-2, 5, 7]]).astype(dtype)
+    M, pivots = row_echelon_modp(A, 2)
+    assert pivots == [0, 1] and M.tolist() == [[1, 0, 1], [0, 1, 1], [0, 0, 0]]
