@@ -29,12 +29,12 @@ Row = Union[int, Dict[int, int]]
 def row_echelon_modp(A: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
     """Row-reduce a copy of A mod p (vectorized); returns (RREF, pivot cols).
 
-    The RREF is uint8 at p = 2 and int64 at odd p.  A matrix has one RREF,
-    so the dtype is the only difference the GF(2) path makes.
+    The copy is uint8 at p = 2, where adding a pivot row is an XOR, and
+    int64 at odd p.  A matrix has one RREF, so the dtype is the only
+    difference the GF(2) path makes.
     """
-    if p == 2:
-        return _row_echelon_gf2(A)
-    M = np.array(A, dtype=np.int64, order="C")
+    # the cast to uint8 wraps mod 256, which keeps every entry's parity
+    M = np.asarray(A).astype(np.uint8 if p == 2 else np.int64, order="C")
     np.mod(M, p, out=M)
     rows, cols = M.shape
     pivots: List[int] = []
@@ -42,8 +42,7 @@ def row_echelon_modp(A: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
     for c in range(cols):
         if r == rows:
             break
-        col = M[r:, c]
-        hits = np.nonzero(col)[0]
+        hits = np.flatnonzero(M[r:, c])
         if hits.size == 0:
             continue
         piv = r + int(hits[0])
@@ -52,37 +51,12 @@ def row_echelon_modp(A: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
         inv = pow(int(M[r, c]), -1, p)
         if inv != 1:
             M[r] = (M[r] * inv) % p
-        mask = M[:, c].copy()
-        mask[r] = 0
-        touched = np.nonzero(mask)[0]
-        if touched.size:
-            M[touched] = (M[touched] - np.outer(mask[touched], M[r])) % p
-        pivots.append(c)
-        r += 1
-    return M, pivots
-
-
-def _row_echelon_gf2(A: np.ndarray) -> Tuple[np.ndarray, List[int]]:
-    # the cast to uint8 wraps mod 256, which keeps every entry's parity
-    M = np.asarray(A).astype(np.uint8, order="C")
-    M &= 1
-    rows, cols = M.shape
-    pivots: List[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        hits = np.flatnonzero(M[:, c])
-        below = hits[hits >= r]
-        if below.size == 0:
-            continue
-        piv = int(below[0])
-        if piv != r:
-            M[[r, piv]] = M[[piv, r]]
-            hits[hits == piv] = r
-        touched = hits[hits != r]
-        if touched.size:
+        touched = np.flatnonzero(M[:, c])
+        touched = touched[touched != r]
+        if touched.size and p == 2:
             M[touched] ^= M[r]
+        elif touched.size:
+            M[touched] = (M[touched] - np.outer(M[touched, c], M[r])) % p
         pivots.append(c)
         r += 1
     return M, pivots

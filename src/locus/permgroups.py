@@ -174,13 +174,9 @@ class Group:
         x^g sends a base point b to g[x[g^-1[b]]].  The base images determine
         an element, so only they are computed, and each image row is looked
         up among the sorted base-image keys; GroupError if one is missing.
-        E is indexed one base column at a time, which bounds the gather's
-        temporaries by one column.
         """
         E, einv_base, _, _ = self._base_core()
-        img = E[x].take(einv_base)  # positions x[g^-1[b]], then their images
-        for k in range(img.shape[1]):
-            img[:, k:k + 1] = np.take_along_axis(E, img[:, k:k + 1], axis=1)
+        img = np.take_along_axis(E, E[x].take(einv_base), axis=1)
         return self._lookup(img, "a conjugate")
 
     def mul_many(self, a, b) -> np.ndarray:
