@@ -36,7 +36,11 @@ class FunctorError(ValueError):
 
 
 class FiniteCategory:
-    """Explicit object list, morphism table, and composition law."""
+    """Explicit object list, morphism table, and composition law.
+
+    Morphisms are numbered in order of (source, target), so each hom-set is
+    a range; ``comp[g, f]`` is g o f, or -1 where g and f do not compose.
+    """
 
     def __init__(self, objects: Sequence, mor_labels: Dict[Tuple[int, int], List],
                  compose: Callable, identity_of: Callable):
@@ -47,97 +51,77 @@ class FiniteCategory:
         self.src: List[int] = []
         self.tgt: List[int] = []
         self.labels: List = []
-        self._index: Dict[Tuple[int, int, object], int] = {}
+        self._hom: Dict[Tuple[int, int], range] = {}
+        index: Dict[Tuple[int, int, object], int] = {}
         for (i, j), labels in sorted(mor_labels.items()):
+            self._hom[(i, j)] = range(len(self.labels), len(self.labels) + len(labels))
             for lab in labels:
-                m = len(self.labels)
+                index[(i, j, lab)] = len(self.labels)
                 self.labels.append(lab)
                 self.src.append(i)
                 self.tgt.append(j)
-                self._index[(i, j, lab)] = m
         self.identity: List[int] = []
         for i in range(self.n):
             lab = identity_of(i)
-            self.identity.append(self._index[(i, i, lab)])
-        self.comp: Dict[Tuple[int, int], int] = {}
-        for g in range(len(self.labels)):
-            for f in range(len(self.labels)):
-                if self.src[g] == self.tgt[f]:
-                    lab = compose(self.labels[g], self.labels[f])
-                    self.comp[(g, f)] = self._index[(self.src[f], self.tgt[g], lab)]
+            if (i, i, lab) not in index:
+                raise FunctorError(f"identity {lab!r} at object {i} is not a morphism")
+            self.identity.append(index[(i, i, lab)])
+        self.comp = np.full((len(self.labels),) * 2, -1, dtype=np.int32)
+        for (j, k), gs in self._hom.items():  # g: j -> k after each f: i -> j
+            for i in range(self.n):
+                for f in self.morphisms(i, j):
+                    for g in gs:
+                        lab = compose(self.labels[g], self.labels[f])
+                        if (i, k, lab) not in index:
+                            raise FunctorError(f"composite {lab!r} of morphisms {g} and {f} "
+                                               f"is not a morphism {i} -> {k}")
+                        self.comp[g, f] = index[(i, k, lab)]
         self._check_axioms()
 
     def _check_axioms(self) -> None:
-        for f in range(len(self.labels)):
-            if self.comp[(f, self.identity[self.src[f]])] != f:
-                raise FunctorError("right identity fails")
-            if self.comp[(self.identity[self.tgt[f]], f)] != f:
-                raise FunctorError("left identity fails")
+        every = np.arange(len(self.labels))
+        ident, src, tgt = (np.array(a, dtype=np.intp) for a in (self.identity, self.src, self.tgt))
+        if (self.comp[every, ident[src]] != every).any():
+            raise FunctorError("right identity fails")
+        if (self.comp[ident[tgt], every] != every).any():
+            raise FunctorError("left identity fails")
+        g, f = np.nonzero(self.comp >= 0)
+        gf = self.comp[g, f]
         for h in range(len(self.labels)):
-            for g in range(len(self.labels)):
-                if self.src[h] != self.tgt[g]:
-                    continue
-                hg = self.comp[(h, g)]
-                for f in range(len(self.labels)):
-                    if self.src[g] != self.tgt[f]:
-                        continue
-                    if self.comp[(hg, f)] != self.comp[(h, self.comp[(g, f)])]:
-                        raise FunctorError("composition not associative")
+            hg = self.comp[h, g]
+            on = hg >= 0  # the composable (g, f) with h after g
+            if (self.comp[hg[on], f[on]] != self.comp[h, gf[on]]).any():
+                raise FunctorError("composition not associative")
 
-    def morphisms(self, i: int, j: int) -> List[int]:
-        return [m for m in range(len(self.labels))
-                if self.src[m] == i and self.tgt[m] == j]
+    def morphisms(self, i: int, j: int) -> range:
+        return self._hom.get((i, j), range(0))
 
     def nonidentity_out(self, i: int) -> List[int]:
-        return [m for m in range(len(self.labels))
-                if self.src[m] == i and m not in self.identity]
+        return [m for j in range(self.n) for m in self.morphisms(i, j) if m != self.identity[i]]
 
     def iso_classes(self) -> List[List[int]]:
-        """Object classes under invertible morphisms."""
-        invertible: Dict[int, Set[int]] = {i: {i} for i in range(self.n)}
-        for m in range(len(self.labels)):
-            i, j = self.src[m], self.tgt[m]
-            if i == j:
-                continue
-            for back in self.morphisms(j, i):
-                if (self.comp[(back, m)] == self.identity[i]
-                        and self.comp[(m, back)] == self.identity[j]):
-                    invertible[i].add(j)
-                    invertible[j].add(i)
+        """Object classes under invertible morphisms.  Isomorphism is an
+        equivalence relation, so a class is one object with its isomorphs."""
+        def isomorphic(i: int, j: int) -> bool:
+            to, back = self.morphisms(i, j), self.morphisms(j, i)
+            return bool(((self.comp[np.ix_(back, to)] == self.identity[i])
+                         & (self.comp[np.ix_(to, back)].T == self.identity[j])).any())
+
         classes: List[List[int]] = []
         seen: Set[int] = set()
         for i in range(self.n):
-            if i in seen:
-                continue
-            cls = {i}
-            frontier = [i]
-            while frontier:
-                x = frontier.pop()
-                for y in invertible[x]:
-                    if y not in cls:
-                        cls.add(y)
-                        frontier.append(y)
-            seen |= cls
-            classes.append(sorted(cls))
+            if i not in seen:
+                classes.append([i] + [j for j in range(i + 1, self.n) if isomorphic(i, j)])
+                seen.update(classes[-1])
         return classes
 
     def full_subcategory(self, keep: Sequence[int]) -> Tuple["FiniteCategory", Dict[int, int]]:
         keep = list(keep)
         old_to_new = {o: i for i, o in enumerate(keep)}
-        mor_labels: Dict[Tuple[int, int], List] = {}
-        for m in range(len(self.labels)):
-            i, j = self.src[m], self.tgt[m]
-            if i in old_to_new and j in old_to_new:
-                mor_labels.setdefault((old_to_new[i], old_to_new[j]), []).append(m)
-
-        def compose(g, f):
-            return self.comp[(g, f)]
-
-        def identity_of(i):
-            return self.identity[keep[i]]
-
+        mor_labels = {(a, b): list(self.morphisms(i, j))
+                      for a, i in enumerate(keep) for b, j in enumerate(keep)}
         sub = FiniteCategory([self.objects[o] for o in keep], mor_labels,
-                             compose, identity_of)
+                             lambda g, f: int(self.comp[g, f]), lambda i: self.identity[keep[i]])
         return sub, old_to_new
 
 
@@ -159,14 +143,17 @@ class ModuleFunctor:
     def check(self) -> None:
         cat, p = self.cat, self.p
         for m in range(len(cat.labels)):
-            M = self.mats[m]
+            M = self.mats.get(m)
+            if M is None:
+                raise FunctorError(f"no matrix for morphism {m}")
             if M.shape != (self.dims[cat.src[m]], self.dims[cat.tgt[m]]):
                 raise FunctorError(f"matrix shape mismatch on morphism {m}")
         for i, ident in enumerate(cat.identity):
             if self.dims[i] and not np.array_equal(
                     self.mats[ident] % p, np.eye(self.dims[i], dtype=np.int64)):
                 raise FunctorError("identity morphism not the identity matrix")
-        for (g, f), gf in cat.comp.items():
+        gs, fs = np.nonzero(cat.comp >= 0)
+        for g, f, gf in zip(gs.tolist(), fs.tolist(), cat.comp[gs, fs].tolist()):
             lhs = self.mats[gf]
             rhs = (self.mats[f] @ self.mats[g]) % p
             if not np.array_equal(lhs % p, rhs):
@@ -245,7 +232,7 @@ def limits_bytes(functor: ModuleFunctor, max_degree: int) -> Tuple[List[int], Li
     columns of the morphisms' matrices (one row of at most max(dims)
     columns per coordinate of a target, for each morphism from a nonzero
     source), the tables per object and morphism with the factorizations of
-    the morphisms (at most one per pair in ``cat.comp``) and the pivots of
+    the morphisms (at most one per composable pair) and the pivots of
     one transposed d_n, at most min(dim C^n, dim C^{n+1}) rows of
     dim C^{n+1} columns."""
     cat, dims = functor.cat, functor.dims
@@ -254,7 +241,7 @@ def limits_bytes(functor: ModuleFunctor, max_degree: int) -> Tuple[List[int], Li
     need = sum((CHAIN_BYTES + 8 * n) * c for n, c in enumerate(counts))
     columns = sum(dims[cat.tgt[m]] for m in range(len(cat.labels)) if dims[cat.src[m]])
     need += columns * (ROW_BYTES + max(dims, default=0) * col_bytes)
-    need += (cat.n + len(cat.labels) + len(cat.comp)) * ROW_BYTES
+    need += (cat.n + len(cat.labels) + np.count_nonzero(cat.comp >= 0)) * ROW_BYTES
     need += max(min(sizes[n], sizes[n + 1]) * (ROW_BYTES + sizes[n + 1] * col_bytes)
                 for n in range(max_degree + 1))
     return counts, sizes, int(need)
@@ -305,7 +292,7 @@ def _coface_tables(functor: ModuleFunctor) -> CofaceTables:
     columns (column j as a row in the representation ``rank_sparse_modp``
     reads at the functor's p); and the nonidentity morphisms out of s.  For
     each morphism h: its factorizations h = b o a into nonidentity a and b,
-    as pairs (a, b), from ``cat.comp``.
+    as pairs (a, b), from ``cat.comp``, in the order of its composable pairs.
     """
     cat, p = functor.cat, functor.p
     identities = set(cat.identity)
@@ -320,7 +307,8 @@ def _coface_tables(functor: ModuleFunctor) -> CofaceTables:
                                      for col, rows in zip(M.T, cols)]))
     out = {s: cat.nonidentity_out(s) for s in range(cat.n)}
     factors: Dict[int, List[Tuple[int, int]]] = {h: [] for h in range(len(cat.labels))}
-    for (b, a), h in cat.comp.items():
+    bs, as_ = np.nonzero(cat.comp >= 0)
+    for b, a, h in zip(bs.tolist(), as_.tolist(), cat.comp[bs, as_].tolist()):
         if a not in identities and b not in identities:
             factors[h].append((a, b))
     return into, out, factors
@@ -479,7 +467,10 @@ def cohomology_functor_on_orbit_category(F, cat: FiniteCategory,
 
 
 def transporter_orbit_cat(OT) -> FiniteCategory:
-    """The orbit category of a transporter system as a FiniteCategory."""
+    """The orbit category of a transporter system as a FiniteCategory,
+    built on the first call and kept on ``OT``."""
+    if OT._cat is not None:
+        return OT._cat
     objs = OT.objects
     obj_index = {P: i for i, P in enumerate(objs)}
     mor_labels: Dict[Tuple[int, int], List] = {}
@@ -499,14 +490,13 @@ def transporter_orbit_cat(OT) -> FiniteCategory:
         orbit = OT._orbit_of[(OT.group.identity, P, P)]
         return (min(orbit), P, P)
 
-    return FiniteCategory(objs, mor_labels, compose, identity_of)
+    OT._cat = FiniteCategory(objs, mor_labels, compose, identity_of)
+    return OT._cat
 
 
-def ot_cohomology_functor(OT, fam: CohomologyFamily, j: int,
-                          cat: Optional[FiniteCategory] = None) -> ModuleFunctor:
+def ot_cohomology_functor(OT, fam: CohomologyFamily, j: int) -> ModuleFunctor:
     """Pullback of H^j along rho-bar to the orbit category of T."""
-    if cat is None:
-        cat = transporter_orbit_cat(OT)
+    cat = transporter_orbit_cat(OT)
     G = OT.group
     p = fam.p
     dims = [fam.of(P).dim(j) for P in cat.objects]
@@ -633,13 +623,12 @@ def restrict_to_centrics_comparison(OT, F, fam: CohomologyFamily, j: int,
     subcategory; computed on skeleta."""
     from .fusion import classify_subgroups_core_only
 
-    cat = transporter_orbit_cat(OT)
-    functor = ot_cohomology_functor(OT, fam, j, cat)
+    functor = ot_cohomology_functor(OT, fam, j)
     full = higher_limits(skeleton_functor(functor), max_degree)
 
     cls = classify_subgroups_core_only(F)
     centrics = set(cls.all_with("centric"))
-    keep = [i for i, P in enumerate(cat.objects) if P in centrics]
+    keep = [i for i, P in enumerate(functor.cat.objects) if P in centrics]
     centric = higher_limits(skeleton_functor(restrict_functor(functor, keep)), max_degree)
     return full, centric
 

@@ -226,6 +226,7 @@ class OrbitCategory:
         self.objects = T.objects
         self._orbits: Dict[Tuple[MemberSet, MemberSet], List[FrozenSet[int]]] = {}
         self._orbit_of: Dict[Tuple[int, MemberSet, MemberSet], FrozenSet[int]] = {}
+        self._cat = None  # catlimits.transporter_orbit_cat, built on first use
         G = self.group
         for P in self.objects:
             for Q in self.objects:

@@ -9,6 +9,7 @@ import pytest
 from locus import catlimits
 from locus.catlimits import (
     FiniteCategory,
+    FunctorError,
     ModuleFunctor,
     atomic_comparison,
     atomic_functor,
@@ -22,6 +23,7 @@ from locus.catlimits import (
     p_orbit_category,
     proto_mackey_check,
     restrict_to_centrics_comparison,
+    sharpness_pipeline,
     skeleton_functor,
     stable_subspace_dim,
     transporter_orbit_cat,
@@ -75,6 +77,43 @@ def constant_functor(cat, p, dim):
     dims = [dim] * cat.n
     mats = {m: np.eye(dim, dtype=np.int64) for m in range(len(cat.labels))}
     return ModuleFunctor(cat, p, dims, mats)
+
+
+# a loop of order 5 with identity 0 that is not associative
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+@pytest.mark.parametrize("compose, message", [
+    (lambda g, f: f, "right identity fails"),
+    (lambda g, f: g, "left identity fails"),
+    (lambda g, f: LOOP5[g][f], "composition not associative"),
+], ids=["right-identity", "left-identity", "not-associative"])
+def test_category_axioms_fail_by_name(compose, message):
+    with pytest.raises(FunctorError, match=f"^{message}"):
+        FiniteCategory(["*"], {(0, 0): list(range(5))}, compose, lambda i: 0)
+
+
+@pytest.mark.parametrize("compose, identity, message", [
+    (lambda g, f: g + f, 0, r"composite \d+ of morphisms \d+ and \d+ is not a morphism 0 -> 0"),
+    (lambda g, f: (g + f) % 3, 5, "identity 5 at object 0 is not a morphism"),
+], ids=["composite", "identity"])
+def test_labels_outside_the_hom_set_are_named(compose, identity, message):
+    with pytest.raises(FunctorError, match=f"^{message}"):
+        FiniteCategory(["*"], {(0, 0): [0, 1, 2]}, compose, lambda i: identity)
+
+
+ONE = np.eye(1, dtype=np.int64)
+
+
+@pytest.mark.parametrize("dims, mats, message", [
+    ([1], {0: ONE, 2: ONE}, "no matrix for morphism 1"),
+    ([2], {m: ONE for m in range(3)}, "matrix shape mismatch on morphism 0"),
+    ([1], {m: 0 * ONE for m in range(3)}, "identity morphism not the identity matrix"),
+    ([1], {0: ONE, 1: 0 * ONE, 2: ONE}, "functoriality fails"),
+], ids=["missing", "shape", "identity", "functoriality"])
+def test_module_functor_check_fails_by_name(dims, mats, message):
+    with pytest.raises(FunctorError, match=f"^{message}"):
+        ModuleFunctor(c3_category(), 2, dims, mats)
 
 
 def test_terminal_object_constant_functor_acyclic():
@@ -193,6 +232,15 @@ def test_higher_limits_peak_under_budget_estimate():
     finally:
         tracemalloc.stop()
     assert peak < need
+
+
+@pytest.mark.parametrize("make, max_degree, need", [
+    (a6_centric_h3_functor, 4, 46_663_270),
+    (lambda: constant_functor(s4_centric_orbit_category(), 3, 2), 3, 105_190_016),
+], ids=["a6-h3", "s4-constant"])
+def test_limits_bytes_pinned(make, max_degree, need):
+    # the factorization term counts composable pairs of morphisms, not M^2
+    assert catlimits.limits_bytes(make(), max_degree)[2] == need
 
 
 def test_clearing_hands_each_degree_the_uncleared_coordinates(monkeypatch):
@@ -344,13 +392,28 @@ def test_atomic_comparison_s4_all_classes():
         assert ot_side == lam_side, (len(rep), ot_side, lam_side)
 
 
-def test_atomic_comparison_a6_all_classes():
-    L, T, OT = punctured_ot("a6", 2)
+def test_atomic_comparison_a6_all_classes(monkeypatch):
+    # criterion 10's call sequence on a fresh orbit category of the
+    # punctured a6 builds its 9-object category once
+    L, T, _ = punctured_ot("a6", 2)
+    OT, _ = orbit_category(T)
+    built = []
+    init = FiniteCategory.__init__
+
+    def counting(self, *args):
+        init(self, *args)
+        built.append(self.n)
+
+    monkeypatch.setattr(FiniteCategory, "__init__", counting)
     cat = transporter_orbit_cat(OT)
     for cls in cat.iso_classes():
         rep = cat.objects[cls[0]]
         ot_side, lam_side = atomic_comparison(OT, rep, 1, 2, 4)
         assert ot_side == lam_side, (len(rep), ot_side, lam_side)
+    full, centric = restrict_to_centrics_comparison(
+        OT, fusion_of_locality(L), CohomologyFamily(L.ambient, 2, 2), 1, 4)
+    assert full == centric
+    assert cat.n == 9 and built.count(9) == 1
 
 
 def test_atomic_zero_module():
@@ -420,3 +483,43 @@ def test_stable_elements_match_lim0_a6():
         dims = higher_limits(functor, 3)
         assert dims[0] == stable_subspace_dim(F, fam, j, centrics)
         assert dims[1:] == [0, 0, 0]
+
+
+class InclusionsOnly:
+    """A fusion system stand-in whose hom-sets hold only the inclusions, so
+    they are not closed under the inner automorphisms of the target."""
+
+    def __init__(self, group):
+        self.group = group
+
+    def hom(self, P, Q):
+        return [tuple(sorted((x, x) for x in P))] if P <= Q else []
+
+
+def test_fusion_orbit_category_needs_inn_q_to_act():
+    F, _ = s4_centric_fusion()
+    S = frozenset(F.sylow.members)  # a nonabelian D8: Inn(S) moves the identity
+    with pytest.raises(FunctorError, match=r"^Inn\(Q\) does not act"):
+        fusion_orbit_category(InclusionsOnly(F.group), [S])
+
+
+def test_descent_needs_inner_automorphisms_to_act_trivially(monkeypatch):
+    # inner automorphisms act trivially on H^j (a theorem), so the check is
+    # reached only through a broken restriction map
+    F, cat = s4_centric_fusion()
+    fam = CohomologyFamily(F.group, 2, 1)
+    restriction = catlimits.restriction_map
+    monkeypatch.setattr(catlimits, "restriction_map", lambda *a: 0 * restriction(*a))
+    with pytest.raises(FunctorError, match="^inner automorphism acts nontrivially"):
+        cohomology_functor_on_orbit_category(F, cat, fam, 1)
+
+
+def test_sharpness_needs_a_saturated_fusion_system(monkeypatch):
+    # F_S(L) of a locality on all nontrivial subgroups is saturated, so the
+    # check is reached only through a saturation test that says no
+    from locus import fusion
+
+    L, _, _ = punctured_ot("s4", 2)
+    monkeypatch.setattr(fusion, "is_saturated", lambda F: (False, ["witness"]))
+    with pytest.raises(FunctorError, match="^fusion system not saturated: \\['witness'\\]"):
+        sharpness_pipeline(L, jmax=0, max_degree=1)
