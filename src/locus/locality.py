@@ -764,6 +764,7 @@ def quotient_locality(L: Locality, N: PartialNormalSubgroup,
     conjugates = {y for x in N.members for y in G.conj_all(x).tolist()}
     K = G.generated_subgroup(conjugates, name="K")
     Q, proj = quotient_group(G, K)
+    Q.build_tables()  # as load_bundled does for every ambient group
     # each maximal coset must sit inside one K-coset, distinct ones apart
     rep_of: Dict[MemberSet, int] = {}
     for c in maximal:

@@ -180,14 +180,15 @@ class Group:
         return self._lookup(img, "a conjugate")
 
     def mul_many(self, a, b) -> np.ndarray:
-        """a[i] * b[i] for index arrays a and b of one shape, as ``mul`` does.
+        """Elementwise a * b, as ``mul`` does, for index arrays a and b that
+        broadcast together; the result has their broadcast shape.
 
         Tabled groups read a zero-copy view of the multiplication table.
         Untabled ones compose at the base only: (ab)[x] = b[a[x]] for a
         base point x, and the image row is looked up as in ``conj_all``.
         """
-        a = np.asarray(a, dtype=np.intp)
-        b = np.asarray(b, dtype=np.intp)
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=np.intp),
+                                   np.asarray(b, dtype=np.intp))
         if self._mul_table is not None:
             table = np.frombuffer(self._mul_table, dtype=np.uint16)
             return table[a * self.order + b]
@@ -241,9 +242,10 @@ class Group:
         TABLE_ORDER_CAP (larger groups are left untabled).
 
         Both are flat unsigned 16-bit arrays with entry a*n + b (the cap
-        keeps every index below 2^16).  Columns of the multiplication table
-        are filled along a BFS spanning tree of the Cayley graph, so only
-        n*|gens| tuple compositions are needed.
+        keeps every index below 2^16), filled in place through (n, n) numpy
+        views.  Columns of the multiplication table are filled along a BFS
+        spanning tree of the Cayley graph, so only n*|gens| tuple
+        compositions are needed.
         """
         n = self.order
         if self._mul_table is not None or n > TABLE_ORDER_CAP:
@@ -251,6 +253,9 @@ class Group:
         idx = self._index
         elems = self.elements
         gens = self.generators or [self.identity]
+        # right multiplication by each generator, as an index array
+        right = {g: np.fromiter((idx[compose(p, elems[g])] for p in elems),
+                                dtype=np.uint16, count=n) for g in gens}
         # BFS tree: every x != 1 reached as parent * gen
         tree: List[Optional[Tuple[int, int]]] = [None] * n
         bfs_order = [self.identity]
@@ -260,28 +265,26 @@ class Group:
             x = bfs_order[head]
             head += 1
             for g in gens:
-                y = idx[compose(elems[x], elems[g])]
+                y = int(right[g][x])
                 if y not in seen:
                     seen.add(y)
                     tree[y] = (x, g)
                     bfs_order.append(y)
-        mul_gen = {g: [idx[compose(p, elems[g])] for p in elems] for g in gens}
         # column b of a*b is column parent(b) pushed through right
         # multiplication by the tree generator
         mul = array("H", bytes(2 * n * n))
-        mul[self.identity::n] = array("H", range(n))
+        M = np.frombuffer(mul, dtype=np.uint16).reshape(n, n)
+        M[:, self.identity] = np.arange(n)
         for b in bfs_order[1:]:
             parent, g = tree[b]
-            right = mul_gen[g]
-            mul[b::n] = array("H", [right[y] for y in mul[parent::n]])
+            M[:, b] = right[g][M[:, parent]]
         self._mul_table = mul
         # column g of x^g = (g^-1 x) g: row g^-1 of mul, then column g
         inv = self.inverse
         conj = array("H", bytes(2 * n * n))
+        C = np.frombuffer(conj, dtype=np.uint16).reshape(n, n)
         for g in range(n):
-            col = mul[g::n]
-            start = inv[g] * n
-            conj[g::n] = array("H", [col[y] for y in mul[start:start + n]])
+            C[:, g] = M[:, g][M[inv[g]]]
         self._conj_table = conj
 
     def word(self, xs: Iterable[int]) -> int:

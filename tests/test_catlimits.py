@@ -102,6 +102,20 @@ def test_labels_outside_the_hom_set_are_named(compose, identity, message):
         FiniteCategory(["*"], {(0, 0): [0, 1, 2]}, compose, lambda i: identity)
 
 
+def test_split_idempotent_is_no_isomorphism():
+    # i: 0 -> 1 and r: 1 -> 0 with r o i = id_0 but i o r = e != id_1, so
+    # r is a one-sided inverse only and 0, 1 stay in separate classes
+    table = {("r", "i"): "id0", ("i", "r"): "e", ("e", "i"): "i",
+             ("r", "e"): "r", ("e", "e"): "e"}
+
+    def compose(g, f):
+        return f if g.startswith("id") else g if f.startswith("id") else table[(g, f)]
+
+    mor = {(0, 0): ["id0"], (0, 1): ["i"], (1, 0): ["r"], (1, 1): ["id1", "e"]}
+    cat = FiniteCategory([0, 1], mor, compose, lambda i: f"id{i}")
+    assert cat.iso_classes() == [[0], [1]]
+
+
 ONE = np.eye(1, dtype=np.int64)
 
 

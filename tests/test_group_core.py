@@ -5,12 +5,14 @@ degree <= 7, cut down to the longest prefix of generators whose group has
 order <= 200.  Group facts are compared with ``sympy.combinatorics``; the
 scans over G (``conj_all``, transporters, normalizers, O_p, O_p') are
 compared with oracles written here with the scalar ``Group.conj`` over
-every element.  SL3(4) at p = 3 closes the file: its scans over 60,480
-elements are the reason for the vector core.
+every element, and both tables of ``build_tables`` entry by entry with
+``compose`` and ``invert``.  SL3(4) at p = 3 closes the file: its scans
+over 60,480 elements are the reason for the vector core.
 """
 
 import json
 import random
+from array import array
 
 import numpy as np
 import pytest
@@ -20,14 +22,18 @@ from sympy.combinatorics import Permutation, PermutationGroup
 
 from locus.cli import main
 from locus.fusion import fusion_of_group, fusion_of_locality, is_saturated
+from locus.harness import DATA_DIR
 from locus.locality import build_locality, delta_min_order
 from locus.permgroups import (
     Group,
     GroupError,
     center,
     centralizer_set,
+    compose,
     conjugacy_classes,
+    invert,
     load_group,
+    load_group_file,
     normalizer_set,
     o_p,
     o_pprime,
@@ -186,11 +192,17 @@ def test_mul_many_matches_mul(G, data):
     assert [G.mul(x, y) for x, y in zip(a, b)] == want
 
 
-def test_mul_many_matches_mul_untabled_above_the_cap():
+def _a5xc3_cubed():
+    """A5 x C3^3 (order 1620), left untabled by build_tables."""
     gens = ["(1 2 3 4 5)", "(1 2 3)", "(6 7 8)", "(9 10 11)", "(12 13 14)"]
     G = load_group("degree 14\n" + "\n".join(gens), name="a5xc3^3")
     G.build_tables()
     assert G.order == 1620 and G._mul_table is None
+    return G
+
+
+def test_mul_many_matches_mul_untabled_above_the_cap():
+    G = _a5xc3_cubed()
     rng = random.Random(7)
     a = np.array([rng.randrange(G.order) for _ in range(6000)]).reshape(2, 3000)
     b = np.array([rng.randrange(G.order) for _ in range(6000)]).reshape(2, 3000)
@@ -198,6 +210,56 @@ def test_mul_many_matches_mul_untabled_above_the_cap():
     assert got.shape == (2, 3000)
     assert got.ravel().tolist() == [G.mul(x, y) for x, y in zip(a.ravel().tolist(),
                                                                   b.ravel().tolist())]
+
+
+def test_mul_many_broadcasts_alike_tabled_and_untabled():
+    # a (k, 1) column against an (n,) row, and a scalar against an array:
+    # the untabled path once failed to reshape what the table view broadcast
+    G = _a5xc3_cubed()
+    a = np.arange(0, G.order, 97)[:, None]
+    b = np.arange(G.order)
+    got = G.mul_many(a, b)
+    assert got.shape == (len(a), G.order)
+    assert got.tolist() == [[G.mul(x, y) for y in range(G.order)] for x in a.ravel().tolist()]
+    assert G.mul_many(int(a[1, 0]), b).tolist() == got[1].tolist()
+    T = bundled("s4")
+    assert T._mul_table is not None
+    U = load_group("degree 4\n(1 2 3 4)\n(1 2)")
+    assert U._mul_table is None and U.elements == T.elements
+    col, row = np.arange(T.order)[:, None], np.arange(T.order)
+    assert T.mul_many(col, row).tolist() == U.mul_many(col, row).tolist()
+    assert T.mul_many(3, row).tolist() == U.mul_many(3, row).tolist()
+
+
+def _assert_tables_match_oracle(G):
+    """Every entry of both tables against compose / invert on the perms."""
+    G.build_tables()
+    n = G.order
+    for table in (G._mul_table, G._conj_table):
+        assert isinstance(table, array) and table.typecode == "H" and len(table) == n * n
+    perms = G.elements
+    for a, pa in enumerate(perms):
+        assert G._mul_table[a * n:(a + 1) * n].tolist() == [
+            G.index(compose(pa, pb)) for pb in perms]
+        assert G._conj_table[a * n:(a + 1) * n].tolist() == [
+            G.index(compose(compose(invert(pg), pa), pg)) for pg in perms]
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_groups())
+def test_tables_match_compose_oracle(G):
+    _assert_tables_match_oracle(G)
+
+
+@pytest.mark.parametrize("name", ["s4", "a6"])
+def test_bundled_tables_match_compose_oracle(name):
+    _assert_tables_match_oracle(load_group_file(DATA_DIR / f"{name}.grp"))
+
+
+def test_order_one_tables():
+    for G in (Group(1, [(0,)]), Group(3, [])):
+        _assert_tables_match_oracle(G)
+        assert G._mul_table.tolist() == G._conj_table.tolist() == [G.identity]
 
 
 @pytest.mark.slow

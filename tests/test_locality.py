@@ -293,6 +293,23 @@ def test_quotient_locality_a6xc3():
     assert check_locality_axioms(q.locality, samples=1500).passed
 
 
+def test_quotient_ambient_is_tabled_and_checks_as_untabled():
+    # M/K is tabled like every bundled ambient group; the untabled scalar
+    # path of a copy of M/K without its tables is the oracle
+    L = cached_punctured("a6xc3", 2)
+    Lbar = quotient_locality(L, PartialNormalSubgroup(L, _c3_factor(L))).locality
+    Q = Lbar.ambient
+    assert Q._mul_table is not None and Q._conj_table is not None
+    bare = copy.copy(Q)
+    bare._mul_table = bare._conj_table = None
+    untabled = Locality(bare, bare.subgroup(Lbar.sylow.members), Lbar.prime,
+                        Lbar.objects, Lbar.carrier, name=Lbar.name)
+    for check in (check_partial_group, check_locality_axioms):
+        tabled = check(Lbar, samples=400).as_dict()
+        assert tabled["passed"]
+        assert check(untabled, samples=400).as_dict() == tabled
+
+
 def test_quotient_by_trivial_is_identity():
     L = punctured("s4", 2)
     G = L.ambient

@@ -234,3 +234,32 @@ def test_cached_kmax_matches_fresh_verified_kmax(data):
     assert cached.pairs == fresh.pairs
     assert cached.reps == fresh.reps
     assert cached.orbit_index == fresh.orbit_index
+
+
+def _fresh_s4_transporter():
+    G = bundled("s4")
+    S = sylow(G, 2)
+    return G, TransporterSystem(build_locality(G, S, delta_all_nontrivial(S), 2))
+
+
+def test_transporter_axioms_fail_without_an_identity():
+    G, T = _fresh_s4_transporter()
+    P = T.objects[0]
+    T._mor[(P, P)].remove(G.identity)
+    T._mor_sets[(P, P)].discard(G.identity)
+    failures = check_transporter_axioms(T).failures
+    assert any(f.startswith("identity missing at object") for f in failures)
+
+
+def test_transporter_axioms_fail_when_a_composite_is_dropped():
+    G, T = _fresh_s4_transporter()
+    # g o f in Mor(P, P) for f: P -> Q and g: Q -> P with Q != P, not the
+    # identity, so only that composite leaves the category
+    P, h = next((P, G.mul(g, f)) for P in T.objects for Q in T.objects if Q != P
+                for f in T._mor[(P, Q)] for g in T._mor[(Q, P)]
+                if G.mul(g, f) != G.identity)
+    T._mor[(P, P)].remove(h)
+    T._mor_sets[(P, P)].discard(h)
+    failures = check_transporter_axioms(T).failures
+    assert "composition escapes the category" in failures
+    assert not any(f.startswith("identity missing") for f in failures)
