@@ -1,10 +1,14 @@
 """Alternating parent/change perfbench runs, collected into one BENCH file.
 
-    python scripts/bench_pairs.py --parent PARENT_CHECKOUT --change . \\
+    python scripts/bench_pairs.py --parent HEAD~1 --change HEAD \\
         --workload bigcover --pairs 10 --traced --out BENCH_6.json
 
-Each side is a checkout run with its own ``perfbench/run.py`` at the same
-``--seconds`` and seed.  Pair i runs the parent first when i is even and
+Each side is a checkout directory or a git revision of the repository in
+the current directory, run with its own ``perfbench/run.py`` at the same
+``--seconds`` and seed.  A revision runs from a fresh ``git archive`` in a
+temporary directory that is removed afterwards (peak RSS differs between a
+working checkout and an archive of the same commit, so two revisions
+compare like with like).  Pair i runs the parent first when i is even and
 the change first when i is odd.  After every run the record that the
 benchmark wrote to ``<checkout>/.bench_out/`` is read back.  With
 ``--traced`` one traced run per side follows the pairs.
@@ -12,21 +16,25 @@ benchmark wrote to ``<checkout>/.bench_out/`` is read back.  With
 The output file gets one entry per workload, keyed ``<workload>`` at the
 default seed 2024 and ``<workload>/seed<N>`` at any other; entries under
 other keys already in the file are kept.  An entry holds every run's record
-(machine block, medians and quartiles, checks),
-each side's median and quartiles over its run medians, the number of pairs
-the change won for every end-to-end metric (lower is better, ties count
-for neither), the item digests of ``perfbench/expected.json`` and, with
-``--traced``, each side's per-layer metrics.
+(machine block, medians and quartiles, checks), each side's commit
+(suffixed ``-dirty`` for a checkout with uncommitted changes, null outside
+git), each side's median and quartiles over its run medians, the number of
+pairs the change won for every end-to-end metric (lower is better, ties
+count for neither), the item digests of ``perfbench/expected.json`` and,
+with ``--traced``, each side's per-layer metrics.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from typing import Optional, Tuple
 
 E2E = ["wall_s", "setup_s", "cpu_s", "peak_rss_mb"]
 DEFAULT_SEED = 2024
@@ -53,6 +61,37 @@ def value(record: dict, metric: str) -> float:
     return record["result"]["metrics"][metric]["value"]
 
 
+def git(*args: str, cwd: Optional[Path] = None) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", *args], cwd=cwd, capture_output=True)
+
+
+def commit_of(checkout: Path) -> Optional[str]:
+    """HEAD of a checkout, with ``-dirty`` when tracked files differ from
+    it; None outside git."""
+    head = git("rev-parse", "--verify", "HEAD", cwd=checkout)
+    if head.returncode:
+        return None
+    dirty = git("diff", "--quiet", "HEAD", cwd=checkout).returncode
+    return head.stdout.decode().strip() + ("-dirty" if dirty else "")
+
+
+def resolve_side(spec: str, stack: contextlib.ExitStack) -> Tuple[Path, Optional[str]]:
+    """(directory to run, commit) for a checkout directory or a revision;
+    a revision is archived into a temporary directory that ``stack`` removes."""
+    if Path(spec).is_dir():
+        return Path(spec).resolve(), commit_of(Path(spec))
+    rev = git("rev-parse", "--verify", "--quiet", spec + "^{commit}")
+    if rev.returncode:
+        raise SystemExit(f"bench_pairs: {spec!r} is neither a directory "
+                         "nor a git revision")
+    commit = rev.stdout.decode().strip()
+    tmp = Path(stack.enter_context(tempfile.TemporaryDirectory(prefix="bench-")))
+    tar = subprocess.run(["git", "archive", "--format=tar", commit],
+                         check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(tmp)], input=tar, check=True)
+    return tmp, commit
+
+
 def pair_count(text: str) -> int:
     """--pairs: the quartiles of each side need at least two runs."""
     pairs = int(text)
@@ -63,8 +102,8 @@ def pair_count(text: str) -> int:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--parent", type=Path, required=True)
-    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--parent", required=True, help="checkout directory or git revision")
+    ap.add_argument("--change", required=True, help="checkout directory or git revision")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=pair_count, default=10)
     ap.add_argument("--seconds", type=int, default=40)
@@ -72,8 +111,14 @@ def main() -> int:
     ap.add_argument("--traced", action="store_true")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args()
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    with contextlib.ExitStack() as stack:
+        sides, commits = {}, {}
+        for name in ("parent", "change"):
+            sides[name], commits[name] = resolve_side(getattr(args, name), stack)
+        return compare(args, sides, commits)
 
+
+def compare(args: argparse.Namespace, sides: dict, commits: dict) -> int:
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
@@ -85,6 +130,7 @@ def main() -> int:
 
     entry = {
         "seconds": args.seconds, "seed": args.seed, "pairs": args.pairs,
+        "commit": commits,
         "correct": all(r["result"]["correct"] for rs in runs.values() for r in rs),
         "expected_sha256": {
             side: [item["sha256"] for item in json.loads(

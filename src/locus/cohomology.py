@@ -24,12 +24,15 @@ MemberSet = FrozenSet[int]
 MEMORY_BUDGET_ENV = "LOCUS_MEMORY_BUDGET_MB"
 
 
-def budget_mb() -> int:
-    return int(os.environ.get(MEMORY_BUDGET_ENV, "1500"))
-
-
 class BudgetError(RuntimeError):
     pass
+
+
+def budget_mb() -> int:
+    text = os.environ.get(MEMORY_BUDGET_ENV, "1500")
+    if not (text.isascii() and text.isdigit()):
+        raise BudgetError(f"{MEMORY_BUDGET_ENV} = {text!r} is not a non-negative integer")
+    return int(text)
 
 
 class FpCohomology:
@@ -59,14 +62,21 @@ class FpCohomology:
         for n in range(jmax):
             if np.any(_mul_modp(self.diff[n + 1], self.diff[n], p)):
                 raise AssertionError("bar differential does not square to zero")
-        self._homology: List[Dict[str, np.ndarray]] = []
+        # per degree, (RREF, pivots) of B^n and of the class representatives;
+        # the representatives vanish on the pivots of B^n
+        self._b: List[Tuple[np.ndarray, List[int]]] = []
+        self._h: List[Tuple[np.ndarray, List[int]]] = []
         for n in range(jmax + 1):
-            self._homology.append(self._homology_data(n))
+            boundaries = (self.diff[n - 1].T if n else
+                          np.zeros((0, self.dim_cochain(0)), dtype=np.int64))
+            self._b.append(_echelon(boundaries, p))
+            kernel = nullspace_modp(self.diff[n], p)  # rows span Z^n
+            self._h.append(_echelon(self._off_boundaries(n, kernel), p))
 
     # -- bases ----------------------------------------------------------
 
     def dim_cochain(self, n: int) -> int:
-        return max(1, len(self.nonid) ** n) if n > 0 else 1
+        return len(self.nonid) ** n
 
     def tuple_index(self, tup: Sequence[int]) -> int:
         idx = 0
@@ -104,66 +114,40 @@ class FpCohomology:
         D %= p
         return D.astype(np.uint8) if p < 256 else D
 
-    def _homology_data(self, n: int) -> Dict[str, np.ndarray]:
-        p = self.p
-        kernel = nullspace_modp(self.diff[n], p)  # rows span Z^n
-        if n == 0:
-            boundaries = np.zeros((0, self.dim_cochain(0)), dtype=np.int64)
-        else:
-            boundaries = self.diff[n - 1].T  # rows span B^n
-        b_ech, b_piv = row_echelon_modp(boundaries, p)
-        b_rank = len(b_piv)
-        b_ech = b_ech[:b_rank]
-        ech_rows: List[np.ndarray] = []
-        piv_cols: List[int] = []
-        for z in kernel:
-            v = _reduce_by(z.copy(), b_ech, b_piv, p)
-            w = _reduce_by(v.copy(), np.array(ech_rows), piv_cols, p) \
-                if ech_rows else v
-            nz = np.nonzero(w)[0]
-            if nz.size == 0:
-                continue
-            c = int(nz[0])
-            w = (w * pow(int(w[c]), -1, p)) % p
-            ech_rows.append(w)
-            piv_cols.append(c)
-        h_ech = (np.array(ech_rows, dtype=np.int64) if ech_rows else
-                 np.zeros((0, self.dim_cochain(n)), dtype=np.int64))
-        # class representatives are the echelon rows themselves, so that
-        # coordinates() is the identity on them
-        return {
-            "b_ech": b_ech,
-            "b_piv": np.array(b_piv, dtype=np.int64),
-            "reps": h_ech,
-            "h_ech": h_ech,
-            "h_piv": piv_cols,
-        }
+    def _off_boundaries(self, n: int, W: np.ndarray) -> np.ndarray:
+        """Rows of W minus their B^n parts, so zero on the pivots of B^n."""
+        b_ech, b_piv = self._b[n]
+        return (W - W[:, b_piv] @ b_ech) % self.p
 
     def dims(self) -> List[int]:
-        return [int(self._homology[n]["reps"].shape[0])
-                for n in range(self.jmax + 1)]
+        return [self.dim(n) for n in range(self.jmax + 1)]
 
     def dim(self, n: int) -> int:
-        return int(self._homology[n]["reps"].shape[0])
+        return len(self._h[n][1])
 
     def basis(self, n: int) -> np.ndarray:
-        return self._homology[n]["reps"]
+        """Class representatives of H^n as rows, in RREF."""
+        return self._h[n][0]
 
-    def coordinates(self, n: int, cocycle: np.ndarray) -> np.ndarray:
-        """Coordinates of a cocycle's class in the chosen H^n basis."""
+    def coordinates(self, n: int, V: np.ndarray) -> np.ndarray:
+        """Coordinates, as columns, of the classes of the cocycle columns of V:
+        a cocycle minus its B^n part is its coefficients times the basis, so
+        the coefficients are its entries at the basis pivots."""
         p = self.p
-        if np.any(_mul_modp(self.diff[n], cocycle, p)):
+        if np.any(_mul_modp(self.diff[n], V, p)):
             raise ValueError("vector is not a cocycle")
-        data = self._homology[n]
-        v = _reduce_by(cocycle.copy() % p, data["b_ech"], list(data["b_piv"]), p)
-        coeffs = np.zeros(data["h_ech"].shape[0], dtype=np.int64)
-        for i, c in enumerate(data["h_piv"]):
-            if v[c] % p:
-                coeffs[i] = v[c] % p
-                v = (v - coeffs[i] * data["h_ech"][i]) % p
-        if np.any(v % p):
+        h_ech, h_piv = self._h[n]
+        W = self._off_boundaries(n, V.T.astype(np.int64) % p)
+        coeffs = W[:, h_piv]
+        if np.any((W - coeffs @ h_ech) % p):
             raise ValueError("cocycle does not reduce into the basis")
-        return coeffs
+        return coeffs.T
+
+
+def _echelon(A: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
+    """The nonzero rows of A's RREF, in int64, with their pivot columns."""
+    ech, piv = row_echelon_modp(A, p)
+    return ech[:len(piv)].astype(np.int64), piv
 
 
 # cells of a differential upcast to int64 at a time by _mul_modp
@@ -177,13 +161,6 @@ def _mul_modp(D: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     step = max(1, MUL_BLOCK_CELLS // max(1, D.shape[1]))
     return np.concatenate([D[i:i + step].astype(np.int64, copy=False) @ B
                            for i in range(0, max(1, D.shape[0]), step)]) % p
-
-
-def _reduce_by(v: np.ndarray, ech: np.ndarray, pivots: Sequence[int], p: int) -> np.ndarray:
-    for i, c in enumerate(pivots):
-        if v[c] % p:
-            v = (v - v[c] * ech[i]) % p
-    return v % p
 
 
 # -- induced maps -----------------------------------------------------------
@@ -208,14 +185,8 @@ def restriction_cochain(H_target: FpCohomology, H_source: FpCohomology,
 def restriction_map(H_target: FpCohomology, H_source: FpCohomology,
                     mapping: Dict[int, int], n: int) -> np.ndarray:
     """H^n(target) -> H^n(source) induced by a homomorphism source->target."""
-    p = H_target.p
     M = restriction_cochain(H_target, H_source, mapping, n)
-    cols = []
-    for z in H_target.basis(n):
-        cols.append(H_source.coordinates(n, (M @ z) % p))
-    if not cols:
-        return np.zeros((H_source.dim(n), 0), dtype=np.int64)
-    return np.array(cols, dtype=np.int64).T
+    return H_source.coordinates(n, (M @ H_target.basis(n).T) % H_target.p)
 
 
 def transfer_cochain(H_big: FpCohomology, H_small: FpCohomology,
@@ -270,12 +241,7 @@ def transfer_map(H_big: FpCohomology, H_small: FpCohomology, n: int) -> np.ndarr
         rhs = _mul_modp(transfer_cochain(H_big, H_small, n + 1), H_small.diff[n], p)
         if np.any((lhs - rhs) % p):
             raise AssertionError("transfer is not a cochain map")
-    cols = []
-    for z in H_small.basis(n):
-        cols.append(H_big.coordinates(n, (M @ z) % p))
-    if not cols:
-        return np.zeros((H_big.dim(n), 0), dtype=np.int64)
-    return np.array(cols, dtype=np.int64).T
+    return H_big.coordinates(n, (M @ H_small.basis(n).T) % p)
 
 
 class CohomologyFamily:

@@ -26,6 +26,7 @@ from .catlimits import (
 from .cohomology import (
     BudgetError,
     CohomologyFamily,
+    budget_mb,
     FpCohomology,
     mackey_square,
     restriction_map,
@@ -245,6 +246,7 @@ def run(config: RunConfig) -> Report:
     if handler is None:
         raise ValueError(f"unknown pipeline {config.pipeline!r}; "
                          f"choose from {PIPELINES}")
+    budget_mb()  # a malformed budget is rejected here, not SKIPPED per criterion
     report = handler(config)
     if config.report_path:
         report.write(config.report_path)

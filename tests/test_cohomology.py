@@ -1,5 +1,7 @@
 """Bar-resolution cohomology, restriction, transfer, and Mackey tests."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from locus.cohomology import (
     transfer_along,
     transfer_map,
 )
-from locus.permgroups import all_subgroups, load_group, o_p
+from locus.permgroups import GroupError, all_subgroups, load_group, o_p
 
 from conftest import bundled
 
@@ -242,3 +244,130 @@ def test_budget_bounds_the_dense_differential(monkeypatch):
     monkeypatch.setattr(FpCohomology, "_differential", no_allocation)
     with pytest.raises(BudgetError):
         FpCohomology(G, G.full_subgroup(), 2, 3)
+
+
+# -- closed forms -------------------------------------------------------------
+
+def _elementary_abelian(p, r):
+    gens = "\n".join("(" + " ".join(str(p * i + j + 1) for j in range(p)) + ")"
+                     for i in range(r))
+    return load_group(f"degree {p * r}\n{gens}", name=f"C{p}^{r}")
+
+
+@pytest.mark.parametrize("p, r", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_dims_of_elementary_abelian_groups_are_binomials(p, r):
+    # H^*((C_p)^r; F_p) has Poincare series 1/(1 - t)^r
+    G = _elementary_abelian(p, r)
+    H = FpCohomology(G, G.full_subgroup(), p, 3)
+    assert H.dims() == [comb(k + r - 1, r - 1) for k in range(4)]
+
+
+def _s3():
+    return load_group("degree 3\n(1 2 3)\n(1 2)", name="S3")
+
+
+@pytest.mark.parametrize("group, p", [("trivial", 2), ("trivial", 3),
+                                      ("c3", 2), ("s3", 5)])
+def test_p_prime_groups_have_only_degree_zero(group, p):
+    G = _s3() if group == "s3" else load_group("degree 3\n(1 2 3)", name="C3")
+    P = (G.subgroup(frozenset([G.identity])) if group == "trivial"
+         else G.full_subgroup())
+    H = FpCohomology(G, P, p, 3)
+    assert H.dims() == [1, 0, 0, 0]
+    assert [H.dim_cochain(n) for n in range(4)] == [
+        (len(P.members) - 1) ** n for n in range(4)]
+
+
+def test_maps_to_and_from_the_trivial_subgroup_have_empty_shapes():
+    G = bundled("d8")
+    fam = CohomologyFamily(G, 2, 2)
+    S, one = frozenset(range(G.order)), frozenset([G.identity])
+    for n, d in enumerate(fam.of(S).dims()):
+        res = restriction_map(fam.of(S), fam.of(one), {G.identity: G.identity}, n)
+        tr = transfer_map(fam.of(S), fam.of(one), n)
+        assert (res.shape, tr.shape) == (((1, 1), (1, 1)) if n == 0
+                                         else ((0, d), (d, 0)))
+
+
+# -- the coordinates contract -------------------------------------------------
+
+@pytest.mark.parametrize("group, p", [("d8", 2), ("c3xc3", 3)])
+def test_coordinates_read_classes_off_any_cocycle(group, p):
+    G = bundled("d8") if group == "d8" else _elementary_abelian(3, 2)
+    H = FpCohomology(G, G.full_subgroup(), p, 3)
+    rng = np.random.default_rng(7)
+    for n in range(H.jmax + 1):
+        k = 5
+        A = rng.integers(0, 10 * p, size=(H.dim(n), k))
+        V = H.basis(n).T @ A
+        if n:
+            X = rng.integers(0, 10 * p, size=(H.dim_cochain(n - 1), k))
+            V = V + H.diff[n - 1].astype(np.int64) @ X
+        assert np.array_equal(H.coordinates(n, V), A % p)
+
+
+# -- one test per raise site --------------------------------------------------
+
+def test_degree_cap():
+    G = _c2()
+    with pytest.raises(GroupError, match="degree cap is 6"):
+        FpCohomology(G, G.full_subgroup(), 2, 7)
+
+
+def test_differential_that_does_not_square_to_zero_is_caught(monkeypatch):
+    G = _c2()  # one cochain coordinate in each degree
+
+    def ones(self, n):
+        return np.ones((self.dim_cochain(n + 1), self.dim_cochain(n)), dtype=np.uint8)
+
+    monkeypatch.setattr(FpCohomology, "_differential", ones)
+    with pytest.raises(AssertionError, match="does not square to zero"):
+        FpCohomology(G, G.full_subgroup(), 2, 2)
+
+
+def test_coordinates_reject_a_cochain_that_is_not_a_cocycle():
+    G = _v4()
+    H = FpCohomology(G, G.full_subgroup(), 2, 2)
+    j = int(np.flatnonzero(H.diff[1].any(axis=0))[0])
+    v = np.zeros((H.dim_cochain(1), 1), dtype=np.int64)
+    v[j] = 1
+    with pytest.raises(ValueError, match="vector is not a cocycle"):
+        H.coordinates(1, v)
+
+
+def test_coordinates_reject_a_cocycle_outside_a_corrupted_basis():
+    G = bundled("d8")
+    H = FpCohomology(G, G.full_subgroup(), 2, 2)
+    z = H.basis(1)[-1:].T.copy()
+    assert np.array_equal(H.coordinates(1, z), np.eye(H.dim(1), dtype=np.int64)[:, -1:])
+    h_ech, h_piv = H._h[1]
+    h_ech = h_ech.copy()
+    h_ech[-1] = 0
+    H._h[1] = (h_ech, h_piv)
+    with pytest.raises(ValueError, match="does not reduce into the basis"):
+        H.coordinates(1, z)
+
+
+def test_transfer_requires_the_small_group_inside_the_big_one():
+    G = bundled("d8")
+    fam = CohomologyFamily(G, 2, 1)
+    Z = frozenset(center_members(G))
+    with pytest.raises(GroupError, match="transfer requires P <= Q"):
+        transfer_map(fam.of(Z), fam.of(frozenset(range(G.order))), 1)
+
+
+def test_transfer_that_is_not_a_cochain_map_is_caught(monkeypatch):
+    G = bundled("d8")
+    fam = CohomologyFamily(G, 2, 2)
+    HS, HV = fam.of(frozenset(range(G.order))), fam.of(o_p_like_v4(G))
+    honest = cohomology.transfer_cochain
+
+    def bent(H_big, H_small, n):
+        M = honest(H_big, H_small, n).copy()
+        if n == 1:
+            M[0, 0] ^= 1
+        return M
+
+    monkeypatch.setattr(cohomology, "transfer_cochain", bent)
+    with pytest.raises(AssertionError, match="not a cochain map"):
+        transfer_map(HS, HV, 1)

@@ -6,6 +6,7 @@ from locus.fusion import (
     FusionError,
     FusionSystem,
     classify_subgroups,
+    classify_subgroups_core_only,
     centralizer_subsystem,
     fusion_of_group,
     fusion_of_locality,
@@ -100,7 +101,7 @@ def test_saturated_group_systems():
     assert is_saturated(F)[0]
 
 
-def test_unsaturated_hand_built():
+def _unsaturated_hand_built():
     # Fusion on C2xC2 with an extra automorphism on one C2 but no extension:
     # take S = V4 inside D8-fusion and delete every proper extension.
     G = bundled("s4")
@@ -119,8 +120,11 @@ def test_unsaturated_hand_built():
     broken = dict(maps_from)
     broken[frozenset(V4)] = {k for k in maps_from[frozenset(V4)]
                              if all(x == y for x, y in k)}
-    FS = FusionSystem(G, sub, 2, broken, "hand-built")
-    ok, witnesses = is_saturated(FS)
+    return FusionSystem(G, sub, 2, broken, "hand-built")
+
+
+def test_unsaturated_hand_built():
+    ok, witnesses = is_saturated(_unsaturated_hand_built())
     assert not ok
     assert witnesses
 
@@ -280,3 +284,63 @@ def test_normalizer_subsystem_equals_local_fusion():
         moved = {tuple(sorted((back[x], back[y]) for x, y in k))
                  for k in F_loc.maps_from[P_loc]}
         assert moved == NF.maps_from[P_amb], len(P_amb)
+
+
+# -- one test per FusionError site -------------------------------------------
+
+def test_class_of_rejects_a_subgroup_not_under_s():
+    F = F_a6()
+    with pytest.raises(FusionError, match="subgroup not under S"):
+        F.class_of(frozenset(range(F.group.order)))
+
+
+def test_fusion_of_group_rejects_a_non_sylow_subgroup():
+    F = F_a6()
+    Z = F.group.subgroup(F.c_s(F.sylow.members))
+    assert Z.order == 2
+    with pytest.raises(FusionError, match="S is not a Sylow p-subgroup"):
+        fusion_of_group(F.group, Z, 2)
+
+
+def _noncentral_involution(F):
+    G = F.group
+    z = F.c_s(F.sylow.members)
+    t = next(x for x in F.sylow.sorted_members
+             if G.element_order(x) == 2 and x not in z)
+    return frozenset([G.identity, t])
+
+
+@pytest.mark.parametrize("local, message", [
+    (normalizer_subsystem, "P must be fully normalized"),
+    (centralizer_subsystem, "P must be fully centralized"),
+])
+def test_local_subsystems_reject_a_noncentral_involution_of_a6(local, message):
+    # every involution of A6 is conjugate to the central one of S, whose
+    # normalizer and centralizer in S are all of S
+    F = F_a6()
+    T = _noncentral_involution(F)
+    assert len(F.n_s(T)) == len(F.c_s(T)) == 4
+    with pytest.raises(FusionError, match=message):
+        local(F, T)
+
+
+def test_classification_rejects_an_unsaturated_system():
+    FS = _unsaturated_hand_built()
+    with pytest.raises(FusionError, match="not saturated"):
+        classify_subgroups_core_only(FS)
+    with pytest.raises(FusionError, match="not saturated"):
+        classify_subgroups(FS)
+
+
+def test_aut_group_rejects_an_automorphism_set_not_closed_under_composition():
+    F = F_a6()
+    P = next(P for P in F.subgroups if len(F.aut(P)) == 6)
+    G = F.group
+    ident = next(k for k in F.aut(P) if all(x == y for x, y in k))
+    three = next(k for k in F.aut(P)
+                 if k != ident and all(dict(k)[dict(k)[dict(k)[x]]] == x for x in P))
+    maps_from = dict(F.maps_from)
+    maps_from[P] = {ident, three}
+    FS = FusionSystem(G, F.sylow, 2, maps_from, "hand-built")
+    with pytest.raises(FusionError, match="automorphism set is not composition-closed"):
+        FS.aut_group(P)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from locus.cli import build_parser, main
+from locus.cohomology import MEMORY_BUDGET_ENV
 from locus.harness import (
     Report,
     RunConfig,
@@ -129,6 +131,20 @@ def test_cli_rejects_bad_input_in_one_line(capsys, argv, message):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["sharpness", "--group", "s4"], ["full-acceptance"]])
+@pytest.mark.parametrize("value", ["abc", "-5", "1.5"])
+def test_cli_rejects_a_malformed_memory_budget_in_one_line(capsys, monkeypatch,
+                                                           argv, value):
+    # read before any pipeline runs, so full-acceptance does not turn it
+    # into SKIPPED criteria
+    monkeypatch.setenv(MEMORY_BUDGET_ENV, value)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"locus: BudgetError: {MEMORY_BUDGET_ENV} = {value!r} "
+                            "is not a non-negative integer\n")
+
+
 def test_cli_names_each_skipped_criterion_on_stderr(capsys, monkeypatch):
     import locus.cli
 
@@ -154,6 +170,73 @@ def test_bench_pairs_rejects_fewer_than_two_pairs(tmp_path):
     assert done.returncode == 2
     assert "need at least 2 pairs, got 1" in done.stderr
     assert not out.exists()
+
+
+# a stand-in perfbench/run.py: writes a record whose wall_s is WALL and
+# whose result names the directory it ran from
+FAKE_RUN = """import json, sys
+from pathlib import Path
+root = Path(__file__).resolve().parent.parent
+argv = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+out = root / ".bench_out"
+out.mkdir(exist_ok=True)
+metrics = {m: {"value": WALL} for m in ("wall_s", "setup_s", "cpu_s", "peak_rss_mb")}
+record = {"machine": {}, "elapsed_s": 0, "spread": {}, "failures": 0,
+          "result": {"correct": True, "metrics": metrics, "ran_in": str(root)}}
+name = f"{argv['--workload']}-seed{argv['--seed']}-trace{argv['--trace']}.json"
+(out / name).write_text(json.dumps(record))
+"""
+
+
+def test_bench_pairs_runs_revisions_from_removed_archives(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "perfbench" / "expected.json").write_text('{"w": [{"sha256": "x"}]}')
+
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                               *args], cwd=repo, check=True, capture_output=True,
+                              text=True).stdout.strip()
+
+    git("init", "-q")
+    shas = []
+    for wall in (2.0, 1.0):
+        (repo / "perfbench" / "run.py").write_text(FAKE_RUN.replace("WALL", str(wall)))
+        git("add", "-A")
+        git("commit", "-q", "-m", f"wall {wall}")
+        shas.append(git("rev-parse", "HEAD"))
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    out = tmp_path / "bench.json"
+    env = {**os.environ, "TMPDIR": str(tmp)}
+    for change in ("HEAD", str(repo)):
+        done = subprocess.run(
+            [sys.executable, str(script), "--parent", "HEAD~1", "--change", change,
+             "--workload", "w", "--pairs", "2", "--seconds", "1", "--out", str(out)],
+            cwd=repo, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        entry = json.loads(out.read_text())["w"]
+        assert entry["commit"] == {"parent": shas[0], "change": shas[1]}
+        assert entry["metrics"]["wall_s"]["change_wins"] == 2
+        ran_in = {r["result"]["ran_in"] for rs in entry["runs"].values() for r in rs}
+        parent_dirs = {r["result"]["ran_in"] for r in entry["runs"]["parent"]}
+        assert len(parent_dirs) == 1 and str(repo) not in parent_dirs
+        assert (str(repo) in ran_in) == (change == str(repo))
+        # the archives are gone, and nothing else was left in the temp dir
+        assert not any(Path(d).exists() for d in ran_in - {str(repo)})
+        assert list(tmp.iterdir()) == []
+    (repo / "perfbench" / "expected.json").write_text('{"w": [{"sha256": "y"}]}')
+    subprocess.run([sys.executable, str(script), "--parent", "HEAD~1", "--change",
+                    str(repo), "--workload", "w", "--pairs", "2", "--out", str(out)],
+                   cwd=repo, env=env, check=True, capture_output=True, timeout=120)
+    assert json.loads(out.read_text())["w"]["commit"]["change"] == shas[1] + "-dirty"
+    done = subprocess.run(
+        [sys.executable, str(script), "--parent", "nosuch", "--change", "HEAD",
+         "--workload", "w", "--out", str(out)],
+        cwd=repo, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert "'nosuch' is neither a directory nor a git revision" in done.stderr
 
 
 # sha256 of the canonical lie-verify report at each q
