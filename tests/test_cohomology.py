@@ -262,14 +262,11 @@ def test_dims_of_elementary_abelian_groups_are_binomials(p, r):
     assert H.dims() == [comb(k + r - 1, r - 1) for k in range(4)]
 
 
-def _s3():
-    return load_group("degree 3\n(1 2 3)\n(1 2)", name="S3")
-
-
 @pytest.mark.parametrize("group, p", [("trivial", 2), ("trivial", 3),
                                       ("c3", 2), ("s3", 5)])
 def test_p_prime_groups_have_only_degree_zero(group, p):
-    G = _s3() if group == "s3" else load_group("degree 3\n(1 2 3)", name="C3")
+    gens = "(1 2 3)\n(1 2)" if group == "s3" else "(1 2 3)"
+    G = load_group(f"degree 3\n{gens}", name=group)
     P = (G.subgroup(frozenset([G.identity])) if group == "trivial"
          else G.full_subgroup())
     H = FpCohomology(G, P, p, 3)
