@@ -2,22 +2,24 @@
 
 Cochains in degree n are functions on n-tuples of nonidentity elements,
 with the usual inhomogeneous differential (terms whose inner product hits
-the identity drop out).  Restriction is precomposition; transfer walks
-coset representatives.  Everything is exact linear algebra over F_p.  The
-differentials are stored in uint8 when p < 256 and upcast to int64 a block
-of rows at a time where they are multiplied (``_mul_modp``).
-``CohomologyFamily`` is the one cache of these groups over an ambient group.
+the identity drop out).  The n-tuples are the rows of an index array,
+numbered in mixed radix; faces, restriction (a gather of the target basis)
+and transfer (a walk over coset representatives) map its columns whole.
+Everything is exact linear algebra over F_p.  The differentials are stored
+in uint8 when p < 256 and upcast to int64 a block of rows at a time where
+they are multiplied (``_mul_modp``).  ``CohomologyFamily`` is the one cache
+of these groups over an ambient group.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 import numpy as np
 
 from .linalg import nullspace_modp, row_echelon_modp
-from .permgroups import Group, GroupError, Subgroup
+from .permgroups import Group, GroupError, Subgroup, is_prime
 
 MemberSet = FrozenSet[int]
 
@@ -39,13 +41,18 @@ class FpCohomology:
     """Graded truncation of H^*(P; F_p) with explicit cocycle bases."""
 
     def __init__(self, G: Group, P: Subgroup, p: int, jmax: int):
+        if not is_prime(p):
+            raise GroupError(f"p = {p} is not a prime")
+        if jmax < 0:
+            raise GroupError(f"jmax = {jmax} is negative")
         if jmax > 6:
             raise GroupError("degree cap is 6")
         self.group = G
         self.sub = P
         self.p = p
         self.jmax = jmax
-        self.nonid = [x for x in P.sorted_members if x != G.identity]
+        self.nonid = np.array([x for x in P.sorted_members if x != G.identity],
+                              dtype=np.intp)
         # the largest allocation is diff[jmax] together with the copy
         # row_echelon_modp reduces; 8 bytes a cell each bounds both at any
         # p (uint8 at p < 256)
@@ -54,10 +61,7 @@ class FpCohomology:
             raise BudgetError(
                 f"bar resolution needs ~{est // 1_000_000} MB "
                 f"(budget {budget_mb()} MB)")
-        self._pos = {x: i for i, x in enumerate(self.nonid)}
-        self.diff: List[np.ndarray] = []  # diff[n]: C^n -> C^{n+1}
-        for n in range(jmax + 1):
-            self.diff.append(self._differential(n))
+        self.diff = [self._differential(n) for n in range(jmax + 1)]  # C^n -> C^{n+1}
         # d o d = 0
         for n in range(jmax):
             if np.any(_mul_modp(self.diff[n + 1], self.diff[n], p)):
@@ -78,39 +82,40 @@ class FpCohomology:
     def dim_cochain(self, n: int) -> int:
         return len(self.nonid) ** n
 
-    def tuple_index(self, tup: Sequence[int]) -> int:
-        idx = 0
-        for g in tup:
-            idx = idx * len(self.nonid) + self._pos[g]
-        return idx
-
-    def tuples(self, n: int) -> List[Tuple[int, ...]]:
+    def tuples(self, n: int) -> np.ndarray:
+        """The n-tuples that index C^n, as the rows of a (k^n, n) array in
+        index order (k = len(nonid); the first entry varies slowest)."""
         if n == 0:
-            return [()]
-        out = [()]
-        for _ in range(n):
-            out = [t + (g,) for t in out for g in self.nonid]
-        return out
+            return np.empty((1, 0), dtype=np.intp)
+        k = len(self.nonid)
+        return self.nonid[np.stack(np.unravel_index(np.arange(k ** n), (k,) * n), axis=1)]
+
+    def tuple_index(self, T: np.ndarray) -> np.ndarray:
+        """The index in C^n of each row of T, an array of n-tuples of members
+        of ``nonid``: mixed radix in their positions in ``nonid``."""
+        radix = len(self.nonid) ** np.arange(T.shape[-1] - 1, -1, -1)
+        return np.searchsorted(self.nonid, T) @ radix
 
     def _differential(self, n: int) -> np.ndarray:
         """Matrix of d: C^n -> C^{n+1} for trivial F_p coefficients, in uint8
-        when p < 256 (built in int16: an entry sums at most n + 2 signs)."""
+        when p < 256 (built in int16: an entry sums at most n + 2 signs).
+        Row r is the tuple T[r]: face 0 drops its first entry (column r mod
+        k^n), the last face its last (r // k), and inner face i multiplies
+        entries i and i + 1."""
         G = self.group
         p = self.p
-        rows = self.dim_cochain(n + 1)
-        cols = self.dim_cochain(n)
-        D = np.zeros((rows, cols), dtype=np.int16 if p < 256 else np.int64)
-        for r, tup in enumerate(self.tuples(n + 1)):
-            # face 0 drops the first entry; face n+1 drops the last
-            D[r, self.tuple_index(tup[1:])] += 1
-            sign = -1
-            for i in range(n):
-                prod = G.mul(tup[i], tup[i + 1])
-                if prod != G.identity:
-                    merged = tup[:i] + (prod,) + tup[i + 2:]
-                    D[r, self.tuple_index(merged)] += sign
-                sign = -sign
-            D[r, self.tuple_index(tup[:-1])] += sign
+        k = len(self.nonid)
+        T = self.tuples(n + 1)
+        r = np.arange(len(T))
+        D = np.zeros((len(T), self.dim_cochain(n)),
+                     dtype=np.int16 if p < 256 else np.int64)
+        np.add.at(D, (r, r % k ** n), 1)
+        np.add.at(D, (r, r // k), (-1) ** (n + 1))
+        for i in range(n):
+            prod = G.mul_many(T[:, i], T[:, i + 1])
+            ok = prod != G.identity
+            merged = np.concatenate([T[ok, :i], prod[ok, None], T[ok, i + 2:]], axis=1)
+            np.add.at(D, (r[ok], self.tuple_index(merged)), (-1) ** (i + 1))
         D %= p
         return D.astype(np.uint8) if p < 256 else D
 
@@ -165,69 +170,46 @@ def _mul_modp(D: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
 
 # -- induced maps -----------------------------------------------------------
 
-def restriction_cochain(H_target: FpCohomology, H_source: FpCohomology,
-                        mapping: Dict[int, int], n: int) -> np.ndarray:
-    """Matrix of precomposition C^n(target) -> C^n(source) along a hom.
-
-    ``mapping`` sends source elements to target elements.
-    """
-    rows = H_source.dim_cochain(n)
-    cols = H_target.dim_cochain(n)
-    M = np.zeros((rows, cols), dtype=np.int64)
-    for r, tup in enumerate(H_source.tuples(n)):
-        image = tuple(mapping[g] for g in tup)
-        if any(g == H_target.group.identity for g in image):
-            continue  # normalized cochains vanish there
-        M[r, H_target.tuple_index(image)] += 1
-    return M
-
-
 def restriction_map(H_target: FpCohomology, H_source: FpCohomology,
                     mapping: Dict[int, int], n: int) -> np.ndarray:
-    """H^n(target) -> H^n(source) induced by a homomorphism source->target."""
-    M = restriction_cochain(H_target, H_source, mapping, n)
-    return H_source.coordinates(n, (M @ H_target.basis(n).T) % H_target.p)
+    """H^n(target) -> H^n(source) induced by ``mapping``, a homomorphism
+    source -> target: each source tuple gathers the target basis at its
+    image, or 0 where that holds the identity (normalized cochains vanish)."""
+    src = H_source.nonid
+    image = np.fromiter((mapping[x] for x in src), dtype=np.intp, count=len(src))
+    T = image[np.searchsorted(src, H_source.tuples(n))]
+    ok = (T != H_target.group.identity).all(axis=1)
+    B = H_target.basis(n)
+    V = np.zeros((len(T), len(B)), dtype=np.int64)
+    V[ok] = B.T[H_target.tuple_index(T[ok])]
+    return H_source.coordinates(n, V)
 
 
 def transfer_cochain(H_big: FpCohomology, H_small: FpCohomology,
                      n: int) -> np.ndarray:
-    """Matrix of the cochain transfer C^n(small) -> C^n(big), small <= big."""
-    G = H_big.group
-    P = H_small.sub
-    Q = H_big.sub
+    """Matrix of the cochain transfer C^n(small) -> C^n(big), small <= big:
+    from each coset representative s_0 of Q = U P s, tuple (g_1, ..., g_n)
+    steps to t_i = s_{i-1} g_i = h_i s_i with h_i in P and adds (h_1, ...)."""
+    G, P, Q = H_big.group, H_small.sub, H_big.sub
     if not P.members <= Q.members:
         raise GroupError("transfer requires P <= Q")
-    # right coset reps: Q = union of P r
-    reps: List[int] = []
-    seen = set()
-    for x in Q.sorted_members:
-        if x in seen:
-            continue
-        reps.append(x)
-        for h in P.members:
-            seen.add(G.mul(h, x))
-    rep_of: Dict[int, int] = {}
-    for r in reps:
-        for h in P.members:
-            rep_of[G.mul(h, r)] = r
-    rows = H_big.dim_cochain(n)
-    cols = H_small.dim_cochain(n)
-    M = np.zeros((rows, cols), dtype=np.int64)
-    if n == 0:
-        M[0, 0] = len(reps)
-        return M % H_big.p
-    for r_idx, tup in enumerate(H_big.tuples(n)):
-        for r in reps:
-            s = r
-            term: List[int] = []
-            for g in tup:
-                t = G.mul(s, g)
-                s2 = rep_of[t]
-                term.append(G.mul(t, G.inv(s2)))
-                s = s2
-            if any(x == G.identity for x in term):
-                continue
-            M[r_idx, H_small.tuple_index(tuple(term))] += 1
+    # x in Q is h x' with x' = min(P x), its coset's representative; the
+    # representative and h of each member sit at its position in Q
+    members, sub = np.asarray(Q.sorted_members), np.asarray(P.sorted_members)
+    at_min = G.mul_many(sub[:, None], members).argmin(axis=0)
+    rep = G.mul_many(sub[at_min], members)
+    part = np.array([G.inv(h) for h in P.sorted_members], dtype=np.intp)[at_min]
+    T = H_big.tuples(n)
+    rows = np.arange(len(T))
+    M = np.zeros((len(T), H_small.dim_cochain(n)), dtype=np.int64)
+    for s0 in np.unique(rep):
+        s = np.full(len(T), s0)
+        term = np.empty_like(T)
+        for i in range(n):
+            at = np.searchsorted(members, G.mul_many(s, T[:, i]))
+            term[:, i], s = part[at], rep[at]
+        ok = (term != G.identity).all(axis=1)
+        np.add.at(M, (rows[ok], H_small.tuple_index(term[ok])), 1)
     return M % H_big.p
 
 

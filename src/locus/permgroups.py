@@ -496,6 +496,10 @@ def p_part(n: int, p: int) -> int:
     return m
 
 
+def is_prime(p: int) -> bool:
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
 def sylow(G: Group, p: int) -> Subgroup:
     """A Sylow p-subgroup, grown deterministically inside normalizers.
 
@@ -508,7 +512,7 @@ def sylow(G: Group, p: int) -> Subgroup:
 
 
 def _grow_sylow(G: Group, p: int) -> FrozenSet[int]:
-    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+    if not is_prime(p):
         raise GroupError(f"p = {p} is not a prime")
     target = p_part(G.order, p)
     current = G.subgroup([G.identity])
@@ -706,9 +710,9 @@ def quotient_group(G: Group, N: Subgroup) -> Tuple[Group, Dict[int, int]]:
     for g in G.generators:
         gen_perms.append(tuple(coset_of[G.mul(reps[i], g)] for i in range(degree)))
     Q = Group(degree, gen_perms, name=f"{G.name}/{N.name or 'N'}")
-    # projection: x -> index (in Q) of the permutation induced by x
-    proj: Dict[int, int] = {}
-    for x in range(G.order):
-        perm = tuple(coset_of[G.mul(reps[i], x)] for i in range(degree))
-        proj[x] = Q.index(perm)
+    # projection: x -> index (in Q) of the permutation induced by x, which
+    # depends only on the coset Nx (N is normal), so one per representative
+    image = [Q.index(tuple(coset_of[G.mul(reps[i], r)] for i in range(degree)))
+             for r in reps]
+    proj = {x: image[coset_of[x]] for x in range(G.order)}
     return Q, proj

@@ -1,5 +1,6 @@
 """Bar-resolution cohomology, restriction, transfer, and Mackey tests."""
 
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -231,6 +232,20 @@ def test_mackey_square_all_cospans_in_d8():
                     assert mackey_square(fam, P, K, Q, j), (len(P), len(K), len(Q), j)
 
 
+@pytest.mark.parametrize("group, p", [("c3xc3", 3), ("s3", 3)])
+def test_mackey_square_all_cospans_at_p_3(group, p):
+    G = (_elementary_abelian(3, 2) if group == "c3xc3"
+         else load_group("degree 3\n(1 2 3)\n(1 2)", name="S3"))
+    fam = CohomologyFamily(G, p, 2)
+    subs = all_subgroups(G.full_subgroup())
+    for Q in subs:
+        inner = [m for m in subs if m <= Q]
+        for P in inner:
+            for K in inner:
+                for j in range(3):
+                    assert mackey_square(fam, P, K, Q, j), (len(P), len(K), len(Q), j)
+
+
 def test_budget_bounds_the_dense_differential(monkeypatch):
     # |P| = 16, jmax = 3: diff[3] is a 50625 x 3375 int64 matrix (1.37 GB),
     # reduced in a second copy
@@ -286,6 +301,121 @@ def test_maps_to_and_from_the_trivial_subgroup_have_empty_shapes():
                                          else ((0, d), (d, 0)))
 
 
+# -- the scalar oracle ---------------------------------------------------------
+# The per-tuple loops that once built every cochain matrix, kept as a
+# reference for the index-array code: tuples from itertools.product, each
+# located through a position dict.
+
+def _ref_index(H, tup):
+    pos = {int(x): i for i, x in enumerate(H.nonid)}
+    idx = 0
+    for g in tup:
+        idx = idx * len(pos) + pos[g]
+    return idx
+
+
+def _ref_tuples(H, n):
+    return list(product([int(x) for x in H.nonid], repeat=n))
+
+
+def _ref_differential(H, n):
+    G = H.group
+    D = np.zeros((H.dim_cochain(n + 1), H.dim_cochain(n)), dtype=np.int64)
+    for r, tup in enumerate(_ref_tuples(H, n + 1)):
+        D[r, _ref_index(H, tup[1:])] += 1
+        sign = -1
+        for i in range(n):
+            prod = G.mul(tup[i], tup[i + 1])
+            if prod != G.identity:
+                D[r, _ref_index(H, tup[:i] + (prod,) + tup[i + 2:])] += sign
+            sign = -sign
+        D[r, _ref_index(H, tup[:-1])] += sign
+    return D % H.p
+
+
+def _ref_restriction_cochain(H_target, H_source, mapping, n):
+    M = np.zeros((H_source.dim_cochain(n), H_target.dim_cochain(n)), dtype=np.int64)
+    for r, tup in enumerate(_ref_tuples(H_source, n)):
+        image = tuple(mapping[g] for g in tup)
+        if all(g != H_target.group.identity for g in image):
+            M[r, _ref_index(H_target, image)] += 1
+    return M
+
+
+def _ref_transfer_cochain(H_big, H_small, n):
+    G = H_big.group
+    reps, rep_of = [], {}
+    for x in H_big.sub.sorted_members:
+        if x not in rep_of:
+            reps.append(x)
+            rep_of.update((G.mul(h, x), x) for h in H_small.sub.members)
+    M = np.zeros((H_big.dim_cochain(n), H_small.dim_cochain(n)), dtype=np.int64)
+    for r_idx, tup in enumerate(_ref_tuples(H_big, n)):
+        for s in reps:
+            term = []
+            for g in tup:
+                t = G.mul(s, g)
+                s = rep_of[t]
+                term.append(G.mul(t, G.inv(s)))
+            if G.identity not in term:
+                M[r_idx, _ref_index(H_small, tuple(term))] += 1
+    return M % H_big.p
+
+
+def _oracle_group(name):
+    gens = {"c2": "degree 2\n(1 2)", "v4": "degree 4\n(1 2)\n(3 4)",
+            "c3xc3": "degree 6\n(1 2 3)\n(4 5 6)", "c5": "degree 5\n(1 2 3 4 5)",
+            "s3": "degree 3\n(1 2 3)\n(1 2)"}
+    return bundled("d8") if name == "d8" else load_group(gens[name], name=name)
+
+
+@pytest.mark.parametrize("group, p, jmax", [
+    ("c2", 2, 3), ("v4", 2, 3), ("d8", 2, 2), ("c3xc3", 3, 2), ("c5", 5, 3),
+    ("s3", 2, 2)])
+def test_index_arrays_match_the_scalar_oracle(group, p, jmax):
+    # every subgroup, the trivial one included; every inclusion, one
+    # conjugation and the trivial homomorphism (all images the identity) per
+    # pair; transfers along every inclusion, non-normal ones in S3
+    G = _oracle_group(group)
+    fam = CohomologyFamily(G, p, jmax)
+    subs = all_subgroups(G.full_subgroup())
+    for P in subs:
+        H = fam.of(P)
+        for n in range(jmax + 1):
+            assert np.array_equal(H.diff[n], _ref_differential(H, n)), (len(P), n)
+    for Q in subs:
+        for P in (m for m in subs if m <= Q):
+            HQ, HP = fam.of(Q), fam.of(P)
+            g = max(Q)
+            gP = frozenset(G.conj(x, g) for x in P)
+            homs = [(HQ, {x: x for x in P}), (fam.of(gP), {x: G.conj(x, g) for x in P}),
+                    (HQ, {x: G.identity for x in P})]
+            for n in range(jmax + 1):
+                assert np.array_equal(cohomology.transfer_cochain(HQ, HP, n),
+                                      _ref_transfer_cochain(HQ, HP, n)), (len(P), len(Q), n)
+                for H_target, mapping in homs:
+                    M = _ref_restriction_cochain(H_target, HP, mapping, n)
+                    want = HP.coordinates(n, (M @ H_target.basis(n).T) % p)
+                    got = restriction_map(H_target, HP, mapping, n)
+                    assert np.array_equal(got, want), (len(P), len(Q), n)
+
+
+@pytest.mark.parametrize("group, p", [("v4", 2), ("c3xc3", 3)])
+def test_restriction_along_a_hom_with_a_kernel_matches_the_scalar_oracle(group, p):
+    # A x B -> A x B, a^i b^j -> a^i: images hold the identity on some
+    # entries of a tuple and not on others
+    G = _oracle_group(group)
+    a, b = (G.index(g) for g in G.generator_perms)
+    powers = {x: [G.word([x] * i) for i in range(G.element_order(x))] for x in (a, b)}
+    mapping = {G.mul(x, y): x for x in powers[a] for y in powers[b]}
+    H = FpCohomology(G, G.full_subgroup(), p, 2)
+    for n in range(3):
+        M = _ref_restriction_cochain(H, H, mapping, n)
+        got = restriction_map(H, H, mapping, n)
+        assert np.array_equal(got, H.coordinates(n, (M @ H.basis(n).T) % p))
+        assert got.any()
+
+
 # -- the coordinates contract -------------------------------------------------
 
 @pytest.mark.parametrize("group, p", [("d8", 2), ("c3xc3", 3)])
@@ -304,6 +434,23 @@ def test_coordinates_read_classes_off_any_cocycle(group, p):
 
 
 # -- one test per raise site --------------------------------------------------
+
+@pytest.mark.parametrize("p", [1, 4, 9])
+def test_p_that_is_not_a_prime_is_rejected(p):
+    # p = 4 once failed inside the elimination with "base is not invertible"
+    G = _c2()
+    with pytest.raises(GroupError, match=f"p = {p} is not a prime"):
+        FpCohomology(G, G.full_subgroup(), p, 2)
+
+
+@pytest.mark.parametrize("trivial", [False, True])
+def test_negative_degree_is_rejected(trivial):
+    # C2 once returned dims() == [] and the trivial subgroup divided by zero
+    G = _c2()
+    P = G.subgroup([G.identity]) if trivial else G.full_subgroup()
+    with pytest.raises(GroupError, match="jmax = -1 is negative"):
+        FpCohomology(G, P, 2, -1)
+
 
 def test_degree_cap():
     G = _c2()

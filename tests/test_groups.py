@@ -8,6 +8,7 @@ from locus.permgroups import (
     center,
     centralizer,
     char_p_tests,
+    is_prime,
     load_group,
     normalizer,
     o_p,
@@ -122,6 +123,13 @@ def test_sylow_memo_leaves_no_reference_cycle():
 def test_p_part_rejects_p_below_2(deadline, p):
     with pytest.raises(GroupError, match=f"p = {p} is not a prime"):
         p_part(24, p)
+
+
+def test_is_prime_matches_sympy():
+    from sympy import isprime
+
+    assert [n for n in range(-5, 2000) if is_prime(n)] == [
+        n for n in range(-5, 2000) if isprime(n)]
 
 
 @pytest.mark.parametrize("n", [0, -8])
@@ -273,6 +281,24 @@ def test_quotient_a6xc3_by_c3():
     C3 = o_pprime(G, 2)
     Q, _ = quotient_group(G, C3)
     assert Q.order == 360
+
+
+@pytest.mark.parametrize("name, normal", [("s4", lambda G: o_p(G, 2)),
+                                          ("d8", center),
+                                          ("a6xc3", lambda G: o_pprime(G, 2))])
+def test_quotient_projection_is_the_permutation_each_element_induces(name, normal):
+    # Q acts on the cosets Nx, numbered by their least elements in order;
+    # proj[x] must be the permutation Nr -> Nrx of every x, not only of the
+    # coset representatives it is computed from
+    G = bundled(name)
+    N = normal(G)
+    Q, proj = quotient_group(G, N)
+    least = [min(G.mul(n, x) for n in N.members) for x in range(G.order)]
+    reps = sorted(set(least))
+    number = {r: i for i, r in enumerate(reps)}
+    for x in range(G.order):
+        induced = tuple(number[least[G.mul(r, x)]] for r in reps)
+        assert Q.perm(proj[x]) == induced
 
 
 def test_quotient_d8_by_center_elementary():
