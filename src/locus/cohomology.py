@@ -188,8 +188,9 @@ def restriction_map(H_target: FpCohomology, H_source: FpCohomology,
 def transfer_cochain(H_big: FpCohomology, H_small: FpCohomology,
                      n: int) -> np.ndarray:
     """Matrix of the cochain transfer C^n(small) -> C^n(big), small <= big:
-    from each coset representative s_0 of Q = U P s, tuple (g_1, ..., g_n)
-    steps to t_i = s_{i-1} g_i = h_i s_i with h_i in P and adds (h_1, ...)."""
+    from each representative s_0 of the cosets P s of Q, a tuple (g_1, ...,
+    g_n) steps through t_i = s_{i-1} g_i = h_i s_i, h_i in P, and adds
+    (h_1, ..., h_n) unless some h_i is 1."""
     G, P, Q = H_big.group, H_small.sub, H_big.sub
     if not P.members <= Q.members:
         raise GroupError("transfer requires P <= Q")
