@@ -77,6 +77,7 @@ class FiniteCategory:
                                                f"is not a morphism {i} -> {k}")
                         self.comp[g, f] = index[(i, k, lab)]
         self._check_axioms()
+        self._skeleton: Optional[Tuple[FiniteCategory, List[List[int]]]] = None
 
     def _check_axioms(self) -> None:
         every = np.arange(len(self.labels))
@@ -114,6 +115,14 @@ class FiniteCategory:
                 classes.append([i] + [j for j in range(i + 1, self.n) if isomorphic(i, j)])
                 seen.update(classes[-1])
         return classes
+
+    def skeleton(self) -> Tuple["FiniteCategory", List[List[int]]]:
+        """The full subcategory on the first object of each isomorphism
+        class, with the classes; built on the first call and kept."""
+        if self._skeleton is None:
+            classes = self.iso_classes()
+            self._skeleton = (self.full_subcategory([c[0] for c in classes])[0], classes)
+        return self._skeleton
 
     def full_subcategory(self, keep: Sequence[int]) -> Tuple["FiniteCategory", Dict[int, int]]:
         keep = list(keep)
@@ -376,16 +385,20 @@ def _coboundary_rows(functor: ModuleFunctor, tables: CofaceTables,
 
 def restrict_functor(functor: ModuleFunctor, keep: Sequence[int]) -> ModuleFunctor:
     """The functor on the full subcategory of the objects ``keep``."""
-    sub, _ = functor.cat.full_subcategory(keep)
-    # morphism labels in the subcategory are the original morphism indices
-    mats = {m: functor.mats[sub.labels[m]] for m in range(len(sub.labels))}
-    dims = [functor.dims[keep[i]] for i in range(sub.n)]
-    return ModuleFunctor(sub, functor.p, dims, mats)
+    return _functor_on(functor, functor.cat.full_subcategory(keep)[0], keep)
 
 
 def skeleton_functor(functor: ModuleFunctor) -> ModuleFunctor:
     """Restrict to one object per isomorphism class (an equivalence)."""
-    return restrict_functor(functor, [cls[0] for cls in functor.cat.iso_classes()])
+    sub, classes = functor.cat.skeleton()
+    return _functor_on(functor, sub, [cls[0] for cls in classes])
+
+
+def _functor_on(functor: ModuleFunctor, sub: FiniteCategory,
+                keep: Sequence[int]) -> ModuleFunctor:
+    # morphism labels in the subcategory are the original morphism indices
+    mats = {m: functor.mats[sub.labels[m]] for m in range(len(sub.labels))}
+    return ModuleFunctor(sub, functor.p, [functor.dims[i] for i in keep], mats)
 
 
 # -- categories from fusion/transporter data ---------------------------------
@@ -605,14 +618,12 @@ def atomic_comparison(OT, class_rep: MemberSet, module_dim: int = 1,
     """
     p = p or OT.T.locality.prime
     cat = transporter_orbit_cat(OT)
-    classes = cat.iso_classes()
-    keep = [cls[0] for cls in classes]
-    sub, _ = cat.full_subcategory(keep)
+    sub, classes = cat.skeleton()
     # the skeleton object of the class of class_rep
     target = cat.objects.index(frozenset(class_rep))
     rep_idx = next(pos for pos, cls in enumerate(classes) if target in cls)
     ot_side = higher_limits(atomic_functor(sub, rep_idx, module_dim, p), max_degree)
-    Gamma = OT.aut(cat.objects[keep[rep_idx]])
+    Gamma = OT.aut(cat.objects[classes[rep_idx][0]])
     lam_side = lambda_dims(Gamma, p, module_dim, max_degree)
     return ot_side, lam_side
 

@@ -16,14 +16,19 @@ tracked map s -> s^{Pi(w)}, and every word of bounded length lands in a
 recorded state; the graph is built once per locality and shared by both
 checkers), then on seeded samples: lengths 2-5 for the partial-group axioms,
 1-5 for the locality axioms.  Sampled words are drawn SAMPLE_BLOCK at a time
-from ``random.Random(seed)`` (one ``choices`` call for the lengths, one per
-letter column), and each block's prefix products and S_w masks are numpy
+from ``random.Random(seed)``; each draw replays ``choices`` in numpy on the
+generator's own bytes, so a given seed yields the same words, and leaves the
+generator in the same state, as one ``choices`` call for the lengths and one
+per letter column.  Each block's prefix products and S_w masks are numpy
 arrays: ``Group.mul_many`` per column and an AND over rows of
-``Locality.mask_rows``.  A given seed draws a different word sequence than
-the per-word sampler of earlier versions did.  The per-word oracles that keep
-the checkers independent (``in_domain`` in the battery, chain witnesses and
-chain search) run as before, and the step-wise pair tracking of
-``s_word_pairs`` stays as an independent oracle for the tracked map.
+``Locality.mask_rows``.  The per-word oracles that keep the checkers
+independent still run on every sampled word: ``in_domain`` in the battery,
+and the (L2) chain witness and chain search, which walk every step of a word
+through the locality's object-transport table (P, g) -> P^g.  That table is
+filled lazily, element by element with ``Group.conj``, and never from the
+S_h masks, so a repeated (object, letter) step is computed once.  The
+step-wise pair tracking of ``s_word_pairs`` stays as an independent oracle
+for the tracked map.
 """
 
 from __future__ import annotations
@@ -49,6 +54,8 @@ FULL_BATTERY_CAP = 1500
 # check do not grow with the number of samples (at 16384 the draw lists and
 # arrays raised the peak RSS of a pipeline run by about 1 MiB)
 SAMPLE_BLOCK = 8192
+# indices drawn per ``randbytes`` call of a seeded draw
+DRAW_CHUNK = 1024
 
 
 class LocalityError(ValueError):
@@ -121,6 +128,7 @@ class Locality:
         self.carrier: Tuple[int, ...] = tuple(sorted(set(carrier)))
         self.carrier_set: MemberSet = frozenset(self.carrier)
         self._conj_memo: Dict[int, Optional[int]] = {}
+        self._transport: Dict[Tuple[MemberSet, int], Optional[MemberSet]] = {}
         self._graph: Optional[_StateGraph] = None
 
     # -- plumbing -------------------------------------------------------
@@ -200,17 +208,33 @@ class Locality:
         Any chain's P_0 consists of elements tracked into S at every prefix,
         so P_0 <= S_w; maximality makes S_w itself the canonical choice.
         """
-        G = self.ambient
         current = self.s_word(word)
         if current not in self.objects:
             return None
         chain = [current]
         for g in word:
-            current = frozenset(G.conj(x, g) for x in current)
-            if current not in self.objects:
+            current = self.transport(current, g)
+            if current is None:
                 return None
             chain.append(current)
         return chain
+
+    def transport(self, P: MemberSet, g: int) -> Optional[MemberSet]:
+        """P^g when it is an object, else None, for an object P.
+
+        Memoized per (P, g); each entry is computed element by element with
+        ``Group.conj``, independently of the S_h masks.
+        """
+        key = (P, g)
+        try:
+            return self._transport[key]
+        except KeyError:
+            pass
+        conj = self.ambient.conj
+        image = frozenset(conj(x, g) for x in P)
+        image = image if image in self.objects else None
+        self._transport[key] = image
+        return image
 
     def conj_element(self, x: int, g: int) -> Optional[int]:
         """x^g when the word (g^-1, x, g) lies in D, else None (memoized)."""
@@ -401,30 +425,51 @@ class _Block(NamedTuple):
         return tuple(self.letters[i, :self.lengths[i]].tolist())
 
 
+def _choices(rng: random.Random, n: int, k: int) -> np.ndarray:
+    """``rng.choices(range(n), k=k)`` as an intp array, drawn in numpy.
+
+    CPython's ``random()`` takes two 32-bit outputs x1, x2 of the Mersenne
+    Twister and returns ((x1 >> 5) * 2**26 + (x2 >> 6)) / 2**53, and
+    ``choices`` picks floor(random() * n).  ``randbytes(8 * m)`` consumes the
+    next 2m outputs, in order and little-endian, so this replays the k calls
+    exactly and leaves ``rng`` in the state ``choices`` leaves it.  The draw
+    goes DRAW_CHUNK indices at a time, which keeps its temporaries smaller
+    than the list ``choices`` builds.
+    """
+    out = np.empty(k, dtype=np.intp)
+    for start in range(0, k, DRAW_CHUNK):
+        words = np.frombuffer(rng.randbytes(8 * min(DRAW_CHUNK, k - start)), dtype="<u4")
+        u = (words[0::2] >> 5) * 67108864.0
+        u += words[1::2] >> 6
+        u *= 1.0 / 9007199254740992.0
+        u *= n
+        out[start:start + len(u)] = u  # truncation: the floor of u >= 0
+    return out
+
+
 def _sampled_blocks(L: Locality, samples: int, seed: int,
                     min_len: int) -> Iterator[_Block]:
     """``samples`` seeded words over the carrier, SAMPLE_BLOCK at a time.
 
     Lengths are uniform on min_len..SAMPLE_LEN and letters uniform on the
-    carrier, drawn as small-int indices with ``choices``: one call for the
-    lengths of a block, then one per letter column for the words that
-    reach it.  Padding with the identity, whose S-mask is full, leaves each
-    product and S_w unchanged, so every column is one ``mul_many`` and one
-    AND of mask rows.
+    carrier, drawn as small-int indices by ``_choices``: one draw for the
+    lengths of a block, then one per letter column for the words that reach
+    it.  The words, and the generator state after each block, are those of
+    the same ``random.Random(seed).choices`` calls.  Padding with the
+    identity, whose S-mask is full, leaves each product and S_w unchanged,
+    so every column is one ``mul_many`` and one AND of mask rows.
     """
     G = L.ambient
     rng = random.Random(seed)
     carrier = np.asarray(L.carrier, dtype=np.intp)
     rows = L.mask_rows()
-    lengths_drawn = range(min_len, SAMPLE_LEN + 1)
-    positions = range(len(carrier))
     for start in range(0, samples, SAMPLE_BLOCK):
         k = min(SAMPLE_BLOCK, samples - start)
-        lengths = np.array(rng.choices(lengths_drawn, k=k), dtype=np.intp)
+        lengths = min_len + _choices(rng, SAMPLE_LEN + 1 - min_len, k)
         letters = np.full((k, SAMPLE_LEN), G.identity, dtype=np.intp)
         for j in range(SAMPLE_LEN):
             live = np.flatnonzero(lengths > j)
-            letters[live, j] = carrier[rng.choices(positions, k=len(live))]
+            letters[live, j] = carrier[_choices(rng, len(carrier), len(live))]
         products = letters[:, 0]
         masks = rows[products]
         for j in range(1, SAMPLE_LEN):
@@ -626,27 +671,16 @@ def _l2_chain_failure(L: Locality, block: _Block, report: CheckReport) -> bool:
 
 
 def _exists_chain_by_search(L: Locality, word: Word) -> bool:
-    """Independent chain search: some object tracks through the whole word."""
-    G = L.ambient
-    sm = L.sylow.members
+    """Independent chain search: some minimal object tracks through the
+    whole word.  Each step is read from the object-transport table, which is
+    filled element by element and never from the S_h masks."""
     for P in L.min_objects:
-        current = P
-        ok = True
+        current: Optional[MemberSet] = P
         for g in word:
-            img = set()
-            for x in current:
-                y = G.conj(x, g)
-                if y not in sm:
-                    ok = False
-                    break
-                img.add(y)
-            if not ok:
+            current = L.transport(current, g)
+            if current is None:
                 break
-            if frozenset(img) not in L.objects:
-                ok = False
-                break
-            current = frozenset(img)
-        if ok:
+        else:
             return True
     return False
 

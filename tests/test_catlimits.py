@@ -430,6 +430,30 @@ def test_atomic_comparison_a6_all_classes(monkeypatch):
     assert cat.n == 9 and built.count(9) == 1
 
 
+
+def test_atomic_comparison_a6_builds_its_skeleton_once(monkeypatch):
+    # criterion 10's calls on the punctured a6: one skeleton of the orbit
+    # category, shared by every class and by the centric comparison
+    L, T, _ = punctured_ot("a6", 2)
+    OT, _ = orbit_category(T)
+    built = []
+    init = FiniteCategory.__init__
+
+    def counting(self, objects, *args):
+        init(self, objects, *args)
+        built.append(list(objects))
+
+    monkeypatch.setattr(FiniteCategory, "__init__", counting)
+    cat = transporter_orbit_cat(OT)
+    classes = cat.iso_classes()
+    for cls in classes:
+        atomic_comparison(OT, cat.objects[cls[0]], 1, 2, 4)
+    restrict_to_centrics_comparison(
+        OT, fusion_of_locality(L), CohomologyFamily(L.ambient, 2, 2), 1, 4)
+    skeleton = [cat.objects[cls[0]] for cls in classes]
+    assert 1 < len(skeleton) < cat.n
+    assert built.count(skeleton) == 1
+
 def test_atomic_zero_module():
     L, T, OT = punctured_ot("s4", 2)
     rep = OT.objects[0]

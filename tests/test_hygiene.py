@@ -4,6 +4,8 @@ every traced entry point exists."""
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 from typing import Dict, Iterable, List, Tuple
 
@@ -77,6 +79,17 @@ def test_traced_entry_points_exist():
             missing.append(f"locus.{layer}.{dotted}")
     assert missing == []
 
+
+
+def test_entry_points_do_not_import_numpy_random():
+    # importing numpy.random alone raises the peak RSS of a pipeline run by
+    # about 2 MiB; the seeded draws replay ``random.Random`` instead
+    src = str(Path(locus.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, locus.cli, locus.harness; print('numpy.random' in sys.modules)"],
+        env={"PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 # -- reachability from the pipelines ---------------------------------------------
 

@@ -2,13 +2,18 @@
 
 import copy
 import functools
+import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.combinatorics import Permutation
 
 from locus import locality
+from locus.cli import main
+from locus.harness import resolve_objects
 from locus.locality import (
     SAMPLE_LEN,
     Locality,
@@ -22,6 +27,7 @@ from locus.locality import (
     is_partial_normal,
     o_pprime_locality,
     quotient_locality,
+    _choices,
     _sampled_blocks,
 )
 from locus.permgroups import TABLE_ORDER_CAP, Group, all_subgroups, parse_perm, sylow
@@ -550,3 +556,89 @@ def test_check_partial_group_memory_is_bounded_by_blocks():
     L = cached_punctured("s4", 2)
     check_partial_group(L, samples=10)  # the state graph and mask rows, once
     assert _check_peak(L, 400_000) <= 1.5 * _check_peak(L, 100_000)
+
+
+# -- the seeded draws and the object-transport table ------------------------------
+
+@pytest.mark.parametrize("seed", [2024, 2025, -3, 0, 2**70])
+def test_vectorized_choices_replay_random_choices(seed):
+    # at n = 2**53 an index is random() * 2**53 itself, so every bit counts
+    sizes = [1, 4, len(cached_punctured("s4", 2).carrier),
+             len(cached_punctured("a6", 2).carrier), 2**53]
+    for n in sizes:
+        for k in (1, 3001, 8192):
+            reference, replay = random.Random(seed), random.Random(seed)
+            expected = reference.choices(range(n), k=k)
+            drawn = _choices(replay, n, k)
+            assert drawn.dtype == np.intp and drawn.tolist() == expected, (n, k)
+            assert replay.random() == reference.random(), (n, k)
+
+
+def test_locality_check_s4_at_a_negative_seed_passes(capsys):
+    assert main(["locality-check", "--group", "s4", "--seed", "-3"]) == 0
+
+
+def centric(name, p):
+    G = bundled(name)
+    S = sylow(G, p)
+    return build_locality(G, S, resolve_objects(G, S, p, "centric"), p)
+
+
+@pytest.mark.parametrize("make", [lambda: punctured("s4", 2), lambda: centric("a6", 2)],
+                         ids=["punctured-s4", "centric-a6"])
+def test_transport_table_matches_sympy_conjugation(make):
+    L = make()
+    G = L.ambient
+    perm = [Permutation(list(G.perm(x))) for x in range(G.order)]
+    for P in L.sorted_objects:
+        for g in L.carrier:
+            image = frozenset(G.index(tuple((perm[x] ^ perm[g]).array_form)) for x in P)
+            assert L.transport(P, g) == (image if image in L.objects else None), (P, g)
+    assert len(L._transport) == len(L.objects) * len(L.carrier)
+
+
+def _own_table(L):
+    """A shallow copy of L whose object-transport table is its own (a
+    shallow copy shares every memo dict with L)."""
+    twin = copy.copy(L)
+    twin._transport = {}
+    return twin
+
+
+def test_transport_entry_lost_fails_chain_construction():
+    cached = cached_punctured("s4", 2)
+    L = _own_table(cached)
+    S = L.sylow.members
+    g = min(S - {L.ambient.identity})
+    assert L.transport(S, g) == S
+    L._transport[(S, g)] = None  # S^g = S, reached by every word over S
+    rep = check_locality_axioms(L, samples=2000)
+    assert [f.split(" for ")[0] for f in rep.failures] == ["(L2) chain construction failed"]
+    assert check_locality_axioms(cached, samples=2000).passed
+
+
+def _last_step_of_word_outside_d(L, samples, seed):
+    """(Q, g): a minimal object tracks through a sampled word outside D up
+    to Q, and the word's last letter g does not carry Q to an object."""
+    for block in _sampled_blocks(L, samples, seed, 1):
+        for i in np.flatnonzero(~block.in_domain):
+            *head, g = block.word(i)
+            for Q in L.min_objects:
+                for h in head:
+                    Q = L.transport(Q, h)
+                    if Q is None:
+                        break
+                if Q is not None:
+                    return Q, g
+    raise AssertionError("no sampled word outside D ends a chain walk")
+
+
+def test_transport_entry_invented_finds_a_chain_outside_d():
+    cached = cached_punctured("a6", 2)
+    L = _own_table(cached)
+    Q, g = _last_step_of_word_outside_d(L, 2000, 2024 + 1)
+    assert L.transport(Q, g) is None
+    L._transport[(Q, g)] = Q
+    rep = check_locality_axioms(L, samples=2000)
+    assert [f.split(": ")[0] for f in rep.failures] == ["(L2) found chain for word outside D"]
+    assert check_locality_axioms(cached, samples=2000).passed
