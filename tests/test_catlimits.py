@@ -430,7 +430,6 @@ def test_atomic_comparison_a6_all_classes(monkeypatch):
     assert cat.n == 9 and built.count(9) == 1
 
 
-
 def test_atomic_comparison_a6_builds_its_skeleton_once(monkeypatch):
     # criterion 10's calls on the punctured a6: one skeleton of the orbit
     # category, shared by every class and by the centric comparison
@@ -453,6 +452,7 @@ def test_atomic_comparison_a6_builds_its_skeleton_once(monkeypatch):
     skeleton = [cat.objects[cls[0]] for cls in classes]
     assert 1 < len(skeleton) < cat.n
     assert built.count(skeleton) == 1
+
 
 def test_atomic_zero_module():
     L, T, OT = punctured_ot("s4", 2)
