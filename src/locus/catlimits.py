@@ -25,7 +25,7 @@ from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence
 import numpy as np
 
 from .cohomology import BudgetError, CohomologyFamily, budget_mb, restriction_map
-from .linalg import Row, rank_sparse_modp
+from .linalg import Row, nullspace_modp, rank_sparse_modp
 from .permgroups import Group
 
 MemberSet = FrozenSet[int]
@@ -284,7 +284,7 @@ def higher_limits(functor: ModuleFunctor, max_degree: int = 4) -> List[int]:
     leads: Set[int] = set()  # leading coordinates of the previous pivots
     for n in range(max_degree + 1):
         rows = _coboundary_rows(functor, tables, levels[n], levels[n + 1], n, leads)
-        leads = rank_sparse_modp(sizes[n] - len(leads), sizes[n + 1], rows, functor.p)
+        leads = set(rank_sparse_modp(sizes[n] - len(leads), sizes[n + 1], rows, functor.p))
         ranks.append(len(leads))
     return [sizes[n] - ranks[n] - (ranks[n - 1] if n else 0) for n in range(max_degree + 1)]
 
@@ -744,8 +744,6 @@ def proto_mackey_check(OT, fam: CohomologyFamily, j: int) -> Dict[str, object]:
 def stable_subspace_dim(F, fam: CohomologyFamily, j: int,
                         centrics: Sequence[MemberSet]) -> int:
     """Independent oracle for lim^0: F-stable classes in H^j(S)."""
-    from .linalg import nullspace_modp
-
     G = F.group
     S = frozenset(F.sylow.members)
     HS = fam.of(S)

@@ -5,25 +5,31 @@ with the usual inhomogeneous differential (terms whose inner product hits
 the identity drop out).  The n-tuples are the rows of an index array,
 numbered in mixed radix; faces, restriction (a gather of the target basis)
 and transfer (a walk over coset representatives) map its columns whole.
-Everything is exact linear algebra over F_p.  The differentials are stored
-in uint8 when p < 256 and upcast to int64 a block of rows at a time where
-they are multiplied (``_mul_modp``).  ``CohomologyFamily`` is the one cache
-of these groups over an ambient group.
+Everything is exact linear algebra over F_p.  No differential is a matrix:
+d_n is n + 2 face arrays, applied to blocks of cochain columns by gathers.
+In degree n, each coordinate x leading no pivot of B^n hands
+``linalg.rank_sparse_modp`` the row e_x + d(e_x), d(e_x) shifted past the
+K = dim C^n low columns.  Pivots leading at or above K span B^{n+1} and are
+cleared in degree n + 1 (as in ``catlimits``); those leading at x < K are
+cocycles e_x + (lower terms), dim H^n class representatives that with B^n's
+pivots are a basis of Z^n.  ``CohomologyFamily`` is the one cache of these.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, Iterator, List
 
 import numpy as np
 
-from .linalg import nullspace_modp, row_echelon_modp
+from .linalg import Row, rank_sparse_modp, reduce_modp
 from .permgroups import Group, GroupError, Subgroup, is_prime
 
 MemberSet = FrozenSet[int]
 
 MEMORY_BUDGET_ENV = "LOCUS_MEMORY_BUDGET_MB"
+
+BLOCK_CELLS = 1 << 15  # of a block of cochain columns, gathered by a coboundary
 
 
 class BudgetError(RuntimeError):
@@ -35,6 +41,17 @@ def budget_mb() -> int:
     if not (text.isascii() and text.isdigit()):
         raise BudgetError(f"{MEMORY_BUDGET_ENV} = {text!r} is not a non-negative integer")
     return int(text)
+
+
+def bar_bytes(k: int, p: int, jmax: int) -> int:
+    """Bytes ``FpCohomology`` of a group of order k + 1 holds: the faces (at
+    most as many again below the top degree's) and their entries as they are
+    sorted, gathered blocks, and the top degree's pivots, at p = 2 at most
+    k^jmax ints of k^jmax + k^(jmax+1) bits; at odd p, four times the rows'
+    dict entries, which does not bound fill-in."""
+    K, R = k ** jmax, k ** (jmax + 1)
+    pivots = K * (100 + (K + R) // 7) if p == 2 else 256 * (K + (jmax + 2) * R)
+    return 64 * (jmax + 2) * R + 24 * max(BLOCK_CELLS, R) + pivots
 
 
 class FpCohomology:
@@ -53,29 +70,28 @@ class FpCohomology:
         self.jmax = jmax
         self.nonid = np.array([x for x in P.sorted_members if x != G.identity],
                               dtype=np.intp)
-        # the largest allocation is diff[jmax] together with the copy
-        # row_echelon_modp reduces; 8 bytes a cell each bounds both at any
-        # p (uint8 at p < 256)
-        est = 2 * 8 * self.dim_cochain(jmax + 1) * self.dim_cochain(jmax)
-        if est > budget_mb() * 1_000_000:
+        if (est := bar_bytes(len(self.nonid), p, jmax)) > budget_mb() * 1_000_000:
             raise BudgetError(
                 f"bar resolution needs ~{est // 1_000_000} MB "
                 f"(budget {budget_mb()} MB)")
-        self.diff = [self._differential(n) for n in range(jmax + 1)]  # C^n -> C^{n+1}
-        # d o d = 0
-        for n in range(jmax):
-            if np.any(_mul_modp(self.diff[n + 1], self.diff[n], p)):
-                raise AssertionError("bar differential does not square to zero")
-        # per degree, (RREF, pivots) of B^n and of the class representatives;
-        # the representatives vanish on the pivots of B^n
-        self._b: List[Tuple[np.ndarray, List[int]]] = []
-        self._h: List[Tuple[np.ndarray, List[int]]] = []
+        self.faces = [self._faces(n) for n in range(jmax + 1)]
+        if any(self.coboundary(n + 1, self.coboundary(n, E)).any() for n in range(jmax)
+               for E in _unit_blocks(self.dim_cochain(n), self.dim_cochain(n + 2))):
+            raise AssertionError("bar differential does not square to zero")
+        # per degree: pivots of B^n and of the representatives, their leads, the basis
+        self._pivots, self._leads, self._basis = [], [], []
+        bounds: Dict[int, Row] = {}
         for n in range(jmax + 1):
-            boundaries = (self.diff[n - 1].T if n else
-                          np.zeros((0, self.dim_cochain(0)), dtype=np.int64))
-            self._b.append(_echelon(boundaries, p))
-            kernel = nullspace_modp(self.diff[n], p)  # rows span Z^n
-            self._h.append(_echelon(self._off_boundaries(n, kernel), p))
+            K = self.dim_cochain(n)
+            pivots = rank_sparse_modp(K - len(bounds), K + self.dim_cochain(n + 1),
+                                      self._rows(n, bounds), p)
+            reps = {x: pivots[x] for x in sorted(pivots) if x < K}
+            self._pivots.append({**bounds, **reps})
+            self._leads.append(list(reps))
+            Z = [[r >> j & 1 if p == 2 else r.get(j, 0) for j in range(K)] for r in reps.values()]
+            self._basis.append(np.array(Z, dtype=np.int64).reshape(len(reps), K))
+            bounds = {x - K: row >> K if p == 2 else {j - K: v for j, v in row.items() if j >= K}
+                      for x, row in pivots.items() if x >= K and n < jmax}
 
     # -- bases ----------------------------------------------------------
 
@@ -96,76 +112,75 @@ class FpCohomology:
         radix = len(self.nonid) ** np.arange(T.shape[-1] - 1, -1, -1)
         return np.searchsorted(self.nonid, T) @ radix
 
-    def _differential(self, n: int) -> np.ndarray:
-        """Matrix of d: C^n -> C^{n+1} for trivial F_p coefficients, in uint8
-        when p < 256 (built in int16: an entry sums at most n + 2 signs).
-        Row r is the tuple T[r]: face 0 drops its first entry (column r mod
-        k^n), the last face its last (r // k), and inner face i multiplies
-        entries i and i + 1."""
-        G = self.group
-        p = self.p
-        k = len(self.nonid)
+    def _faces(self, n: int) -> np.ndarray:
+        """d: C^n -> C^{n+1} as an (n + 2, k^{n+1}) array: row j holds face j
+        (sign (-1)^j) of each (n+1)-tuple r, or K = k^n where it drops out:
+        face 0 drops the first entry (r mod K), face n + 1 the last (r // k),
+        and inner face i multiplies entries i - 1 and i."""
+        G, K = self.group, self.dim_cochain(n)
         T = self.tuples(n + 1)
-        r = np.arange(len(T))
-        D = np.zeros((len(T), self.dim_cochain(n)),
-                     dtype=np.int16 if p < 256 else np.int64)
-        np.add.at(D, (r, r % k ** n), 1)
-        np.add.at(D, (r, r // k), (-1) ** (n + 1))
-        for i in range(n):
-            prod = G.mul_many(T[:, i], T[:, i + 1])
+        F = np.full((n + 2, len(T)), K, dtype=np.intp)
+        F[0], F[n + 1] = np.arange(len(T)) % K, np.arange(len(T)) // len(self.nonid)
+        for i in range(1, n + 1):
+            prod = G.mul_many(T[:, i - 1], T[:, i])
             ok = prod != G.identity
-            merged = np.concatenate([T[ok, :i], prod[ok, None], T[ok, i + 2:]], axis=1)
-            np.add.at(D, (r[ok], self.tuple_index(merged)), (-1) ** (i + 1))
-        D %= p
-        return D.astype(np.uint8) if p < 256 else D
+            F[i, ok] = self.tuple_index(
+                np.concatenate([T[ok, :i - 1], prod[ok, None], T[ok, i + 1:]], axis=1))
+        return F
 
-    def _off_boundaries(self, n: int, W: np.ndarray) -> np.ndarray:
-        """Rows of W minus their B^n parts, so zero on the pivots of B^n."""
-        b_ech, b_piv = self._b[n]
-        return (W - W[:, b_piv] @ b_ech) % self.p
+    def coboundary(self, n: int, V: np.ndarray) -> np.ndarray:
+        """d V mod p for the columns of V, cochains in C^n: a gather per face."""
+        V = np.asarray(V, dtype=np.int64) % self.p
+        W = np.concatenate([V, np.zeros((1, V.shape[1]), dtype=np.int64)])  # row K reads 0
+        return sum((-1) ** j * W[F] for j, F in enumerate(self.faces[n])) % self.p
+
+    def _rows(self, n: int, cleared: Dict[int, Row]) -> Iterator[Row]:
+        """e_x + d(e_x), d(e_x) shifted past K = dim C^n, for each x not in
+        ``cleared`` in increasing order: face entries sorted by (x, r), summed."""
+        K, R, p = self.dim_cochain(n), self.dim_cochain(n + 1), self.p
+        key, at = np.unique(self.faces[n].ravel() * R + np.tile(np.arange(R), n + 2),
+                            return_inverse=True)
+        value = np.bincount(at, np.repeat((-1.0) ** np.arange(n + 2), R)).astype(np.int64) % p
+        live = (value != 0) & (key < K * R)
+        key, value = key[live], value[live]
+        ends = np.searchsorted(key, np.arange(K + 1) * R)
+        for x in (x for x in range(K) if x not in cleared):
+            cols = [x] + (K + key[ends[x]:ends[x + 1]] % R).tolist()
+            yield (sum(1 << j for j in cols) if p == 2 else
+                   dict(zip(cols, [1] + value[ends[x]:ends[x + 1]].tolist())))
 
     def dims(self) -> List[int]:
         return [self.dim(n) for n in range(self.jmax + 1)]
 
     def dim(self, n: int) -> int:
-        return len(self._h[n][1])
+        return len(self._leads[n])
 
     def basis(self, n: int) -> np.ndarray:
-        """Class representatives of H^n as rows, in RREF."""
-        return self._h[n][0]
+        """Class representatives of H^n as rows, in increasing order of lead."""
+        return self._basis[n]
 
     def coordinates(self, n: int, V: np.ndarray) -> np.ndarray:
-        """Coordinates, as columns, of the classes of the cocycle columns of V:
-        a cocycle minus its B^n part is its coefficients times the basis, so
-        the coefficients are its entries at the basis pivots."""
+        """Coordinates in ``basis(n)``, as columns, of the classes of the
+        cocycle columns of V: the multiples of the representatives each takes
+        as it reduces to zero against them and the pivots of B^n."""
         p = self.p
-        if np.any(_mul_modp(self.diff[n], V, p)):
+        V = np.asarray(V, dtype=np.int64) % p
+        if self.coboundary(n, V).any():
             raise ValueError("vector is not a cocycle")
-        h_ech, h_piv = self._h[n]
-        W = self._off_boundaries(n, V.T.astype(np.int64) % p)
-        coeffs = W[:, h_piv]
-        if np.any((W - coeffs @ h_ech) % p):
-            raise ValueError("cocycle does not reduce into the basis")
-        return coeffs.T
+        out = np.zeros((self.dim(n), V.shape[1]), dtype=np.int64)
+        for c, nz in enumerate(np.flatnonzero(col).tolist() for col in V.T):
+            factors: Dict[int, int] = {}
+            row = sum(1 << j for j in nz) if p == 2 else dict(zip(nz, V[nz, c].tolist()))
+            if reduce_modp(row, self._pivots[n], p, factors):
+                raise ValueError("cocycle does not reduce into the basis")
+            out[:, c] = [factors.get(x, 0) for x in self._leads[n]]
+        return out
 
 
-def _echelon(A: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
-    """The nonzero rows of A's RREF, in int64, with their pivot columns."""
-    ech, piv = row_echelon_modp(A, p)
-    return ech[:len(piv)].astype(np.int64), piv
-
-
-# cells of a differential upcast to int64 at a time by _mul_modp
-MUL_BLOCK_CELLS = 1 << 18
-
-
-def _mul_modp(D: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """(D @ B) mod p in int64, for D in uint8 or int64.  D is upcast a block
-    of rows at a time, so no int64 copy of all of it is made."""
-    B = B.astype(np.int64, copy=False)
-    step = max(1, MUL_BLOCK_CELLS // max(1, D.shape[1]))
-    return np.concatenate([D[i:i + step].astype(np.int64, copy=False) @ B
-                           for i in range(0, max(1, D.shape[0]), step)]) % p
+def _unit_blocks(K: int, rows: int) -> Iterator[np.ndarray]:
+    """e_0, ..., e_{K-1} by blocks of BLOCK_CELLS // rows columns (at least one)."""
+    step = max(1, BLOCK_CELLS // max(rows, 1))
+    return (np.eye(K, min(step, K - x), -x, dtype=np.int64) for x in range(0, K, step))
 
 
 # -- induced maps -----------------------------------------------------------
@@ -176,7 +191,9 @@ def restriction_map(H_target: FpCohomology, H_source: FpCohomology,
     source -> target: each source tuple gathers the target basis at its
     image, or 0 where that holds the identity (normalized cochains vanish)."""
     src = H_source.nonid
-    image = np.fromiter((mapping[x] for x in src), dtype=np.intp, count=len(src))
+    image = np.array([mapping.get(x, -1) for x in src.tolist()], dtype=np.intp)
+    if not H_target.sub.members.issuperset(image.tolist()):
+        raise GroupError("mapping does not send every source member into the target")
     T = image[np.searchsorted(src, H_source.tuples(n))]
     ok = (T != H_target.group.identity).all(axis=1)
     B = H_target.basis(n)
@@ -220,10 +237,10 @@ def transfer_map(H_big: FpCohomology, H_small: FpCohomology, n: int) -> np.ndarr
     M = transfer_cochain(H_big, H_small, n)
     # chain map sanity: d o tr = tr o d
     if n < H_big.jmax and n < H_small.jmax:
-        lhs = _mul_modp(H_big.diff[n], M, p)
-        rhs = _mul_modp(transfer_cochain(H_big, H_small, n + 1), H_small.diff[n], p)
-        if np.any((lhs - rhs) % p):
-            raise AssertionError("transfer is not a cochain map")
+        M1 = transfer_cochain(H_big, H_small, n + 1)
+        for E in _unit_blocks(H_small.dim_cochain(n), H_big.dim_cochain(n + 1)):
+            if np.any((H_big.coboundary(n, M @ E) - M1 @ H_small.coboundary(n, E)) % p):
+                raise AssertionError("transfer is not a cochain map")
     return H_big.coordinates(n, (M @ H_small.basis(n).T) % p)
 
 

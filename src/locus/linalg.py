@@ -1,25 +1,22 @@
 """Exact linear algebra over prime fields.
 
-Two engines: a dense mod-p eliminator on small numpy matrices, and a sparse
-pivot-insertion rank for the cochain-complex differentials (tens of
-thousands of columns, well under one percent nonzero) produced by the
-higher-limit computations.
+One sparse engine does the cochain reductions: ``rank_sparse_modp`` reads
+the rows of a matrix from an iterable, one at a time, and reduces each
+against one pivot row per leading (largest) column as it arrives, with
+``reduce_modp``, the one reduce loop.  Rows are Python ``int`` bitsets at
+p = 2 and ``{col: value}`` dicts at odd p, so neither the whole matrix nor
+anything dense is allocated.  The pivots come back keyed by leading column:
+a cochain reduction skips the rows they show to be dependent in the next
+matrix (clearing), and ``cohomology`` reads its cocycles off them.
 
-The dense eliminator reduces a uint8 copy at p = 2, where adding a pivot
-row is an XOR, and an int64 copy at odd p.
-
-The sparse rank reads the rows of a matrix from an iterable, one at a time,
-and reduces each against one pivot row per leading (largest) column as it
-arrives; rows are Python ``int`` bitsets at p = 2 and ``{col: value}``
-dicts at odd p, so neither the whole matrix nor anything dense is ever
-allocated.  It returns the leading columns of its pivots, so that a caller
-can skip the rows those pivots show to be dependent in a later matrix
-(``catlimits.higher_limits`` does, to clear cochain differentials).
+The dense eliminator (``row_echelon_modp``, ``nullspace_modp``) serves the
+small F-stability systems of ``catlimits.stable_subspace_dim`` and the
+tests as a reference.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -76,56 +73,44 @@ def nullspace_modp(A: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
-def rank_sparse_modp(nrows: int, ncols: int, rows: Iterable[Row], p: int) -> Set[int]:
-    """Leading columns of the pivots of the nrows x ncols matrix over F_p
-    whose rows ``rows`` yields; their count is its rank.
+def rank_sparse_modp(nrows: int, ncols: int, rows: Iterable[Row], p: int) -> Dict[int, Row]:
+    """Pivots of the nrows x ncols matrix over F_p whose rows ``rows``
+    yields, keyed by leading (largest) column, where their coefficient is 1;
+    their count is its rank.  A row is an ``int`` bitset (bit j for column j)
+    at p = 2 and a ``{col: value}`` dict of values nonzero mod p at odd p.
+    A column leads a pivot exactly when some combination of the rows has it
+    as its largest; at most min(nrows, ncols) pivots are ever held."""
+    pivots: Dict[int, Row] = {}
+    for row in rows if nrows and ncols else ():
+        row = reduce_modp(row, pivots, p)
+        if row and p == 2:
+            pivots[row.bit_length() - 1] = row
+        elif row:
+            inv = pow(row[max(row)], -1, p)
+            pivots[max(row)] = {j: v * inv % p for j, v in row.items()}
+    return pivots
 
-    A row is an ``int`` bitset at p = 2 (bit j set for a 1 in column j) and
-    a ``{col: value}`` dict with values nonzero mod p at odd p.  Rows are
-    reduced one at a time as they arrive, so only the pivots (at most
-    min(nrows, ncols) of them) are held.  A pivot's leading column is its
-    largest, and the pivots span the rows: a column is a leading column
-    exactly when some combination of the rows has it as its largest.
-    """
-    if nrows == 0 or ncols == 0:
-        return set()
-    if p == 2:
-        return _rank_gf2(rows)
-    return _rank_odd(rows, p)
 
-
-def _rank_gf2(rows: Iterable[int]) -> Set[int]:
-    # pivots are keyed by bit_length(), one more than the leading column
-    pivots: Dict[int, int] = {}
-    get = pivots.get
-    for row in rows:
-        while row:
-            lead = row.bit_length()
-            piv = get(lead)
-            if piv is None:
-                pivots[lead] = row
-                break
+def reduce_modp(row: Row, pivots: Dict[int, Row], p: int,
+                factors: Optional[Dict[int, int]] = None) -> Row:
+    """Subtract pivots (keyed by lead, coefficient 1 there) from ``row``, in
+    place at odd p, until its lead leads none; the rest is 0 or {} exactly
+    when it lies in their span.  ``factors`` gets each multiple, by lead."""
+    while row:
+        lead = row.bit_length() - 1 if p == 2 else max(row)
+        piv = pivots.get(lead)
+        if piv is None:
+            break
+        f = 1 if p == 2 else row[lead]
+        if factors is not None:
+            factors[lead] = f
+        if p == 2:
             row ^= piv
-    return {lead - 1 for lead in pivots}
-
-
-def _rank_odd(rows: Iterable[Dict[int, int]], p: int) -> Set[int]:
-    # pivot rows are scaled so that the coefficient at their leading
-    # (largest) column is 1
-    pivots: Dict[int, Dict[int, int]] = {}
-    for row in rows:
-        while row:
-            lead = max(row)
-            piv = pivots.get(lead)
-            if piv is None:
-                inv = pow(row[lead], -1, p)
-                pivots[lead] = {j: v * inv % p for j, v in row.items()}
-                break
-            f = row[lead]
-            for j, v in piv.items():
-                w = (row.get(j, 0) - f * v) % p
-                if w:
-                    row[j] = w
-                else:
-                    del row[j]
-    return set(pivots)
+            continue
+        for j, v in piv.items():
+            w = (row.get(j, 0) - f * v) % p
+            if w:
+                row[j] = w
+            else:
+                del row[j]
+    return row

@@ -1,12 +1,17 @@
 """Bar-resolution cohomology, restriction, transfer, and Mackey tests."""
 
+import tracemalloc
+from functools import lru_cache
 from itertools import product
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locus import cohomology
+from locus.catlimits import FiniteCategory, ModuleFunctor, higher_limits
 from locus.cohomology import (
     MEMORY_BUDGET_ENV,
     BudgetError,
@@ -17,7 +22,7 @@ from locus.cohomology import (
     transfer_along,
     transfer_map,
 )
-from locus.permgroups import GroupError, all_subgroups, load_group, o_p
+from locus.permgroups import GroupError, all_subgroups, load_group, o_p, sylow
 
 from conftest import bundled
 
@@ -49,19 +54,20 @@ def test_dims_d8():
 
 
 @pytest.mark.parametrize("group, p", [("d8", 2), ("c3", 3)])
-def test_bar_differentials_are_uint8_and_multiply_in_blocks(monkeypatch, group, p):
+def test_coboundary_gathers_the_faces_a_block_of_columns_at_a_time(monkeypatch, group, p):
     G = bundled("d8") if group == "d8" else load_group("degree 3\n(1 2 3)", name="C3")
     H = FpCohomology(G, G.full_subgroup(), p, 3)
-    assert [d.dtype for d in H.diff] == [np.uint8] * 4
-    wide = [d.astype(np.int64) for d in H.diff]
-    assert all(not ((b @ a) % p).any() for a, b in zip(wide, wide[1:]))
-    # blocks of a few rows, one row, and all rows give the int64 product
-    v = np.arange(H.dim_cochain(3), dtype=np.int64) % p
-    for cells in (1, 7 * H.dim_cochain(3), 1 << 30):
-        monkeypatch.setattr(cohomology, "MUL_BLOCK_CELLS", cells)
-        assert np.array_equal(cohomology._mul_modp(H.diff[3], v, p), (wide[3] @ v) % p)
-        assert np.array_equal(cohomology._mul_modp(H.diff[2], H.diff[1], p),
-                              (wide[2] @ wide[1]) % p)
+    assert not hasattr(H, "diff")
+    assert [(F.dtype, F.shape) for F in H.faces] == [
+        (np.intp, (n + 2, H.dim_cochain(n + 1))) for n in range(4)]
+    # blocks of one column, of seven, and all columns give the oracle's d_3
+    K, rows = H.dim_cochain(3), H.dim_cochain(4)
+    for cells, width in ((1, 1), (7 * rows, 7), (1 << 30, K)):
+        monkeypatch.setattr(cohomology, "BLOCK_CELLS", cells)
+        blocks = list(cohomology._unit_blocks(K, rows))
+        assert [E.shape[1] for E in blocks[:-1]] == [width] * (len(blocks) - 1)
+        assert np.array_equal(np.hstack([H.coboundary(3, E) for E in blocks]),
+                              _ref_differential(H, 3))
 
 
 def test_dims_c4():
@@ -246,19 +252,32 @@ def test_mackey_square_all_cospans_at_p_3(group, p):
                     assert mackey_square(fam, P, K, Q, j), (len(P), len(K), len(Q), j)
 
 
-def test_budget_bounds_the_dense_differential(monkeypatch):
-    # |P| = 16, jmax = 3: diff[3] is a 50625 x 3375 int64 matrix (1.37 GB),
-    # reduced in a second copy
+def test_budget_refuses_before_any_face_is_built(monkeypatch):
+    # |P| = 16, jmax = 5: the top degree hands in 15^5 rows over 15^5 + 15^6
+    # columns (about 1.1 TB of pivots at most)
     monkeypatch.setenv(MEMORY_BUDGET_ENV, "1000")
     G = load_group("degree 8\n(1 2 3 4 5 6 7 8)\n(1 8)(2 7)(3 6)(4 5)", name="D16")
     assert G.order == 16
 
     def no_allocation(self, n):
-        raise AssertionError("differential built before the budget check")
+        raise AssertionError("faces built before the budget check")
 
-    monkeypatch.setattr(FpCohomology, "_differential", no_allocation)
+    monkeypatch.setattr(FpCohomology, "_faces", no_allocation)
     with pytest.raises(BudgetError):
-        FpCohomology(G, G.full_subgroup(), 2, 3)
+        FpCohomology(G, G.full_subgroup(), 2, 5)
+
+
+@pytest.mark.parametrize("group, p", [("d8", 2), ("c3xc3", 3)])
+def test_budget_estimate_bounds_the_tracemalloc_peak(group, p):
+    # the estimate bounds what is allocated, and by no more than 10x
+    G = bundled("d8") if group == "d8" else _elementary_abelian(3, 2)
+    tracemalloc.start()
+    try:
+        FpCohomology(G, G.full_subgroup(), p, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cohomology.bar_bytes(G.order - 1, p, 3) <= 10 * peak
 
 
 # -- closed forms -------------------------------------------------------------
@@ -290,6 +309,26 @@ def test_p_prime_groups_have_only_degree_zero(group, p):
         (len(P.members) - 1) ** n for n in range(4)]
 
 
+@pytest.mark.parametrize("group, p, top, want", [
+    ("d8", 2, 4, [1, 2, 3, 4, 5]), ("c3xc3", 3, 3, [1, 2, 3, 4]), ("c5", 5, 4, [1] * 5)])
+def test_dims_match_higher_limits_on_the_one_object_category(group, p, top, want):
+    # H^n(P; F_p) is lim^n of the constant functor F_p on P as a category
+    # with one object, whose normalized nerve is the normalized bar resolution
+    G = _oracle_group(group)
+    members = list(G.full_subgroup().sorted_members)
+    cat = FiniteCategory(["P"], {(0, 0): members}, G.mul, lambda i: G.identity)
+    constant = ModuleFunctor(cat, p, [1], {m: np.ones((1, 1)) for m in range(len(members))})
+    assert higher_limits(constant, top) == want
+    assert FpCohomology(G, G.full_subgroup(), p, top).dims() == want
+
+
+def test_sylow_3_of_ext27_sd16_through_degree_2_at_the_default_budget(monkeypatch):
+    # 3^{1+2}_+: once 30.7 s through the dense differentials
+    monkeypatch.delenv(MEMORY_BUDGET_ENV, raising=False)
+    G = bundled("ext27_sd16")
+    assert FpCohomology(G, sylow(G, 3), 3, 2).dims() == [1, 2, 4]
+
+
 def test_maps_to_and_from_the_trivial_subgroup_have_empty_shapes():
     G = bundled("d8")
     fam = CohomologyFamily(G, 2, 2)
@@ -299,6 +338,29 @@ def test_maps_to_and_from_the_trivial_subgroup_have_empty_shapes():
         tr = transfer_map(fam.of(S), fam.of(one), n)
         assert (res.shape, tr.shape) == (((1, 1), (1, 1)) if n == 0
                                          else ((0, d), (d, 0)))
+
+
+def _d8_reflection_pair():
+    # two order-2 subgroups of D8, A = {0, 1} and B = {0, 2}
+    G = bundled("d8")
+    fam = CohomologyFamily(G, 2, 2)
+    return fam.of(frozenset({0, 2})), fam.of(frozenset({0, 1}))
+
+
+def test_restriction_rejects_an_image_outside_the_target():
+    # 1 is not in B; once [[1]] in degrees 1 and 2, read off a searchsorted
+    # position of 1 in B's nonidentity members
+    HB, HA = _d8_reflection_pair()
+    for n in (1, 2):
+        with pytest.raises(GroupError, match="into the target"):
+            restriction_map(HB, HA, {0: 0, 1: 1}, n)
+
+
+def test_restriction_rejects_a_mapping_that_misses_a_source_member():
+    # once a bare KeyError
+    HB, HA = _d8_reflection_pair()
+    with pytest.raises(GroupError, match="send every source member into the target"):
+        restriction_map(HB, HA, {0: 0}, 1)
 
 
 # -- the scalar oracle ---------------------------------------------------------
@@ -382,7 +444,8 @@ def test_index_arrays_match_the_scalar_oracle(group, p, jmax):
     for P in subs:
         H = fam.of(P)
         for n in range(jmax + 1):
-            assert np.array_equal(H.diff[n], _ref_differential(H, n)), (len(P), n)
+            unit = np.eye(H.dim_cochain(n), dtype=np.int64)
+            assert np.array_equal(H.coboundary(n, unit), _ref_differential(H, n)), (len(P), n)
     for Q in subs:
         for P in (m for m in subs if m <= Q):
             HQ, HP = fam.of(Q), fam.of(P)
@@ -416,6 +479,58 @@ def test_restriction_along_a_hom_with_a_kernel_matches_the_scalar_oracle(group, 
         assert got.any()
 
 
+_HYPOTHESIS_GROUPS = ["c2", "v4", "s3", "c5", "d8", "c3xc3"]
+
+
+@lru_cache(maxsize=None)
+def _family(group, p):
+    return CohomologyFamily(_oracle_group(group), p, 2)
+
+
+@st.composite
+def subgroup_pairs(draw):
+    group, p = draw(st.sampled_from(_HYPOTHESIS_GROUPS)), draw(st.sampled_from([2, 3, 5]))
+    fam = _family(group, p)
+    subs = all_subgroups(fam.group.full_subgroup())
+    Q = draw(st.sampled_from(subs))
+    P = draw(st.sampled_from([m for m in subs if m <= Q]))
+    return fam, P, Q, draw(st.sampled_from(range(fam.group.order))), draw(st.integers(0, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(subgroup_pairs())
+def test_faces_restriction_and_transfer_match_the_scalar_oracle(case):
+    fam, P, Q, g, n = case
+    G, p = fam.group, fam.p
+    HP, HQ = fam.of(P), fam.of(Q)
+    unit = np.eye(HP.dim_cochain(n), dtype=np.int64)
+    assert np.array_equal(HP.coboundary(n, unit), _ref_differential(HP, n))
+    assert np.array_equal(cohomology.transfer_cochain(HQ, HP, n),
+                          _ref_transfer_cochain(HQ, HP, n))
+    gP = frozenset(G.conj(x, g) for x in P)
+    homs = [(HQ, {x: x for x in P}), (fam.of(gP), {x: G.conj(x, g) for x in P})]
+    for H_target, mapping in homs:
+        M = _ref_restriction_cochain(H_target, HP, mapping, n)
+        want = HP.coordinates(n, (M @ H_target.basis(n).T) % p)
+        assert np.array_equal(restriction_map(H_target, HP, mapping, n), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_HYPOTHESIS_GROUPS), st.sampled_from([2, 3, 5]), st.integers(0, 2),
+       st.integers(1, 4), st.data())
+def test_coordinates_of_basis_combinations_plus_coboundaries(group, p, n, k, data):
+    # k cocycles basis.T A + d X: their coordinates are A mod p
+    H = _family(group, p).of(frozenset(range(_oracle_group(group).order)))
+
+    def matrix(rows):
+        entries = st.lists(st.integers(-p, 3 * p), min_size=rows * k, max_size=rows * k)
+        return np.array(data.draw(entries), dtype=np.int64).reshape(rows, k)
+
+    A = matrix(H.dim(n))
+    V = H.basis(n).T @ A + (H.coboundary(n - 1, matrix(H.dim_cochain(n - 1))) if n else 0)
+    assert np.array_equal(H.coordinates(n, V), A % p)
+
+
 # -- the coordinates contract -------------------------------------------------
 
 @pytest.mark.parametrize("group, p", [("d8", 2), ("c3xc3", 3)])
@@ -429,7 +544,7 @@ def test_coordinates_read_classes_off_any_cocycle(group, p):
         V = H.basis(n).T @ A
         if n:
             X = rng.integers(0, 10 * p, size=(H.dim_cochain(n - 1), k))
-            V = V + H.diff[n - 1].astype(np.int64) @ X
+            V = V + H.coboundary(n - 1, X)
         assert np.array_equal(H.coordinates(n, V), A % p)
 
 
@@ -460,11 +575,14 @@ def test_degree_cap():
 
 def test_differential_that_does_not_square_to_zero_is_caught(monkeypatch):
     G = _c2()  # one cochain coordinate in each degree
+    honest = FpCohomology._faces
 
-    def ones(self, n):
-        return np.ones((self.dim_cochain(n + 1), self.dim_cochain(n)), dtype=np.uint8)
+    def no_last_face(self, n):  # d(e) = e in every degree
+        F = honest(self, n)
+        F[-1] = self.dim_cochain(n)
+        return F
 
-    monkeypatch.setattr(FpCohomology, "_differential", ones)
+    monkeypatch.setattr(FpCohomology, "_faces", no_last_face)
     with pytest.raises(AssertionError, match="does not square to zero"):
         FpCohomology(G, G.full_subgroup(), 2, 2)
 
@@ -472,7 +590,8 @@ def test_differential_that_does_not_square_to_zero_is_caught(monkeypatch):
 def test_coordinates_reject_a_cochain_that_is_not_a_cocycle():
     G = _v4()
     H = FpCohomology(G, G.full_subgroup(), 2, 2)
-    j = int(np.flatnonzero(H.diff[1].any(axis=0))[0])
+    unit = np.eye(H.dim_cochain(1), dtype=np.int64)
+    j = int(np.flatnonzero(H.coboundary(1, unit).any(axis=0))[0])
     v = np.zeros((H.dim_cochain(1), 1), dtype=np.int64)
     v[j] = 1
     with pytest.raises(ValueError, match="vector is not a cocycle"):
@@ -484,10 +603,7 @@ def test_coordinates_reject_a_cocycle_outside_a_corrupted_basis():
     H = FpCohomology(G, G.full_subgroup(), 2, 2)
     z = H.basis(1)[-1:].T.copy()
     assert np.array_equal(H.coordinates(1, z), np.eye(H.dim(1), dtype=np.int64)[:, -1:])
-    h_ech, h_piv = H._h[1]
-    h_ech = h_ech.copy()
-    h_ech[-1] = 0
-    H._h[1] = (h_ech, h_piv)
+    del H._pivots[1][H._leads[1][-1]]  # the last representative's pivot
     with pytest.raises(ValueError, match="does not reduce into the basis"):
         H.coordinates(1, z)
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
-from locus.linalg import rank_sparse_modp, row_echelon_modp
+from locus.linalg import rank_sparse_modp, reduce_modp, row_echelon_modp
 
 
 def rows_of(nrows, entries, p):
@@ -62,6 +62,34 @@ def test_sparse_rank_matches_dense(case):
     p, nrows, ncols, entries = case
     assert sparse_rank(nrows, ncols, entries, p) == \
         dense_rank(nrows, ncols, entries, p)
+
+
+def dense_row(row, ncols, p):
+    if p == 2:
+        return np.array([row >> j & 1 for j in range(ncols)], dtype=np.int64)
+    v = np.zeros(ncols, dtype=np.int64)
+    v[list(row)] = list(row.values())
+    return v
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices())
+def test_pivots_are_keyed_by_lead_and_rebuild_every_row(case):
+    # each pivot has coefficient 1 at its key, its largest column, and every
+    # row is the combination of pivots that reduce_modp reports subtracting
+    p, nrows, ncols, entries = case
+    rows = list(rows_of(nrows, entries, p))
+    copies = [row if p == 2 else dict(row) for row in rows]  # reduced in place at odd p
+    pivots = rank_sparse_modp(nrows, ncols, iter(copies), p)
+    for lead, piv in pivots.items():
+        assert lead == (piv.bit_length() - 1 if p == 2 else max(piv))
+        assert p == 2 or piv[lead] == 1
+    for row in rows:
+        factors = {}
+        assert not reduce_modp(row if p == 2 else dict(row), pivots, p, factors)
+        rebuilt = sum((f * dense_row(pivots[lead], ncols, p) for lead, f in factors.items()),
+                      np.zeros(ncols, dtype=np.int64))
+        assert np.array_equal(rebuilt % p, dense_row(row, ncols, p))
 
 
 @pytest.mark.parametrize("p, entries, rank", [
