@@ -4,6 +4,7 @@ import copy
 import functools
 import random
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -642,3 +643,49 @@ def test_transport_entry_invented_finds_a_chain_outside_d():
     rep = check_locality_axioms(L, samples=2000)
     assert [f.split(": ")[0] for f in rep.failures] == ["(L2) found chain for word outside D"]
     assert check_locality_axioms(cached, samples=2000).passed
+
+
+# -- where the word battery fails ------------------------------------------------
+
+def _without_object_mask(L, i):
+    """A copy of L whose domain test no longer counts ``L.sorted_objects[i]``
+    an object; its state graph is L's, built before the copy."""
+    L.state_graph()
+    bad = copy.copy(L)
+    bad._object_masks = L._object_masks - {L._mask_of(L.sorted_objects[i])}
+    return bad
+
+
+def _with_product(L, a, b):
+    """A copy of L whose ambient group sends a * b to another carrier
+    element with the same S-mask, so that only products move and no domain
+    verdict does; its state graph is L's, built before the copy."""
+    L.state_graph()
+    G = L.ambient
+    x = G.mul(a, b)
+    c = next(c for c in L.carrier
+             if c not in (x, G.identity) and L._masks[c] == L._masks[x])
+    bad_group = copy.copy(G)
+    bad_group._mul_table = array("H", G._mul_table)
+    bad_group._mul_table[a * G.order + b] = c
+    bad = copy.copy(L)
+    bad.ambient = bad_group
+    return bad
+
+
+# a6 punctured: sorted_objects[0] is Z(S), [5] a four-group over it, [-1] S
+@pytest.mark.parametrize("corrupt, first", [
+    (lambda: _without_object_mask(cached_punctured("a6", 2), -1),
+     "subword (68,) of domain word (151, 68, 224) not in D"),
+    (lambda: _without_object_mask(cached_punctured("a6", 2), 5),
+     "spliced word (10,) of (151, 68, 224) not in D"),
+    (lambda: _with_product(cached_punctured("s4", 2), 23, 10),
+     "splice changes product on (1, 18, 14, 10)"),
+    (lambda: _without_object_mask(cached_punctured("a6", 2), 0),
+     "w^-1 o w not in D for (63, 167, 10, 6)"),
+    (lambda: _with_product(cached_punctured("s4", 2), 16, 13),
+     "Pi(w^-1 o w) != 1 for (10, 19, 20)"),
+], ids=["subword", "splice-domain", "splice-product", "inverse-domain", "inverse-product"])
+def test_battery_failure_sites(corrupt, first):
+    rep = check_partial_group(corrupt(), samples=3000)
+    assert rep.failures[:1] == [first], rep.failures
