@@ -56,6 +56,11 @@ FULL_BATTERY_CAP = 1500
 SAMPLE_BLOCK = 8192
 # indices drawn per ``randbytes`` call of a seeded draw
 DRAW_CHUNK = 1024
+# domain words whose derived words the battery reduces together, and the
+# (word, member of S) pairs the chain witness tracks together: both keep
+# the arrays of a check about as small as those of a block
+BATTERY_CHUNK = 512
+TRACK_CELLS = 1 << 14
 
 
 class LocalityError(ValueError):
@@ -201,23 +206,6 @@ class Locality:
 
     def product(self, word: Sequence[int]) -> int:
         return self.ambient.word(word)
-
-    def chain_witness(self, word: Sequence[int]) -> Optional[List[MemberSet]]:
-        """Explicit object chain P_0..P_n certifying w in D, or None.
-
-        Any chain's P_0 consists of elements tracked into S at every prefix,
-        so P_0 <= S_w; maximality makes S_w itself the canonical choice.
-        """
-        current = self.s_word(word)
-        if current not in self.objects:
-            return None
-        chain = [current]
-        for g in word:
-            current = self.transport(current, g)
-            if current is None:
-                return None
-            chain.append(current)
-        return chain
 
     def transport(self, P: MemberSet, g: int) -> Optional[MemberSet]:
         """P^g when it is an object, else None, for an object P.
@@ -470,17 +458,31 @@ def _sampled_blocks(L: Locality, samples: int, seed: int,
         for j in range(SAMPLE_LEN):
             live = np.flatnonzero(lengths > j)
             letters[live, j] = carrier[_choices(rng, len(carrier), len(live))]
-        products = letters[:, 0]
-        masks = rows[products]
-        for j in range(1, SAMPLE_LEN):
-            products = G.mul_many(products, letters[:, j])
-            masks &= rows[products]
-        distinct, which = np.unique(_row_keys(masks), return_inverse=True)
-        data, width = distinct.tobytes(), masks.itemsize * masks.shape[1]
-        ints = [int.from_bytes(data[i:i + width], "little")
-                for i in range(0, len(data), width)]
+        products, masks = _reduce(G, rows, letters)
+        ints, which = _distinct_masks(masks)
         is_object = np.array([m in L._object_masks for m in ints], dtype=bool)
         yield _Block(letters, lengths, products, ints, which, is_object[which])
+
+
+def _reduce(G: Group, rows: np.ndarray, letters: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Pi(w) and the S_w mask row of each identity-padded word of
+    ``letters``: one ``mul_many`` per column and an AND of the mask rows of
+    the prefix products."""
+    products = letters[:, 0]
+    masks = rows[products]
+    for j in range(1, letters.shape[1]):
+        products = G.mul_many(products, letters[:, j])
+        masks &= rows[products]
+    return products, masks
+
+
+def _distinct_masks(masks: np.ndarray) -> Tuple[List[int], np.ndarray]:
+    """The distinct rows of ``masks`` as int masks, and which[i], the index
+    among them of row i."""
+    distinct, which = np.unique(_row_keys(masks), return_inverse=True)
+    data, width = distinct.tobytes(), distinct.itemsize  # keys zero-pad short rows
+    return [int.from_bytes(data[i:i + width], "little")
+            for i in range(0, len(data), width)], which
 
 
 # -- axiom checkers -------------------------------------------------------
@@ -498,7 +500,9 @@ def check_partial_group(L: Locality, samples: int = 100000,
     ``samples`` seeded words of lengths 2..SAMPLE_LEN: the full word-level
     battery on the first FULL_BATTERY_CAP domain words in sample order, and
     the domain consistency test once per distinct S_w of each block, which
-    covers every sampled word.
+    covers every sampled word.  The battery reduces each word it derives
+    from a domain word (every subword and splice, and w^-1 o w) from that
+    word's own letters, BATTERY_CHUNK domain words at a time.
     """
     _check_samples(samples)
     report = CheckReport("partial-group")
@@ -544,8 +548,9 @@ def check_partial_group(L: Locality, samples: int = 100000,
     # battery (all subwords, splices, inversion) runs on a capped number of
     # domain words, and the domain consistency test on every S_w sampled
     battery = 0
+    in_carrier = member_mask(G, L.carrier_set)
     for block in _sampled_blocks(L, samples, seed, 2):
-        battery += _check_block(L, block, FULL_BATTERY_CAP - battery, report)
+        battery += _check_block(L, block, FULL_BATTERY_CAP - battery, in_carrier, report)
         if _enough_failures(report):
             break
     report.note("sampled_words", samples)
@@ -557,60 +562,118 @@ def _enough_failures(report: CheckReport) -> bool:
     return len(report.failures) > 5
 
 
-def _check_block(L: Locality, block: _Block, cap: int, report: CheckReport) -> int:
+def _check_block(L: Locality, block: _Block, cap: int, in_carrier: np.ndarray,
+                 report: CheckReport) -> int:
     """The full battery on the first ``cap`` domain words of a block, then
     the domain consistency test once per distinct S_w of the block; stops
-    after more than five failures.  Returns the number of battery words."""
-    battery = 0
-    for i in np.flatnonzero(block.in_domain)[:cap]:
-        if _enough_failures(report):
-            return battery
-        battery += 1
-        _check_word_axioms(L, block.word(i), report)
+    after more than five failures.  Returns the number of battery words
+    checked up to the stop."""
+    if _enough_failures(report):
+        return 0
+    words = np.flatnonzero(block.in_domain)[:cap]
+    for start in range(0, len(words), BATTERY_CHUNK):
+        chunk = words[start:start + BATTERY_CHUNK]
+        for i, message in _battery_failures(L, block.letters[chunk], block.lengths[chunk],
+                                            in_carrier):
+            report.fail(message)
+            if _enough_failures(report):
+                return start + i + 1
     for j, mask in enumerate(block.masks):
         if _enough_failures(report):
             break
         if (mask in L._object_masks) != any(q & mask == q for q in L._min_masks):
             word = block.word(np.flatnonzero(block.which == j)[0])
             report.fail(f"domain test inconsistent on sampled word {word}")
-    return battery
+    return len(words)
 
 
-def _check_word_axioms(L: Locality, word: Word, report: CheckReport) -> None:
-    G = L.ambient
-    in_d = L.in_domain(word)
-    if not in_d:
-        return
-    n = len(word)
-    # subword closure
-    for i in range(n):
-        for j in range(i + 1, n + 1):
-            if not L.in_domain(word[i:j]):
-                report.fail(f"subword {word[i:j]} of domain word {word} not in D")
-                return
-    # splice: replacing any segment by its product stays in D, same product
-    total = L.product(word)
-    for i in range(n):
-        for j in range(i + 1, n + 1):
-            spliced = word[:i] + (L.product(word[i:j]),) + word[j:]
-            if not L.in_domain(spliced):
-                report.fail(f"spliced word {spliced} of {word} not in D")
-                return
-            if L.product(spliced) != total:
-                report.fail(f"splice changes product on {word}")
-                return
-    # inversion
-    inv_word = tuple(G.inv(g) for g in reversed(word))
-    if not L.in_domain(inv_word + word):
-        report.fail(f"w^-1 o w not in D for {word}")
-        return
-    if L.product(inv_word + word) != G.identity:
-        report.fail(f"Pi(w^-1 o w) != 1 for {word}")
+def _battery_failures(L: Locality, letters: np.ndarray, lengths: np.ndarray,
+                      in_carrier: np.ndarray) -> List[Tuple[int, str]]:
+    """(i, message) for each word i of ``letters`` (identity-padded, of the
+    given lengths) that lies in D and fails the battery, in word order, with
+    the first failure in the battery's order: every subword w[i:j] lies in
+    D; every splice w[:i] + (Pi(w[i:j]),) + w[j:] lies in D and has product
+    Pi(w); w^-1 o w lies in D and has product 1.  ``in_carrier`` marks the
+    carrier among the ambient elements."""
+    inverse = np.asarray(L.ambient.inverse, dtype=np.intp)
+    failures = []
+    for n in range(1, letters.shape[1] + 1):
+        rows = np.flatnonzero(lengths == n)
+        if len(rows):
+            failures += [(int(rows[r]), message) for r, message in
+                         _battery_of_length(L, letters[rows, :n], inverse, in_carrier)]
+    return sorted(failures)
+
+
+def _battery_of_length(L: Locality, words: np.ndarray, inverse: np.ndarray,
+                       in_carrier: np.ndarray) -> Iterator[Tuple[int, str]]:
+    """``_battery_failures`` on words of one length n, the rows of ``words``.
+
+    Each family of derived words is one gather of the words' letters, a
+    product column of their subwords and the identity through a template of
+    column indices, then one reduction."""
+    k, n = words.shape
+    spans = [(i, j) for i in range(n) for j in range(i + 1, n + 1)]
+    one = np.full((k, 1), L.ambient.identity, dtype=np.intp)
+    # subwords: columns of [w | 1], w[i:j] padded by column n
+    template = np.array([list(range(i, j)) + [n] * (n - j + i) for i, j in spans])
+    sub_in, sub_prod = _derived(L, np.hstack([words, one])[:, template], template == n,
+                                in_carrier)
+    whole = spans.index((0, n))
+    in_d, total = sub_in[:, whole], sub_prod[:, whole]
+    # splices: columns of [w | Pi of each subword | 1], padded by the last
+    pad = n + len(spans)
+    template = np.array([list(range(i)) + [n + s] + list(range(j, n)) + [pad] * (j - i - 1)
+                         for s, (i, j) in enumerate(spans)])
+    spl_in, spl_prod = _derived(L, np.hstack([words, sub_prod, one])[:, template],
+                                template == pad, in_carrier)
+    # w^-1 o w
+    inv_in, inv_prod = _derived(L, np.hstack([inverse[words[:, ::-1]], words])[:, None],
+                                np.zeros((1, 2 * n), dtype=bool), in_carrier)
+    sub_bad = ~sub_in
+    spl_bad = ~spl_in | (spl_prod != total[:, None])
+    inv_bad = ~inv_in[:, 0] | (inv_prod[:, 0] != L.ambient.identity)
+    for r in np.flatnonzero(in_d & (sub_bad.any(axis=1) | spl_bad.any(axis=1) | inv_bad)):
+        word = tuple(words[r].tolist())
+        if sub_bad[r].any():
+            i, j = spans[sub_bad[r].argmax()]
+            yield r, f"subword {word[i:j]} of domain word {word} not in D"
+        elif spl_bad[r].any():
+            s = spl_bad[r].argmax()
+            i, j = spans[s]
+            spliced = word[:i] + (int(sub_prod[r, s]),) + word[j:]
+            yield r, (f"spliced word {spliced} of {word} not in D" if not spl_in[r, s]
+                      else f"splice changes product on {word}")
+        elif not inv_in[r, 0]:
+            yield r, f"w^-1 o w not in D for {word}"
+        else:
+            yield r, f"Pi(w^-1 o w) != 1 for {word}"
+
+
+def _derived(L: Locality, letters: np.ndarray, pad: np.ndarray,
+             in_carrier: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(w in D, Pi(w)) for the (k, d) words of a (k, d, width) letter array
+    whose (d, width) ``pad`` marks the identity padding: a carrier test on
+    the other letters and an object test on the S_w reduced from them."""
+    k, d, width = letters.shape
+    products, masks = _reduce(L.ambient, L.mask_rows(), letters.reshape(k * d, width))
+    ints, which = _distinct_masks(masks)
+    is_object = np.array([m in L._object_masks for m in ints], dtype=bool)[which]
+    in_d = is_object.reshape(k, d) & (in_carrier[letters] | pad).all(axis=2)
+    return in_d, products.reshape(k, d)
 
 
 def check_locality_axioms(L: Locality, samples: int = 20000,
                           seed: int = 2024) -> CheckReport:
-    """Verify (L1), (L2) in both directions, and (L3)."""
+    """Verify (L1), (L2) in both directions, and (L3).
+
+    (L2) is checked exhaustively on the states of the state graph, then on
+    ``samples`` seeded words of lengths 1..SAMPLE_LEN by explicit object
+    chains: every word in D by the chain from its tracked S_w, every word
+    outside D by the search from each minimal object.  Both walk the
+    object-transport table of ``Locality.transport`` a column of a block at
+    a time, and neither reads S_w or an object image from the S_h masks.
+    """
     _check_samples(samples)
     report = CheckReport("locality-axioms")
     G = L.ambient
@@ -647,7 +710,7 @@ def check_locality_axioms(L: Locality, samples: int = 20000,
                 report.fail(f"(L2) mismatch on state of word {witness}")
         report.note(f"L2_states_len{length}", len(graph.levels[length]))
 
-    # (L2), sampled honest chains: S_w from the block, chains per word
+    # (L2), sampled honest chains, a block at a time
     for block in _sampled_blocks(L, samples, seed + 1, 1):
         if _l2_chain_failure(L, block, report):
             break
@@ -657,32 +720,93 @@ def check_locality_axioms(L: Locality, samples: int = 20000,
 
 def _l2_chain_failure(L: Locality, block: _Block, report: CheckReport) -> bool:
     """Report the first word of the block whose S_w membership in Delta
-    disagrees with its explicit chains; True if there was one."""
-    for i, sw_in in enumerate(block.in_domain.tolist()):
-        word = block.word(i)
-        chain = L.chain_witness(word)
-        if sw_in and chain is None:
-            report.fail(f"(L2) chain construction failed for {word}")
-            return True
-        if not sw_in and _exists_chain_by_search(L, word):
-            report.fail(f"(L2) found chain for word outside D: {word}")
-            return True
-    return False
+    disagrees with its explicit chains; True if there was one.  A word in D
+    needs a witness chain, a word outside D must have no chain from a
+    minimal object."""
+    inside = block.in_domain
+    bad = inside & (_witness_ends(L, block.letters, block.lengths, inside) < 0)
+    bad |= _search_hits(L, block.letters, block.lengths, ~inside)
+    if not bad.any():
+        return False
+    i = int(bad.argmax())
+    word = block.word(i)
+    report.fail(f"(L2) chain construction failed for {word}" if inside[i]
+                else f"(L2) found chain for word outside D: {word}")
+    return True
 
 
-def _exists_chain_by_search(L: Locality, word: Word) -> bool:
-    """Independent chain search: some minimal object tracks through the
-    whole word.  Each step is read from the object-transport table, which is
-    filled element by element and never from the S_h masks."""
-    for P in L.min_objects:
-        current: Optional[MemberSet] = P
-        for g in word:
-            current = L.transport(current, g)
-            if current is None:
-                break
-        else:
-            return True
-    return False
+def _witness_ends(L: Locality, letters: np.ndarray, lengths: np.ndarray,
+                  among: np.ndarray) -> np.ndarray:
+    """P_n of the explicit object chain P_0..P_n certifying each word marked
+    in ``among``, as an index in ``L.sorted_objects``, or -1 when the chain
+    breaks (and for every word not marked).
+
+    Any chain's P_0 consists of elements tracked into S at every prefix, so
+    P_0 <= S_w; maximality makes S_w itself the canonical choice.
+    """
+    return _walk(L, _tracked_objects(L, letters, among), letters, lengths)
+
+
+def _search_hits(L: Locality, letters: np.ndarray, lengths: np.ndarray,
+                 among: np.ndarray) -> np.ndarray:
+    """Whether some minimal object tracks through the whole word, for each
+    word marked in ``among`` (False for the others): the independent chain
+    search, one walk of the words per minimal object."""
+    hits = np.zeros(len(letters), dtype=bool)
+    for i, P in enumerate(L.sorted_objects):
+        if P in L.min_objects:
+            hits |= _walk(L, np.where(among, i, -1), letters, lengths) >= 0
+    return hits
+
+
+def _walk(L: Locality, start: np.ndarray, letters: np.ndarray,
+          lengths: np.ndarray) -> np.ndarray:
+    """Walks through the object-transport table: the walk of word r starts
+    at object ``start[r]`` (an index in ``L.sorted_objects``, -1 for none)
+    and steps through its letters, a column of the words at a time.
+    Returns where each walk ends, -1 once a step leaves Delta.  Each
+    distinct (object, letter) step of a column is read from
+    ``Locality.transport`` once and scattered back."""
+    objects = L.sorted_objects
+    ids = {P: i for i, P in enumerate(objects)}
+    order = L.ambient.order
+    current = start.copy()
+    for j in range(letters.shape[1]):
+        live = np.flatnonzero((current >= 0) & (lengths > j))
+        if not len(live):
+            break
+        steps, at = np.unique(current[live] * order + letters[live, j], return_inverse=True)
+        images = [L.transport(objects[q // order], q % order) for q in steps.tolist()]
+        current[live] = np.array([-1 if P is None else ids[P] for P in images],
+                                 dtype=np.intp)[at]
+    return current
+
+
+def _tracked_objects(L: Locality, letters: np.ndarray, among: np.ndarray) -> np.ndarray:
+    """S_w of each identity-padded word marked in ``among`` as an index in
+    ``L.sorted_objects``, or -1 when it is no object (and for every word not
+    marked).  Each member of S is tracked through the
+    word a letter at a time by ``Group.conj_many`` and kept while it stays
+    in S, as ``s_word_pairs`` does; TRACK_CELLS (word, member) pairs at a
+    time.  The S_h masks are not read."""
+    G = L.ambient
+    members = np.asarray(L.sylow.sorted_members, dtype=np.intp)
+    in_s = member_mask(G, L.sylow.members)
+    ids = {L._mask_of(P): i for i, P in enumerate(L.sorted_objects)}
+    out = np.full(len(letters), -1, dtype=np.intp)
+    rows = np.flatnonzero(among)
+    step = max(1, TRACK_CELLS // len(members))
+    for start in range(0, len(rows), step):
+        chunk = letters[rows[start:start + step]]
+        tracked = np.broadcast_to(members, (len(chunk), len(members)))
+        alive = np.ones(tracked.shape, dtype=bool)
+        for j in range(chunk.shape[1]):
+            tracked = G.conj_many(tracked, chunk[:, j, None])
+            alive &= in_s[tracked]
+        ints, which = _distinct_masks(np.packbits(alive, axis=1, bitorder="little"))
+        out[rows[start:start + step]] = np.array([ids.get(m, -1) for m in ints],
+                                                 dtype=np.intp)[which]
+    return out
 
 
 def _is_partial_subgroup_set(L: Locality, members: MemberSet) -> bool:

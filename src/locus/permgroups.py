@@ -197,6 +197,15 @@ class Group:
         img = E[b[..., None], E[a[..., None], base]]
         return self._lookup(img.reshape(-1, len(base)), "a product").reshape(a.shape)
 
+    def conj_many(self, x, g) -> np.ndarray:
+        """Elementwise x^g, as ``conj`` does, for index arrays x and g that
+        broadcast together: a view of the conjugation table when tabled,
+        else (g^-1 x) g by two ``mul_many``."""
+        if self._conj_table is None:
+            return self.mul_many(self.mul_many(np.asarray(self.inverse)[g], x), g)
+        x, g = np.broadcast_arrays(np.asarray(x, dtype=np.intp), np.asarray(g, dtype=np.intp))
+        return np.frombuffer(self._conj_table, dtype=np.uint16)[x * self.order + g]
+
     def _lookup(self, img: np.ndarray, what: str) -> np.ndarray:
         """The element index of each row of base images; GroupError naming
         ``what`` if a row is not among the sorted keys."""

@@ -92,6 +92,19 @@ def test_entry_points_do_not_import_numpy_random():
     assert done.stdout.strip() == "False"
 
 
+def test_locality_checks_do_not_import_numpy_ma():
+    # ``np.unique`` with no return_* option imports numpy.ma (to test for a
+    # masked array), which raises the max RSS of a locality check by 3.6 MiB
+    src = str(Path(locus.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from locus.cli import main; "
+         "main(['locality-check', '--group', 's4', '--samples', '3000']); "
+         "print('numpy.ma' in sys.modules)"],
+        env={"PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 # -- reachability from the pipelines ---------------------------------------------
 
 # where the pipelines start: ``locus`` on the command line, and harness.run

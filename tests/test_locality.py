@@ -31,7 +31,8 @@ from locus.locality import (
     _choices,
     _sampled_blocks,
 )
-from locus.permgroups import TABLE_ORDER_CAP, Group, all_subgroups, parse_perm, sylow
+from locus.permgroups import (TABLE_ORDER_CAP, Group, all_subgroups, member_mask, parse_perm,
+                             sylow)
 
 from conftest import bundled
 
@@ -689,3 +690,123 @@ def _with_product(L, a, b):
 def test_battery_failure_sites(corrupt, first):
     rep = check_partial_group(corrupt(), samples=3000)
     assert rep.failures[:1] == [first], rep.failures
+
+
+# -- the block checkers against the per-word definitions ---------------------------
+
+def _scalar_battery(L, word):
+    """The first battery failure of a word in D, or None: every derived word
+    decided by ``in_domain`` and multiplied out by ``product`` on its own."""
+    G = L.ambient
+    if not L.in_domain(word):
+        return None
+    n = len(word)
+    for i in range(n):
+        for j in range(i + 1, n + 1):
+            if not L.in_domain(word[i:j]):
+                return f"subword {word[i:j]} of domain word {word} not in D"
+    total = L.product(word)
+    for i in range(n):
+        for j in range(i + 1, n + 1):
+            spliced = word[:i] + (L.product(word[i:j]),) + word[j:]
+            if not L.in_domain(spliced):
+                return f"spliced word {spliced} of {word} not in D"
+            if L.product(spliced) != total:
+                return f"splice changes product on {word}"
+    inv_word = tuple(G.inv(g) for g in reversed(word))
+    if not L.in_domain(inv_word + word):
+        return f"w^-1 o w not in D for {word}"
+    if L.product(inv_word + word) != G.identity:
+        return f"Pi(w^-1 o w) != 1 for {word}"
+    return None
+
+
+def _scalar_walk(L, P, word):
+    """P carried through the word a letter at a time by the transport table,
+    or None once a step leaves Delta."""
+    for g in word:
+        if P is None:
+            break
+        P = L.transport(P, g)
+    return P
+
+
+def _scalar_witness_end(L, word):
+    """The last object of the chain from S_w through the word, or None."""
+    sw = L.s_word(word)
+    return _scalar_walk(L, sw, word) if sw in L.objects else None
+
+
+def _scalar_search(L, word):
+    """Whether some minimal object tracks through the whole word."""
+    return any(_scalar_walk(L, P, word) is not None for P in L.min_objects)
+
+
+@functools.lru_cache(maxsize=None)
+def c128():
+    """The punctured locality of C128 as one 128-cycle: S = G, 128-bit masks."""
+    G = _group(128, [_cycle(1, 128)], "c128")
+    S = sylow(G, 2)
+    return build_locality(G, S, delta_all_nontrivial(S), 2)
+
+
+def _lost_transport_entries():
+    """A copy of s4 punctured in which no object is carried by one letter."""
+    L = _own_table(cached_punctured("s4", 2))
+    for P in L.objects:
+        L._transport[(P, L.carrier[1])] = None
+    return L
+
+
+def _without_carrier_elements():
+    """A copy of a6 punctured whose carrier misses a tenth of its own."""
+    L = copy.copy(cached_punctured("a6", 2))
+    L.carrier = tuple(g for i, g in enumerate(L.carrier) if i % 10 != 5)
+    L.carrier_set = frozenset(L.carrier)
+    return L
+
+
+DIFFERENTIAL_CASES = {
+    "s4": lambda: cached_punctured("s4", 2),
+    "a6": lambda: cached_punctured("a6", 2),
+    "a6-centric": functools.lru_cache(maxsize=None)(lambda: centric("a6", 2)),
+    "c128": c128,
+    "a5xc3^3-untabled": a5xc3_cubed,
+    "a6-without-S": lambda: _without_object_mask(cached_punctured("a6", 2), -1),
+    "a6-without-a-four-group": lambda: _without_object_mask(cached_punctured("a6", 2), 5),
+    "a6-without-Z(S)": lambda: _without_object_mask(cached_punctured("a6", 2), 0),
+    "s4-bad-product": lambda: _with_product(cached_punctured("s4", 2), 23, 10),
+    "s4-lost-transport-entries": _lost_transport_entries,
+    "a6-without-carrier-elements": _without_carrier_elements,
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_block_verdicts_match_the_per_word_definitions(data):
+    L = DIFFERENTIAL_CASES[data.draw(st.sampled_from(sorted(DIFFERENTIAL_CASES)))]()
+    G = L.ambient
+    letter = st.one_of(st.sampled_from(L.carrier), st.integers(0, G.order - 1))
+    drawn = [tuple(w) for w in data.draw(st.lists(
+        st.lists(letter, min_size=1, max_size=SAMPLE_LEN), max_size=8))]
+    # and words as the checkers sample them, most of them in D
+    block = next(_sampled_blocks(L, 40, data.draw(st.integers(0, 2**32)), 1))
+    words = drawn + [block.word(i) for i in range(40)]
+    letters = np.full((len(words), SAMPLE_LEN), G.identity, dtype=np.intp)
+    for i, w in enumerate(words):
+        letters[i, :len(w)] = w
+    lengths = np.array([len(w) for w in words])
+    every = np.ones(len(words), dtype=bool)
+
+    battery = locality._battery_failures(L, letters, lengths, member_mask(G, L.carrier_set))
+    assert battery == [(i, m) for i, w in enumerate(words)
+                       if (m := _scalar_battery(L, w)) is not None]
+    ends = locality._witness_ends(L, letters, lengths, every)
+    assert [L.sorted_objects[e] if e >= 0 else None for e in ends.tolist()] == [
+        _scalar_witness_end(L, w) for w in words]
+    hits = locality._search_hits(L, letters, lengths, every)
+    assert hits.tolist() == [_scalar_search(L, w) for w in words]
+    # a word left out gets no witness and no search
+    some = np.arange(len(words)) % 2 == 0
+    assert (locality._witness_ends(L, letters, lengths, some)[~some] == -1).all()
+    assert not locality._search_hits(L, letters, lengths, some)[~some].any()
