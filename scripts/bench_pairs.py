@@ -3,12 +3,15 @@
     python scripts/bench_pairs.py --parent HEAD~1 --change HEAD \\
         --workload bigcover --pairs 10 --traced --out BENCH_6.json
 
-Each side is a checkout directory or a git revision of the repository in
-the current directory, run with its own ``perfbench/run.py`` at the same
-``--seconds`` and seed.  A revision runs from a fresh ``git archive`` in a
-temporary directory that is removed afterwards (peak RSS differs between a
-working checkout and an archive of the same commit, so two revisions
-compare like with like).  Pair i runs the parent first when i is even and
+Each side is a git checkout directory or a git revision of the repository
+in the current directory, run with its own ``perfbench/run.py`` at the same
+``--seconds`` and seed.  Both sides run from fresh ``git archive``s in
+temporary directories that are removed afterwards: a revision as it is, a
+checkout as ``git stash create`` records its tracked files, which leaves
+the checkout untouched (stage new files first; untracked ones are left
+out).  Wall time and peak RSS both differ between a working checkout and an
+archive of the same files, so only archives compare like with like.  Pair i
+runs the parent first when i is even and
 the change first when i is odd.  After every run the record that the
 benchmark wrote to ``<checkout>/.bench_out/`` is read back.  With
 ``--traced`` one traced run per side follows the pairs.
@@ -17,8 +20,7 @@ The output file gets one entry per workload, keyed ``<workload>`` at the
 default seed 2024 and ``<workload>/seed<N>`` at any other; entries under
 other keys already in the file are kept.  An entry holds every run's record
 (machine block, medians and quartiles, checks), each side's commit
-(suffixed ``-dirty`` for a checkout with uncommitted changes, null outside
-git), each side's median and quartiles over its run medians, the number of
+(suffixed ``-dirty`` for a checkout with uncommitted changes), each side's median and quartiles over its run medians, the number of
 pairs the change won for every end-to-end metric (lower is better, ties
 count for neither), the item digests of ``perfbench/expected.json`` and,
 with ``--traced``, each side's per-layer metrics.
@@ -65,28 +67,25 @@ def git(*args: str, cwd: Optional[Path] = None) -> subprocess.CompletedProcess:
     return subprocess.run(["git", *args], cwd=cwd, capture_output=True)
 
 
-def commit_of(checkout: Path) -> Optional[str]:
-    """HEAD of a checkout, with ``-dirty`` when tracked files differ from
-    it; None outside git."""
-    head = git("rev-parse", "--verify", "HEAD", cwd=checkout)
-    if head.returncode:
-        return None
-    dirty = git("diff", "--quiet", "HEAD", cwd=checkout).returncode
-    return head.stdout.decode().strip() + ("-dirty" if dirty else "")
-
-
-def resolve_side(spec: str, stack: contextlib.ExitStack) -> Tuple[Path, Optional[str]]:
-    """(directory to run, commit) for a checkout directory or a revision;
-    a revision is archived into a temporary directory that ``stack`` removes."""
-    if Path(spec).is_dir():
-        return Path(spec).resolve(), commit_of(Path(spec))
-    rev = git("rev-parse", "--verify", "--quiet", spec + "^{commit}")
-    if rev.returncode:
-        raise SystemExit(f"bench_pairs: {spec!r} is neither a directory "
-                         "nor a git revision")
-    commit = rev.stdout.decode().strip()
+def resolve_side(spec: str, stack: contextlib.ExitStack) -> Tuple[Path, str]:
+    """(directory to run, commit) for a checkout directory or a revision:
+    its files archived into a temporary directory that ``stack`` removes."""
+    cwd = Path(spec) if Path(spec).is_dir() else None
+    if cwd is not None:
+        head = git("rev-parse", "--verify", "HEAD", cwd=cwd)
+        if head.returncode:
+            raise SystemExit(f"bench_pairs: {spec!r} is not a git checkout")
+        commit = head.stdout.decode().strip()
+        stash = git("stash", "create", cwd=cwd).stdout.decode().strip()
+        tree, commit = (stash, commit + "-dirty") if stash else (commit, commit)
+    else:
+        rev = git("rev-parse", "--verify", "--quiet", spec + "^{commit}")
+        if rev.returncode:
+            raise SystemExit(f"bench_pairs: {spec!r} is neither a directory "
+                             "nor a git revision")
+        tree = commit = rev.stdout.decode().strip()
     tmp = Path(stack.enter_context(tempfile.TemporaryDirectory(prefix="bench-")))
-    tar = subprocess.run(["git", "archive", "--format=tar", commit],
+    tar = subprocess.run(["git", "archive", "--format=tar", tree], cwd=cwd,
                          check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(tmp)], input=tar, check=True)
     return tmp, commit

@@ -19,16 +19,18 @@ checkers), then on seeded samples: lengths 2-5 for the partial-group axioms,
 from ``random.Random(seed)``; each draw replays ``choices`` in numpy on the
 generator's own bytes, so a given seed yields the same words, and leaves the
 generator in the same state, as one ``choices`` call for the lengths and one
-per letter column.  Each block's prefix products and S_w masks are numpy
-arrays: ``Group.mul_many`` per column and an AND over rows of
-``Locality.mask_rows``.  The per-word oracles that keep the checkers
-independent still run on every sampled word: ``in_domain`` in the battery,
-and the (L2) chain witness and chain search, which walk every step of a word
-through the locality's object-transport table (P, g) -> P^g.  That table is
-filled lazily, element by element with ``Group.conj``, and never from the
-S_h masks, so a repeated (object, letter) step is computed once.  The
-step-wise pair tracking of ``s_word_pairs`` stays as an independent oracle
-for the tracked map.
+per letter column.  A block is an array of identity-padded letters, and
+every sampled check runs on whole blocks: a word's product is one
+``Group.mul_many`` per column and its S_w an AND over rows of
+``Locality.mask_rows``.  Three rules keep the sampled checks from trusting
+what they check.  The battery reduces each word it derives from a domain
+word (every subword and splice, and w^-1 o w) from that word's own letters,
+with its own carrier and object tests.  The (L2) chain witness starts from
+an S_w found by tracking each member of S through the word by
+``Group.conj_many``, the array form of ``s_word_pairs``.  Both (L2) chain
+oracles take every object image from one object-transport table (P, g) ->
+P^g, filled lazily, element by element with ``Group.conj``, and never from
+the S_h masks; each distinct (object, letter) step of a column is read once.
 """
 
 from __future__ import annotations
@@ -210,8 +212,11 @@ class Locality:
     def transport(self, P: MemberSet, g: int) -> Optional[MemberSet]:
         """P^g when it is an object, else None, for an object P.
 
-        Memoized per (P, g); each entry is computed element by element with
-        ``Group.conj``, independently of the S_h masks.
+        Memoized per (P, g) in the object-transport table, the only source
+        of object images for the (L2) chain oracles, which read it once per
+        distinct (object, letter) step of a column of a block.  Each entry
+        is computed element by element with ``Group.conj``, independently of
+        the S_h masks.
         """
         key = (P, g)
         try:

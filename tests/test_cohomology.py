@@ -587,6 +587,43 @@ def test_differential_that_does_not_square_to_zero_is_caught(monkeypatch):
         FpCohomology(G, G.full_subgroup(), 2, 2)
 
 
+def _square_matrix(H, n):
+    D = np.zeros((H.dim_cochain(n + 2), H.dim_cochain(n)), dtype=np.int64)
+    for rows, cols, values in H._square(n):
+        D[rows, cols] = values
+    return D
+
+
+def _face_matrix(H, F):
+    """The matrix that face array F stands for, entry by entry."""
+    K = H.dim_cochain(len(F) - 2)
+    D = np.zeros((F.shape[1], K), dtype=np.int64)
+    for j, face in enumerate(F):
+        for r, x in enumerate(face.tolist()):
+            if x < K:
+                D[r, x] += (-1) ** j
+    return D
+
+
+@pytest.mark.parametrize("group, p", [("d8", 2), ("c3xc3", 3)])
+def test_d_squared_from_composed_faces_matches_the_matrix_product(group, p, monkeypatch):
+    G = _oracle_group(group)
+    H = FpCohomology(G, G.full_subgroup(), p, 3)
+    for n in range(3):
+        want = _ref_differential(H, n + 1) @ _ref_differential(H, n) % p
+        assert np.array_equal(_square_matrix(H, n), want), n
+    # faces with entries moved at random, several blocks of tuples at a time
+    monkeypatch.setattr(cohomology, "BLOCK_CELLS", 1000)
+    rng = np.random.default_rng(5)
+    for n in range(3):
+        for F in H.faces[n:n + 2]:
+            F[rng.integers(0, len(F), 40), rng.integers(0, F.shape[1], 40)] = rng.integers(
+                0, H.dim_cochain(len(F) - 2) + 1, 40)
+        want = _face_matrix(H, H.faces[n + 1]) @ _face_matrix(H, H.faces[n]) % p
+        assert np.array_equal(_square_matrix(H, n), want), n
+        assert want.any()
+
+
 def test_coordinates_reject_a_cochain_that_is_not_a_cocycle():
     G = _v4()
     H = FpCohomology(G, G.full_subgroup(), 2, 2)

@@ -221,16 +221,29 @@ def test_bench_pairs_runs_revisions_from_removed_archives(tmp_path):
         assert entry["metrics"]["wall_s"]["change_wins"] == 2
         ran_in = {r["result"]["ran_in"] for rs in entry["runs"].values() for r in rs}
         parent_dirs = {r["result"]["ran_in"] for r in entry["runs"]["parent"]}
-        assert len(parent_dirs) == 1 and str(repo) not in parent_dirs
-        assert (str(repo) in ran_in) == (change == str(repo))
+        assert len(parent_dirs) == 1 and len(ran_in) == 2 and str(repo) not in ran_in
         # the archives are gone, and nothing else was left in the temp dir
-        assert not any(Path(d).exists() for d in ran_in - {str(repo)})
+        assert not any(Path(d).exists() for d in ran_in)
         assert list(tmp.iterdir()) == []
+    # a checkout with uncommitted changes runs from an archive of them and
+    # is left as it was
     (repo / "perfbench" / "expected.json").write_text('{"w": [{"sha256": "y"}]}')
+    status = git("status", "--porcelain")
     subprocess.run([sys.executable, str(script), "--parent", "HEAD~1", "--change",
                     str(repo), "--workload", "w", "--pairs", "2", "--out", str(out)],
                    cwd=repo, env=env, check=True, capture_output=True, timeout=120)
-    assert json.loads(out.read_text())["w"]["commit"]["change"] == shas[1] + "-dirty"
+    entry = json.loads(out.read_text())["w"]
+    assert entry["commit"]["change"] == shas[1] + "-dirty"
+    assert entry["expected_sha256"] == {"parent": ["x"], "change": ["y"]}
+    assert str(repo) not in {r["result"]["ran_in"] for r in entry["runs"]["change"]}
+    assert git("status", "--porcelain") == status and git("stash", "list") == ""
+    assert list(tmp.iterdir()) == []
+    done = subprocess.run(
+        [sys.executable, str(script), "--parent", "HEAD", "--change", str(tmp),
+         "--workload", "w", "--out", str(out)],
+        cwd=repo, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert f"{str(tmp)!r} is not a git checkout" in done.stderr
     done = subprocess.run(
         [sys.executable, str(script), "--parent", "nosuch", "--change", "HEAD",
          "--workload", "w", "--out", str(out)],
