@@ -11,19 +11,20 @@ checkout as ``git stash create`` records its tracked files, which leaves
 the checkout untouched (stage new files first; untracked ones are left
 out).  Wall time and peak RSS both differ between a working checkout and an
 archive of the same files, so only archives compare like with like.  Pair i
-runs the parent first when i is even and
-the change first when i is odd.  After every run the record that the
-benchmark wrote to ``<checkout>/.bench_out/`` is read back.  With
-``--traced`` one traced run per side follows the pairs.
+runs the parent first when i is even and the change first when i is odd.
+After every run the record that the benchmark wrote to
+``<archive>/.bench_out/`` is read back.  With ``--traced`` one traced run
+per side follows the pairs.
 
 The output file gets one entry per workload, keyed ``<workload>`` at the
 default seed 2024 and ``<workload>/seed<N>`` at any other; entries under
 other keys already in the file are kept.  An entry holds every run's record
 (machine block, medians and quartiles, checks), each side's commit
-(suffixed ``-dirty`` for a checkout with uncommitted changes), each side's median and quartiles over its run medians, the number of
-pairs the change won for every end-to-end metric (lower is better, ties
-count for neither), the item digests of ``perfbench/expected.json`` and,
-with ``--traced``, each side's per-layer metrics.
+(suffixed ``-dirty`` for a checkout with uncommitted changes), each side's
+median and quartiles over its run medians, the number of pairs the change
+won for every end-to-end metric (lower is better, ties count for neither),
+the item digests of ``perfbench/expected.json`` and, with ``--traced``,
+each side's per-layer metrics.
 """
 
 from __future__ import annotations

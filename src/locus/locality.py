@@ -790,10 +790,10 @@ def _walk(L: Locality, start: np.ndarray, letters: np.ndarray,
 def _tracked_objects(L: Locality, letters: np.ndarray, among: np.ndarray) -> np.ndarray:
     """S_w of each identity-padded word marked in ``among`` as an index in
     ``L.sorted_objects``, or -1 when it is no object (and for every word not
-    marked).  Each member of S is tracked through the
-    word a letter at a time by ``Group.conj_many`` and kept while it stays
-    in S, as ``s_word_pairs`` does; TRACK_CELLS (word, member) pairs at a
-    time.  The S_h masks are not read."""
+    marked).  Each member of S is tracked through the word a letter at a
+    time by ``Group.conj_many`` and kept while it stays in S, as
+    ``s_word_pairs`` does, TRACK_CELLS (word, member) pairs at a time.  The
+    S_h masks are not read."""
     G = L.ambient
     members = np.asarray(L.sylow.sorted_members, dtype=np.intp)
     in_s = member_mask(G, L.sylow.members)
