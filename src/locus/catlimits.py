@@ -3,13 +3,16 @@
 The cochain model is the normalized bar complex: an n-chain is a string of
 n composable nonidentity morphisms, carrying the functor value at its
 source object; faces whose inner composite collapses to an identity drop
-out.  Ranks of the differentials are computed over F_p by pivot insertion
-(``linalg.rank_sparse_modp``), in cohomology order with clearing: the rank
-of d_n is read off the coboundaries of the n-coordinates, each built
-straight into the eliminator's representation and reduced at once, and the
-coordinates that the pivots of d_{n-1} show to be dependent are skipped
-(``higher_limits``).  Neither a dense matrix nor a list of entries is
-built, and only chains that carry coordinates are enumerated.
+out.  The chains of one level are one index array, and each coface's index
+is computed from a numbering of the chains, not looked up (``Nerve``, kept
+on the category per support of the functor).  Ranks of the differentials
+are computed over F_p by pivot insertion (``linalg.rank_sparse_modp``), in
+cohomology order with clearing: the rank of d_n is read off the
+coboundaries of the n-coordinates, each built straight into the
+eliminator's representation and reduced at once, and the coordinates that
+the pivots of d_{n-1} show to be dependent are skipped (``higher_limits``).
+Neither a dense matrix nor a list of entries is built, and only chains
+that carry coordinates are enumerated.
 
 Higher limits are invariant under equivalence of categories, so the
 comparisons on orbit categories run on a skeleton (one object per
@@ -19,7 +22,7 @@ on categories small enough to do both computations.
 
 from __future__ import annotations
 
-from itertools import accumulate
+import functools
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -48,9 +51,7 @@ class FiniteCategory:
         ``identity_of(obj_index)`` the identity label at an object."""
         self.objects = list(objects)
         self.n = len(self.objects)
-        self.src: List[int] = []
-        self.tgt: List[int] = []
-        self.labels: List = []
+        self.src, self.tgt, self.labels = [], [], []  # per morphism
         self._hom: Dict[Tuple[int, int], range] = {}
         index: Dict[Tuple[int, int, object], int] = {}
         for (i, j), labels in sorted(mor_labels.items()):
@@ -78,6 +79,7 @@ class FiniteCategory:
                         self.comp[g, f] = index[(i, k, lab)]
         self._check_axioms()
         self._skeleton: Optional[Tuple[FiniteCategory, List[List[int]]]] = None
+        self._nerves: Dict[int, Nerve] = {}  # by support bitmask (``nerve``)
 
     def _check_axioms(self) -> None:
         every = np.arange(len(self.labels))
@@ -96,9 +98,6 @@ class FiniteCategory:
 
     def morphisms(self, i: int, j: int) -> range:
         return self._hom.get((i, j), range(0))
-
-    def nonidentity_out(self, i: int) -> List[int]:
-        return [m for j in range(self.n) for m in self.morphisms(i, j) if m != self.identity[i]]
 
     def iso_classes(self) -> List[List[int]]:
         """Object classes under invertible morphisms.  Isomorphism is an
@@ -143,9 +142,7 @@ class ModuleFunctor:
 
     def __init__(self, cat: FiniteCategory, p: int, dims: Sequence[int],
                  mats: Dict[int, np.ndarray]):
-        self.cat = cat
-        self.p = p
-        self.dims = list(dims)
+        self.cat, self.p, self.dims = cat, p, list(dims)
         self.mats = {m: np.asarray(M, dtype=np.int64) % p for m, M in mats.items()}
         self.check()
 
@@ -163,43 +160,135 @@ class ModuleFunctor:
                 raise FunctorError("identity morphism not the identity matrix")
         gs, fs = np.nonzero(cat.comp >= 0)
         for g, f, gf in zip(gs.tolist(), fs.tolist(), cat.comp[gs, fs].tolist()):
-            lhs = self.mats[gf]
-            rhs = (self.mats[f] @ self.mats[g]) % p
-            if not np.array_equal(lhs % p, rhs):
+            if not np.array_equal(self.mats[gf] % p, (self.mats[f] @ self.mats[g]) % p):
                 raise FunctorError("functoriality fails on a composite")
 
 
-def chain_levels(cat: FiniteCategory, depth: int,
-                 dims: Sequence[int]) -> List[List[Tuple[int, ...]]]:
-    """Normalized chains that carry cochain coordinates: level n lists the
-    n-tuples of composable nonidentity morphisms whose first source has
-    nonzero dimension in ``dims``; level 0 lists one (object,) tuple per
-    such object.  Each level is in descending order of its reversed tuples,
-    the order ``higher_limits`` numbers cochain coordinates in.
+# the dtype of the chain and coface indices a Nerve keeps; the budget guard
+# keeps every level far below 2^31 chains
+INDEX = np.int32
 
-    Appending a morphism keeps the first source, so the chains of a level
-    are the extensions of the chains of the level below.
+
+class Nerve:
+    """The normalized chains of a category whose first source lies in a set
+    of objects (a functor's support), level by level.  ``levels[0]`` is a
+    (count, 1) array of those objects, descending; ``levels[n]`` a (count, n)
+    array of composable nonidentity morphisms c_1, ..., c_n, grouped by c_n,
+    descending, the group of m listing the (n-1)-chains that end at the
+    source of m in their order.  ``firsts[n]`` holds the first sources.
+
+    A chain's position is its place among the chains of its level that end
+    where it ends.  The n-chain c.m sits at start_n[m] + pos(c), start_n[m]
+    counting the n-chains in the groups before m, at position within_n[m] +
+    pos(c), within_n[m] counting those of them whose morphism ends where m
+    does.  So (x_1, ..., x_n) sits at within_1[x_1] + ... +
+    within_{n-1}[x_{n-1}] + start_n[x_n], and ``grow`` numbers a coface of
+    every chain of a level with n gathers, as Ripser (Bauer, J. Appl.
+    Comput. Topol. 2021) numbers cofaces.  ``cofaces[n]`` holds, in CSR form
+    over the n-chains, in increasing order of index, the unit cofaces
+    (appended or split) as rows (index, sign) and the prepended ones as rows
+    (index, f).
     """
-    identities = set(cat.identity)
-    nonid = [m for m in reversed(range(len(cat.labels))) if m not in identities]
-    levels: List[List[Tuple[int, ...]]] = [[(i,) for i in reversed(range(cat.n)) if dims[i]]]
-    ending: Dict[int, List[Tuple[int, ...]]] = {i: [()] if dims[i] else []
-                                                for i in range(cat.n)}
-    for _ in range(depth):
-        # grouped by the last morphism, descending; within a group the
-        # previous level's order
-        level = [c + (m,) for m in nonid for c in ending[cat.src[m]]]
-        levels.append(level)
-        ending = {i: [] for i in range(cat.n)}
-        for c in level:
-            ending[cat.tgt[c[-1]]].append(c)
-    return levels
+
+    def __init__(self, cat: FiniteCategory, support: Sequence[bool]):
+        nonid = np.ones(len(cat.labels), dtype=bool)
+        nonid[cat.identity] = False
+        self.nonid = np.flatnonzero(nonid)[::-1]
+        self.src, self.tgt, self.objects = np.array(cat.src), np.array(cat.tgt), cat.n
+        objects = np.flatnonzero(support)[::-1].astype(INDEX)
+        self.levels, self.firsts = [objects[:, None]], [objects]
+        # last target and position of each chain of the top level
+        self.ends, self.pos = objects, np.zeros(len(objects), dtype=np.intp)
+        self.within: List[np.ndarray] = []
+        self.cofaces: List[Tuple[np.ndarray, ...]] = []  # per level, see above
+        # the nonidentity morphisms out of each object and into it from the
+        # support; the factorizations (a, b) of each h = b o a, a, b nonidentity
+        src, tgt = self.src[self.nonid], self.tgt[self.nonid]
+        self.out = _csr(src, self.nonid, cat.n)
+        front = np.asarray(support, dtype=bool)[src]
+        self.into = _csr(tgt[front], self.nonid[front], cat.n)
+        b, a = np.nonzero(cat.comp >= 0)
+        keep = nonid[a] & nonid[b]
+        self.factors = _csr(cat.comp[b[keep], a[keep]], np.column_stack([a[keep], b[keep]]),
+                            len(cat.labels))
+
+    def grow(self) -> None:
+        """Build the next level, and number the cofaces of the top one."""
+        n, chains, ends, nonid = len(self.levels) - 1, self.levels[-1], self.ends, self.nonid
+        count = np.bincount(ends, minlength=self.objects)  # n-chains ending at each
+        sizes = count[self.src[nonid]]
+        start = np.zeros(len(self.src), dtype=np.intp)
+        start[nonid] = np.cumsum(sizes) - sizes
+        order = np.argsort(self.tgt[nonid], kind="stable")
+        before, same = np.cumsum(sizes[order]) - sizes[order], self.tgt[nonid[order]]
+        within = np.zeros_like(start)
+        within[nonid[order]] = before - before[np.searchsorted(same, same)]
+        group, prev = _expand(self.src[nonid], _csr(ends, np.arange(len(ends)), self.objects))
+        m = nonid[group]
+        self.levels.append((np.column_stack([chains[prev], m]) if n else m[:, None]).astype(INDEX))
+        self.firsts.append(self.firsts[n][prev])
+        self.ends, self.pos = self.tgt[m], within[m] + self.pos[prev]
+
+        # an (n+1)-chain sits at the sum of at[q - 1][x_q] over its places q
+        at = self.within + [start]
+        left = [np.zeros(len(ends), dtype=np.intp)]  # left[k - 1]: c_1..c_{k-1} in place
+        right = [left[0]]                            # right[n - k]: c_{k+1}..c_n one on
+        for k in range(1, n + 1):
+            left.append(left[-1] + at[k - 1][chains[:, k - 1]])
+            right.append(right[-1] + at[n + 1 - k][chains[:, n - k]])
+        rows, g = _expand(ends, self.out)
+        unit = [(rows, left[n][rows] + start[g], np.full(len(g), (-1) ** (n + 1)))]
+        for k in range(1, n + 1):
+            rows, ab = _expand(chains[:, k - 1], self.factors)
+            unit.append((rows, left[k - 1][rows] + at[k - 1][ab[:, 0]] + at[k][ab[:, 1]]
+                         + right[n - k][rows], np.full(len(ab), (-1) ** k)))
+        rows, f = _expand(self.firsts[n], self.into)
+        self.cofaces.append(_by_chain(unit, len(ends))
+                            + _by_chain([(rows, at[0][f] + right[n][rows], f)], len(ends)))
+        self.within.append(within)
+
+
+def _csr(keys: np.ndarray, values: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Row pointers and ``values`` grouped by ``keys`` (each below ``size``),
+    in a stable order."""
+    return (np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=size)))),
+            values[np.argsort(keys, kind="stable")])
+
+
+def _expand(keys: np.ndarray, table: Tuple[np.ndarray, np.ndarray]
+            ) -> Tuple[np.ndarray, np.ndarray]:
+    """Each i with each entry of row ``keys[i]`` of a CSR table, in order."""
+    ptr, data = table
+    lo = ptr[keys]
+    counts = ptr[keys + 1] - lo
+    rows = np.repeat(np.arange(len(keys)), counts)
+    return rows, data[np.arange(len(rows)) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
+
+
+def _by_chain(parts: List[Tuple[np.ndarray, ...]], size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Parts (chain, index, datum) as CSR rows (index, datum) over ``size``
+    chains, each chain's in increasing order of index."""
+    rows, index, data = (np.concatenate(x) for x in zip(*parts))
+    order = np.argsort(index, kind="stable")
+    return _csr(rows[order], np.column_stack([index, data])[order].astype(INDEX), size)
+
+
+def nerve(cat: FiniteCategory, dims: Sequence[int], depth: int) -> Nerve:
+    """The ``Nerve`` of the support of ``dims`` through level ``depth``.  It is
+    built once per support, kept on ``cat`` and grown when a deeper level is
+    asked for, so the functors on one category with one support share it."""
+    key = sum(1 << i for i, d in enumerate(dims) if d)
+    if key not in cat._nerves:
+        cat._nerves[key] = Nerve(cat, [bool(d) for d in dims])
+    while len(cat._nerves[key].levels) <= depth:
+        cat._nerves[key].grow()
+    return cat._nerves[key]
 
 
 def chain_counts(cat: FiniteCategory, dims: Sequence[int],
                  depth: int) -> Tuple[List[int], List[int]]:
-    """Chains and cochain coordinates per level of
-    ``chain_levels(cat, depth, dims)``, counted without building a chain.
+    """Chains and cochain coordinates per level of ``nerve(cat, dims,
+    depth)``, counted without building a chain.
 
     The n-chains ending at an object are the (n-1)-chains ending at the
     source of one of its nonidentity in-morphisms, extended by it; a chain
@@ -223,10 +312,10 @@ def chain_counts(cat: FiniteCategory, dims: Sequence[int],
     return chains_out, coords_out
 
 
-# Bytes per chain of level n while the complex exists: CHAIN_BYTES + 8n for
-# the n-tuple, its list slot, its offsets-dict entry and its offset int.
-# tracemalloc on chain_levels plus the offset dicts of the s4 and a6 centric
-# orbit categories read 36-148 bytes per chain at levels 0-5.
+# Bytes per chain of level n while the complex exists: CHAIN_BYTES + 8n.  A
+# deliberate over-estimate since chains are index arrays (4n bytes a chain,
+# and 8 to 12 per coface), kept so that no refusal moves before the guard's
+# recount (ROADMAP item 4); it counted tuples and offset dicts.
 CHAIN_BYTES = 112
 # Bytes per row the rank holds besides its columns (int or dict header and
 # pivot-table slot: 56-99 read at p = 2 on the same categories, 224 for the
@@ -278,109 +367,82 @@ def higher_limits(functor: ModuleFunctor, max_degree: int = 4) -> List[int]:
             f"cochain complex too large: chains per degree {counts}, "
             f"coordinates per degree {sizes}, about {need} bytes "
             f"(budget {budget_mb()} MB)")
-    levels = chain_levels(functor.cat, max_degree + 1, functor.dims)
-    tables = _coface_tables(functor)
+    chains, dims = nerve(functor.cat, functor.dims, max_degree + 1), np.array(functor.dims)
+    # the first coordinate of each chain, and the level's coordinate count
+    offsets = [np.concatenate(([0], np.cumsum(dims[f]))) for f in chains.firsts[:max_degree + 2]]
+    columns = _columns(functor)
     ranks: List[int] = []
     leads: Set[int] = set()  # leading coordinates of the previous pivots
     for n in range(max_degree + 1):
-        rows = _coboundary_rows(functor, tables, levels[n], levels[n + 1], n, leads)
+        rows = _coboundary_rows(functor.p, chains.cofaces[n], chains.firsts[n], offsets[n],
+                                offsets[n + 1], columns, leads)
         leads = set(rank_sparse_modp(sizes[n] - len(leads), sizes[n + 1], rows, functor.p))
         ranks.append(len(leads))
     return [sizes[n] - ranks[n] - (ranks[n - 1] if n else 0) for n in range(max_degree + 1)]
 
 
-CofaceTables = Tuple[Dict[int, List[Tuple[int, List[Row]]]], Dict[int, List[int]],
-                     Dict[int, List[Tuple[int, int]]]]
+def _columns(functor: ModuleFunctor) -> List[List[Row]]:
+    """Column j of each morphism's matrix as a row in the representation
+    ``rank_sparse_modp`` reads at the functor's p; none for a zero matrix."""
+    columns: List[List[Row]] = []
+    for m in range(len(functor.cat.labels)):
+        M = functor.mats[m]
+        nonzero = [np.flatnonzero(col).tolist() for col in M.T] if M.any() else []
+        columns.append([sum(1 << i for i in rows) for rows in nonzero] if functor.p == 2 else
+                       [dict(zip(rows, col[rows].tolist())) for col, rows in zip(M.T, nonzero)])
+    return columns
 
 
-def _coface_tables(functor: ModuleFunctor) -> CofaceTables:
-    """What a coboundary reads from the functor and the category.
-
-    For each object s: the nonidentity morphisms f into s from an object of
-    nonzero dimension whose matrix is not zero, each with its matrix's
-    columns (column j as a row in the representation ``rank_sparse_modp``
-    reads at the functor's p); and the nonidentity morphisms out of s.  For
-    each morphism h: its factorizations h = b o a into nonidentity a and b,
-    as pairs (a, b), from ``cat.comp``, in the order of its composable pairs.
-    """
-    cat, p = functor.cat, functor.p
-    identities = set(cat.identity)
-    into: Dict[int, List[Tuple[int, List[Row]]]] = {s: [] for s in range(cat.n)}
-    for f in range(len(cat.labels)):
-        M = functor.mats[f]
-        if f in identities or not M.any():
-            continue
-        cols = [np.flatnonzero(col).tolist() for col in M.T]
-        into[cat.tgt[f]].append((f, [sum(1 << i for i in rows) for rows in cols] if p == 2 else
-                                    [dict(zip(rows, col[rows].tolist()))
-                                     for col, rows in zip(M.T, cols)]))
-    out = {s: cat.nonidentity_out(s) for s in range(cat.n)}
-    factors: Dict[int, List[Tuple[int, int]]] = {h: [] for h in range(len(cat.labels))}
-    bs, as_ = np.nonzero(cat.comp >= 0)
-    for b, a, h in zip(bs.tolist(), as_.tolist(), cat.comp[bs, as_].tolist()):
-        if a not in identities and b not in identities:
-            factors[h].append((a, b))
-    return into, out, factors
-
-
-def _coboundary_rows(functor: ModuleFunctor, tables: CofaceTables,
-                     chains: List[Tuple[int, ...]], upper: List[Tuple[int, ...]],
-                     n: int, cleared: Set[int]) -> Iterator[Row]:
+def _coboundary_rows(p: int, cofaces: Tuple[np.ndarray, ...], firsts: np.ndarray,
+                     lower: np.ndarray, upper: np.ndarray, columns: List[List[Row]],
+                     cleared: Set[int]) -> Iterator[Row]:
     """Rows of the transpose of d_n : C^n -> C^{n+1}: the coboundary of each
     n-coordinate not in ``cleared``, in increasing order, in the
-    representation ``rank_sparse_modp`` reads at the functor's p.
+    representation ``rank_sparse_modp`` reads at p.
 
-    Coordinates are numbered along ``chains`` (the n-chains) and ``upper``
-    (the (n+1)-chains), a chain's coordinates j = 0, 1, ... in a row.  The
-    coboundary of coordinate j of c = (c_1, ..., c_n), with first source s,
-    has three kinds of coface:
-
-    - (f, c_1, ..., c_n) for a nonidentity f into s: F(f)[i, j] at its
-      coordinate i (face 0);
-    - (c_1, ..., c_n, g) for a nonidentity g out of the target of c_n:
-      (-1)^(n+1) at its coordinate j (the last face);
-    - c with c_k split as b o a, a and b nonidentity: (-1)^k at its
-      coordinate j (inner face k).
-
-    For n = 0, c is an object s and the cofaces are (f,) and (g,).  Values
-    at a repeated coordinate add up mod p.
+    Chain i of level n has coordinates lower[i] + j, j < lower[i + 1] -
+    lower[i], and an (n+1)-chain u those from upper[u].  Coordinate j of c
+    has column j of F(f) from upper[u] for each prepended coface u = f.c
+    (face 0), and (-1)^(n+1) or (-1)^k at upper[u] + j for each appended
+    coface c.g (the last face) or c with c_k split (inner face k); values at
+    a repeated column add up mod p.  The prepended cofaces of c are
+    consecutive chains, one per f into its first source s, so face 0 fills
+    a block of columns laid out by s alone (at n = 0 each object is one
+    chain), packed once per s and coordinate.  At p = 2 the unit cofaces of
+    a chain make one int, packed from its lowest column, shifted by j.
     """
-    cat, dims, p = functor.cat, functor.dims, functor.p
-    into, out, factors = tables
-    # the first coordinate of each (n+1)-chain
-    off = dict(zip(upper, accumulate((dims[cat.src[c[0]]] for c in upper), initial=0)))
-    signs = [(-1) ** k for k in range(n + 2)]
-    firsts = accumulate((dims[c[0] if n == 0 else cat.src[c[0]]] for c in chains), initial=0)
-    for c, first in zip(chains, firsts):
-        s, tail, t = (c[0], (), c[0]) if n == 0 else (cat.src[c[0]], c, cat.tgt[c[-1]])
-        js = [j for j in range(dims[s]) if first + j not in cleared]
+    unit_ptr, units, front_ptr, fronts = cofaces
+    unit_col, front_col = (memoryview(upper[a[:, 0]]) for a in (units, fronts))
+    signs, morphisms = memoryview(units[:, 1]), memoryview(fronts[:, 1])
+    unit_ptr, front_ptr, firsts, lower = (memoryview(a) for a in (
+        unit_ptr, front_ptr, firsts, lower))
+    blocks: Dict[int, List[Row]] = {}  # face 0 by first source, per coordinate
+    for i in range(len(lower) - 1):
+        x, d = lower[i], lower[i + 1] - lower[i]
+        js = [j for j in range(d) if x + j not in cleared]
         if not js:
             continue
-        face0 = [(off[(f,) + tail], cols) for f, cols in into[s]]
-        units = [(off[tail + (g,)], signs[n + 1]) for g in out[t]]
-        for k in range(1, n + 1):
-            head, rest = c[:k - 1], c[k:]
-            units += [(off[head + ab + rest], signs[k]) for ab in factors[c[k - 1]]]
+        us, fs = slice(unit_ptr[i], unit_ptr[i + 1]), slice(front_ptr[i], front_ptr[i + 1])
+        base = front_col[fs.start] if fs.stop > fs.start else 0
+        if firsts[i] not in blocks:
+            face = [(columns[f], b - base) for f, b in zip(morphisms[fs], front_col[fs])]
+            blocks[firsts[i]] = [sum(cols[j] << b for cols, b in face if cols) if p == 2 else
+                                 {b + r: v for cols, b in face if cols for r, v in cols[j].items()}
+                                 for j in range(d)]
+        block = blocks[firsts[i]]
         if p == 2:
-            unit = 0  # the unit cofaces of coordinate 0, shifted by j below
-            for base, _ in units:
-                unit ^= 1 << base
+            low, unit = unit_col[us.start] if us.stop > us.start else 0, 0
+            for b in unit_col[us]:
+                unit ^= 1 << (b - low)
+            for j in js:
+                yield (unit << (low + j)) ^ (block[j] << base)
+            continue
         for j in js:
-            if p == 2:
-                row = unit << j
-                for base, cols in face0:
-                    row ^= cols[j] << base
-            else:
-                row = {}
-                entries = [(base + i, v) for base, cols in face0 for i, v in cols[j].items()]
-                entries += [(base + j, sign) for base, sign in units]
-                for col, v in entries:
-                    w = (row.get(col, 0) + v) % p
-                    if w:
-                        row[col] = w
-                    else:
-                        del row[col]
-            yield row
+            row: Dict[int, int] = {}
+            for col, v in [(b + j, sign) for b, sign in zip(unit_col[us], signs[us])] + [
+                    (base + r, v) for r, v in block[j].items()]:
+                row[col] = row.get(col, 0) + v
+            yield {col: v % p for col, v in row.items() if v % p}
 
 
 def restrict_functor(functor: ModuleFunctor, keep: Sequence[int]) -> ModuleFunctor:
@@ -414,29 +476,20 @@ def fusion_orbit_category(F, objects: Sequence[MemberSet]) -> Tuple[FiniteCatego
     obj_index = {P: i for i, P in enumerate(objs)}
     orbit_of: Dict[Tuple[int, int, Tuple], Tuple] = {}
     mor_labels: Dict[Tuple[int, int], List] = {}
-    for P in objs:
-        for Q in objs:
-            j = obj_index[Q]
-            seen = set()
-            labels = []
-            homs = F.hom(P, Q)
+    for i, P in enumerate(objs):
+        for j, Q in enumerate(objs):
+            homs, labels = F.hom(P, Q), []
             hom_set = set(homs)
             for k in homs:
-                if k in seen:
+                if (i, j, k) in orbit_of:
                     continue
                 d = dict(k)
-                orbit = set()
-                for q in Q:
-                    moved = tuple(sorted((x, G.conj(d[x], G.inv(q))) for x in P))
-                    if moved not in hom_set:
-                        raise FunctorError("Inn(Q) does not act on Hom(P,Q)")
-                    orbit.add(moved)
-                rep = (min(orbit), j)
-                for k2 in orbit:
-                    orbit_of[(obj_index[P], j, k2)] = rep
-                seen |= orbit
-                labels.append(rep)
-            mor_labels[(obj_index[P], j)] = sorted(labels)
+                orbit = {tuple(sorted((x, G.conj(d[x], G.inv(q))) for x in P)) for q in Q}
+                if not orbit <= hom_set:
+                    raise FunctorError("Inn(Q) does not act on Hom(P,Q)")
+                labels.append((min(orbit), j))
+                orbit_of.update(((i, j, k2), labels[-1]) for k2 in orbit)
+            mor_labels[(i, j)] = sorted(labels)
 
     def compose(glab, flab):
         gk, k = glab
@@ -458,11 +511,8 @@ def fusion_orbit_category(F, objects: Sequence[MemberSet]) -> Tuple[FiniteCatego
 def cohomology_functor_on_orbit_category(F, cat: FiniteCategory,
                                          fam: CohomologyFamily, j: int) -> ModuleFunctor:
     """H^j descended to the orbit category (inner actions checked trivial)."""
-    G = F.group
-    p = fam.p
-    dims = []
-    for P in cat.objects:
-        dims.append(fam.of(P).dim(j))
+    G, p = F.group, fam.p
+    dims = [fam.of(P).dim(j) for P in cat.objects]
     # descent precondition: inner automorphisms act trivially on H^j
     for i, P in enumerate(cat.objects):
         HP = fam.of(P)
@@ -470,12 +520,8 @@ def cohomology_functor_on_orbit_category(F, cat: FiniteCategory,
             mat = restriction_map(HP, HP, {x: G.conj(x, s) for x in P}, j)
             if not np.array_equal(mat % p, np.eye(dims[i], dtype=np.int64)):
                 raise FunctorError("inner automorphism acts nontrivially")
-    mats = {}
-    for m in range(len(cat.labels)):
-        P = cat.objects[cat.src[m]]
-        Q = cat.objects[cat.tgt[m]]
-        graph, _ = cat.labels[m]
-        mats[m] = restriction_map(fam.of(Q), fam.of(P), dict(graph), j)
+    mats = {m: restriction_map(fam.of(cat.objects[cat.tgt[m]]), fam.of(cat.objects[cat.src[m]]),
+                               dict(cat.labels[m][0]), j) for m in range(len(cat.labels))}
     return ModuleFunctor(cat, p, dims, mats)
 
 
@@ -485,12 +531,8 @@ def transporter_orbit_cat(OT) -> FiniteCategory:
     if OT._cat is not None:
         return OT._cat
     objs = OT.objects
-    obj_index = {P: i for i, P in enumerate(objs)}
-    mor_labels: Dict[Tuple[int, int], List] = {}
-    for P in objs:
-        for Q in objs:
-            mor_labels[(obj_index[P], obj_index[Q])] = [
-                (min(o), P, Q) for o in OT.mor(P, Q)]
+    mor_labels = {(i, j): [(min(o), P, Q) for o in OT.mor(P, Q)]
+                  for i, P in enumerate(objs) for j, Q in enumerate(objs)}
 
     def compose(glab, flab):
         g, Q, R = glab
@@ -510,16 +552,11 @@ def transporter_orbit_cat(OT) -> FiniteCategory:
 def ot_cohomology_functor(OT, fam: CohomologyFamily, j: int) -> ModuleFunctor:
     """Pullback of H^j along rho-bar to the orbit category of T."""
     cat = transporter_orbit_cat(OT)
-    G = OT.group
-    p = fam.p
     dims = [fam.of(P).dim(j) for P in cat.objects]
-    mats = {}
-    for m in range(len(cat.labels)):
-        f, P, Q = cat.labels[m]
-        mapping = {x: OT.T.left_conj(x, f) for x in P}
-        mats[m] = restriction_map(fam.of(frozenset(Q)), fam.of(frozenset(P)),
-                                  mapping, j)
-    return ModuleFunctor(cat, p, dims, mats)
+    mats = {m: restriction_map(fam.of(frozenset(Q)), fam.of(frozenset(P)),
+                               {x: OT.T.left_conj(x, f) for x in P}, j)
+            for m, (f, P, Q) in enumerate(cat.labels)}
+    return ModuleFunctor(cat, fam.p, dims, mats)
 
 
 # -- Lambda functors ---------------------------------------------------------
@@ -540,8 +577,7 @@ def p_orbit_category(Gamma: Group, p: int) -> Tuple[FiniteCategory, List[FrozenS
     for m in all_subgroups(S):
         if m in seen:
             continue
-        orbit = {m}
-        frontier = [m]
+        orbit, frontier = {m}, [m]
         while frontier:
             h = frontier.pop()
             for g in Gamma.generators:
@@ -561,14 +597,12 @@ def p_orbit_category(Gamma: Group, p: int) -> Tuple[FiniteCategory, List[FrozenS
             # Q.h is a label exactly when h^-1 lies in the transporter N(P, Q)
             cosets = {right_coset(Q, Gamma.inv(t)) for t in transporter(
                 Gamma, Gamma.subgroup(P), Gamma.subgroup(Q))}
-            mor_labels[(i, j)] = sorted(((c, i, j) for c in cosets),
-                                        key=lambda t: sorted(t[0]))
+            mor_labels[(i, j)] = sorted(((c, i, j) for c in cosets), key=lambda t: sorted(t[0]))
 
     def compose(glab, flab):
         cg, _, k = glab
         cf, i, _ = flab
-        prod = Gamma.mul(min(cg), min(cf))
-        return (right_coset(reps[k], prod), i, k)
+        return (right_coset(reps[k], Gamma.mul(min(cg), min(cf))), i, k)
 
     def identity_of(i):
         return (reps[i], i, i)
@@ -577,11 +611,9 @@ def p_orbit_category(Gamma: Group, p: int) -> Tuple[FiniteCategory, List[FrozenS
     return FiniteCategory(names, mor_labels, compose, identity_of), reps
 
 
-def lambda_dims(Gamma: Group, p: int, module_dim: int,
-                max_degree: int = 4) -> List[int]:
+def lambda_dims(Gamma: Group, p: int, module_dim: int, max_degree: int = 4) -> List[int]:
     """Lambda^*(Gamma, M) for the trivial module M = F_p^module_dim: higher
-    limits of the atomic functor on the free orbit over the p-orbit category.
-    """
+    limits of the atomic functor on the free orbit over the p-orbit category."""
     cat, reps = p_orbit_category(Gamma, p)
     free = next(i for i, P in enumerate(reps) if len(P) == 1)
     return higher_limits(atomic_functor(cat, free, module_dim, p), max_degree)
@@ -597,13 +629,9 @@ def atomic_functor(cat: FiniteCategory, obj_index: int, module_dim: int,
     all other morphisms carry zero.
     """
     dims = [module_dim if i == obj_index else 0 for i in range(cat.n)]
-    mats: Dict[int, np.ndarray] = {}
-    for m in range(len(cat.labels)):
-        i, j = cat.src[m], cat.tgt[m]
-        if i == obj_index and j == obj_index:
-            mats[m] = np.eye(module_dim, dtype=np.int64)
-        else:
-            mats[m] = np.zeros((dims[i], dims[j]), dtype=np.int64)
+    mats = {m: np.eye(module_dim, dtype=np.int64) if i == j == obj_index else
+            np.zeros((dims[i], dims[j]), dtype=np.int64)
+            for m, (i, j) in enumerate(zip(cat.src, cat.tgt))}
     return ModuleFunctor(cat, p, dims, mats)
 
 
@@ -624,8 +652,7 @@ def atomic_comparison(OT, class_rep: MemberSet, module_dim: int = 1,
     rep_idx = next(pos for pos, cls in enumerate(classes) if target in cls)
     ot_side = higher_limits(atomic_functor(sub, rep_idx, module_dim, p), max_degree)
     Gamma = OT.aut(cat.objects[classes[rep_idx][0]])
-    lam_side = lambda_dims(Gamma, p, module_dim, max_degree)
-    return ot_side, lam_side
+    return ot_side, lambda_dims(Gamma, p, module_dim, max_degree)
 
 
 def restrict_to_centrics_comparison(OT, F, fam: CohomologyFamily, j: int,
@@ -636,9 +663,7 @@ def restrict_to_centrics_comparison(OT, F, fam: CohomologyFamily, j: int,
 
     functor = ot_cohomology_functor(OT, fam, j)
     full = higher_limits(skeleton_functor(functor), max_degree)
-
-    cls = classify_subgroups_core_only(F)
-    centrics = set(cls.all_with("centric"))
+    centrics = set(classify_subgroups_core_only(F).all_with("centric"))
     keep = [i for i, P in enumerate(functor.cat.objects) if P in centrics]
     centric = higher_limits(skeleton_functor(restrict_functor(functor, keep)), max_degree)
     return full, centric
@@ -655,49 +680,38 @@ def proto_mackey_check(OT, fam: CohomologyFamily, j: int) -> Dict[str, object]:
     from .cohomology import transfer_along
     from .transporter import pullback
 
-    G = OT.group
     p = fam.p
     report: Dict[str, object] = {"j": j, "passed": True, "failures": [],
                                  "b1": True, "b2": True}
-    m_cache: Dict = {}
-    mstar_cache: Dict = {}
 
+    def fail(message: str) -> None:
+        report["passed"] = False
+        report["failures"].append(message)
+
+    @functools.lru_cache(maxsize=None)
     def M_of(flab, P, Q):
-        key = (flab, P, Q)
-        if key not in m_cache:
-            mapping = {x: OT.T.left_conj(x, flab) for x in P}
-            m_cache[key] = restriction_map(fam.of(Q), fam.of(P), mapping, j)
-        return m_cache[key]
+        return restriction_map(fam.of(Q), fam.of(P), {x: OT.T.left_conj(x, flab) for x in P}, j)
 
+    @functools.lru_cache(maxsize=None)
     def Mstar_of(flab, P, Q):
-        key = (flab, P, Q)
-        if key not in mstar_cache:
-            mapping = {x: OT.T.left_conj(x, flab) for x in P}
-            mstar_cache[key] = transfer_along(fam, P, Q, mapping, j)
-        return mstar_cache[key]
+        return transfer_along(fam, P, Q, {x: OT.T.left_conj(x, flab) for x in P}, j)
 
     # (a) equal values: same fam.of(P) on both sides -- structural.
     # (b) on isomorphisms M_* is restriction along the inverse
     for P in OT.objects:
         for Q in OT.objects:
             for f in OT.T.iso_elements(P, Q):
-                mapping = {x: OT.T.left_conj(x, f) for x in P}
-                inv_map = {y: x for x, y in mapping.items()}
-                lhs = Mstar_of(f, P, Q)
+                inv_map = {OT.T.left_conj(x, f): x for x in P}
                 rhs = restriction_map(fam.of(P), fam.of(Q), inv_map, j)
-                if not np.array_equal(lhs % p, rhs % p):
-                    report["passed"] = False
-                    report["failures"].append(
-                        f"(b) fails on iso |P|={len(P)}")
+                if not np.array_equal(Mstar_of(f, P, Q) % p, rhs % p):
+                    fail(f"(b) fails on iso |P|={len(P)}")
     # orbit independence of the covariant side
     for P in OT.objects:
         for Q in OT.objects:
             for orbit in OT.mor(P, Q):
                 mats = {tuple((Mstar_of(f, P, Q) % p).ravel()) for f in orbit}
                 if len(mats) != 1:
-                    report["passed"] = False
-                    report["failures"].append(
-                        f"M_* not constant on an orbit |P|={len(P)},|Q|={len(Q)}")
+                    fail(f"M_* not constant on an orbit |P|={len(P)},|Q|={len(Q)}")
 
     # (c) base change over every cospan
     cospans = 0
@@ -707,35 +721,22 @@ def proto_mackey_check(OT, fam: CohomologyFamily, j: int) -> Dict[str, object]:
                 for fo in OT.mor(P, R):
                     for go in OT.mor(Q, R):
                         cospans += 1
-                        f = min(fo)
-                        g = min(go)
                         U, _ = pullback(OT, fo, P, go, Q, R, verify=False)
-                        lhs = (M_of(g, Q, R) @ Mstar_of(f, P, R)) % p
+                        lhs = (M_of(min(go), Q, R) @ Mstar_of(min(fo), P, R)) % p
                         rhs = np.zeros_like(lhs)
                         for A, lam in U.tags:
-                            resA = restriction_map(fam.of(P), fam.of(A),
-                                                   {x: x for x in A}, j)
-                            trA = Mstar_of(lam, A, Q)
-                            rhs = (rhs + trA @ resA) % p
+                            resA = restriction_map(fam.of(P), fam.of(A), {x: x for x in A}, j)
+                            rhs = (rhs + Mstar_of(lam, A, Q) @ resA) % p
                         if not np.array_equal(lhs, rhs):
-                            report["passed"] = False
-                            report["failures"].append(
-                                f"(c) fails on cospan |P|={len(P)},|Q|={len(Q)},|R|={len(R)}")
+                            fail(f"(c) fails on cospan |P|={len(P)},|Q|={len(Q)},|R|={len(R)}")
     report["cospans"] = cospans
 
     # (B1): endomorphisms are isomorphisms
-    for P in OT.objects:
-        orbits = OT.mor(P, P)
-        for o in orbits:
-            f = min(o)
-            img = frozenset(OT.T.left_conj(x, f) for x in P)
-            if img != P:
-                report["b1"] = False
+    report["b1"] = all(frozenset(OT.T.left_conj(x, min(o)) for x in P) == P
+                       for P in OT.objects for o in OT.mor(P, P))
     # (B2): the Sylow object receives morphism sets of order prime to p
     S = frozenset(OT.T.locality.sylow.members)
-    for P in OT.objects:
-        if len(OT.mor(P, S)) % p == 0:
-            report["b2"] = False
+    report["b2"] = all(len(OT.mor(P, S)) % p for P in OT.objects)
     return report
 
 
@@ -744,7 +745,6 @@ def proto_mackey_check(OT, fam: CohomologyFamily, j: int) -> Dict[str, object]:
 def stable_subspace_dim(F, fam: CohomologyFamily, j: int,
                         centrics: Sequence[MemberSet]) -> int:
     """Independent oracle for lim^0: F-stable classes in H^j(S)."""
-    G = F.group
     S = frozenset(F.sylow.members)
     HS = fam.of(S)
     rows: List[np.ndarray] = []
@@ -758,8 +758,7 @@ def stable_subspace_dim(F, fam: CohomologyFamily, j: int,
                 rows.extend(diff)
     if not rows:
         return HS.dim(j)
-    A = np.array(rows, dtype=np.int64)
-    return nullspace_modp(A, fam.p).shape[0]
+    return nullspace_modp(np.array(rows, dtype=np.int64), fam.p).shape[0]
 
 
 def sharpness_pipeline(L, jmax: int = 2, max_degree: int = 4) -> Dict[str, object]:
@@ -773,29 +772,21 @@ def sharpness_pipeline(L, jmax: int = 2, max_degree: int = 4) -> Dict[str, objec
 
     if jmax < 0:
         raise FunctorError(f"jmax = {jmax} is negative")
-    G = L.ambient
     F = fusion_of_locality(L)
     sat, wit = is_saturated(F)
     if not sat:
         raise FunctorError(f"fusion system not saturated: {wit[:1]}")
-    cls = classify_subgroups_core_only(F)
-    centrics = cls.all_with("centric")
+    centrics = classify_subgroups_core_only(F).all_with("centric")
     cat, _ = fusion_orbit_category(F, centrics)
-    fam = CohomologyFamily(G, L.prime, max(jmax, 2))
+    fam = CohomologyFamily(L.ambient, L.prime, max(jmax, 2))
 
     table: Dict[Tuple[int, int], int] = {}
-    ok = True
-    stable_match = True
+    ok = stable_match = True
     for j in range(jmax + 1):
-        functor = cohomology_functor_on_orbit_category(F, cat, fam, j)
-        dims = higher_limits(functor, max_degree)
-        for i, d in enumerate(dims):
-            table[(i, j)] = d
-            if i >= 1 and d != 0:
-                ok = False
-        stable = stable_subspace_dim(F, fam, j, centrics)
-        if dims[0] != stable:
-            stable_match = False
+        dims = higher_limits(cohomology_functor_on_orbit_category(F, cat, fam, j), max_degree)
+        table.update(((i, j), d) for i, d in enumerate(dims))
+        ok = not any(dims[1:]) and ok
+        stable_match = dims[0] == stable_subspace_dim(F, fam, j, centrics) and stable_match
     return {
         "table": table,
         "higher_vanish": ok,

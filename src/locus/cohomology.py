@@ -240,7 +240,7 @@ def transfer_cochain(H_big: FpCohomology, H_small: FpCohomology,
     T = H_big.tuples(n)
     rows = np.arange(len(T))
     M = np.zeros((len(T), H_small.dim_cochain(n)), dtype=np.int64)
-    for s0 in np.unique(rep):
+    for s0 in sorted(set(rep.tolist())):  # np.unique would import numpy.ma
         s = np.full(len(T), s0)
         term = np.empty_like(T)
         for i in range(n):

@@ -1,10 +1,13 @@
 """Higher limits, Lambda functors, and the comparison suites."""
 
+import collections
 import functools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locus import catlimits
 from locus.catlimits import (
@@ -14,11 +17,11 @@ from locus.catlimits import (
     atomic_comparison,
     atomic_functor,
     chain_counts,
-    chain_levels,
     cohomology_functor_on_orbit_category,
     fusion_orbit_category,
     higher_limits,
     lambda_dims,
+    nerve,
     ot_cohomology_functor,
     p_orbit_category,
     proto_mackey_check,
@@ -187,6 +190,13 @@ def s4_centric_cohomology_functor(j):
     return cohomology_functor_on_orbit_category(F, cat, CohomologyFamily(F.group, 2, 1), j)
 
 
+def chain_levels(cat, depth, dims):
+    """The chains of levels 0 to ``depth`` that carry coordinates, each row
+    of ``nerve``'s index arrays as a tuple."""
+    levels = nerve(cat, dims, depth).levels[:depth + 1]
+    return [[tuple(row) for row in level.tolist()] for level in levels]
+
+
 @pytest.mark.parametrize("make", [
     lambda: poset_category([(0, 1), (1, 2), (0, 3)], 4),
     c3_category,
@@ -219,9 +229,9 @@ def test_chain_levels_keep_only_chains_that_carry_coordinates(dims):
 
 def test_higher_limits_budget_raises_before_building_chains(monkeypatch):
     def no_chains(*args):
-        raise AssertionError("chain_levels ran before the budget check")
+        raise AssertionError("nerve ran before the budget check")
 
-    monkeypatch.setattr(catlimits, "chain_levels", no_chains)
+    monkeypatch.setattr(catlimits, "nerve", no_chains)
     monkeypatch.setenv(MEMORY_BUDGET_ENV, "1")
     # 2^n chains at level n, about 2^18 in all at depth 17
     with pytest.raises(BudgetError, match="chains per degree"):
@@ -336,6 +346,115 @@ def test_higher_limits_match_dense_differentials(make, max_degree):
     expected = [sizes[n] - ranks[n] - (ranks[n - 1] if n else 0)
                 for n in range(max_degree + 1)]
     assert higher_limits(functor, max_degree) == expected
+
+
+def dense_limits(functor, max_degree):
+    """lim^n from the ranks of the dense differentials."""
+    ranks = dense_differential_ranks(functor, max_degree)
+    sizes = chain_counts(functor.cat, functor.dims, max_degree)[1]
+    return [sizes[n] - ranks[n] - (ranks[n - 1] if n else 0) for n in range(max_degree + 1)]
+
+
+@st.composite
+def height_one_functors(draw):
+    """A poset whose morphisms run from minimal to maximal objects, so no two
+    nonidentity morphisms compose and any F_p matrices make a functor."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    low, high = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cat = poset_category([(i, low + j) for i in range(low) for j in range(high)
+                          if draw(st.booleans())], low + high)
+    dims = draw(st.lists(st.integers(0, 3), min_size=cat.n, max_size=cat.n))
+    mats = {}
+    for m, (i, j) in enumerate(zip(cat.src, cat.tgt)):
+        shape = (dims[i], dims[j])
+        entries = draw(st.lists(st.integers(0, p - 1), min_size=shape[0] * shape[1],
+                                max_size=shape[0] * shape[1]))
+        mats[m] = np.eye(dims[i], dtype=np.int64) if i == j else np.reshape(entries, shape)
+    return ModuleFunctor(cat, p, dims, mats)
+
+
+@settings(max_examples=60, deadline=None)
+@given(height_one_functors())
+def test_higher_limits_match_dense_on_random_matrices(functor):
+    assert higher_limits(functor, 2) == dense_limits(functor, 2)
+
+
+@st.composite
+def constant_functors_with_zeros(draw):
+    """A random poset on up to five objects with the constant functor F_p^d
+    and, on the same category, its restriction by zero to an up- or
+    down-closed set of objects (so that the zeros still make a functor)."""
+    p, d = draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 2))
+    n = draw(st.integers(1, 5))
+    cat = poset_category([(i, j) for i in range(n) for j in range(i + 1, n)
+                          if draw(st.booleans())], n)
+    seeds = draw(st.lists(st.integers(0, n - 1), max_size=n))
+    up = draw(st.booleans())
+    below = lambda i, j: any(cat.morphisms(i, j))  # noqa: E731
+    keep = [any(below(s, i) if up else below(i, s) for s in seeds) for i in range(n)]
+    dims = [d if k else 0 for k in keep]
+    mats = {m: np.eye(d, dtype=np.int64) if keep[i] and keep[j] else
+            np.zeros((dims[i], dims[j]), dtype=np.int64)
+            for m, (i, j) in enumerate(zip(cat.src, cat.tgt))}
+    return constant_functor(cat, p, d), ModuleFunctor(cat, p, dims, mats)
+
+
+@settings(max_examples=60, deadline=None)
+@given(constant_functors_with_zeros())
+def test_higher_limits_match_dense_on_supports_of_one_category(functors):
+    # the two functors share the category, and each support gets its chains
+    for functor in functors:
+        assert higher_limits(functor, 3) == dense_limits(functor, 3)
+
+
+def test_sharpness_builds_each_nerve_level_once(monkeypatch):
+    # one category for every H^j of a sharpness run: one Nerve per support,
+    # each level built once, however many functors read it
+    L, _, _ = punctured_ot("s4", 2)
+    nerves, levels, calls = [], [], []
+    init, grow, limits = catlimits.Nerve.__init__, catlimits.Nerve.grow, catlimits.higher_limits
+
+    def counting_init(self, cat, support):
+        init(self, cat, support)
+        nerves.append((id(cat), tuple(support)))
+
+    def counting_grow(self):
+        levels.append((id(self), len(self.levels)))
+        grow(self)
+
+    def counting_limits(functor, max_degree=4):
+        calls.append(tuple(map(bool, functor.dims)))
+        return limits(functor, max_degree)
+
+    monkeypatch.setattr(catlimits.Nerve, "__init__", counting_init)
+    monkeypatch.setattr(catlimits.Nerve, "grow", counting_grow)
+    monkeypatch.setattr(catlimits, "higher_limits", counting_limits)
+    sharpness_pipeline(L, jmax=2, max_degree=4)
+    assert len(calls) == 3
+    assert len(nerves) == len(set(nerves)) == len(set(calls)) == len({c for c, _ in nerves})
+    assert sorted(levels) == sorted(set(levels)) and len(levels) == 5 * len(nerves)
+
+
+def test_supports_of_one_category_get_their_own_levels(monkeypatch):
+    F, _ = s4_centric_fusion()
+    cat = fusion_orbit_category(F, classify_subgroups_core_only(F).all_with("centric"))[0]
+    built = []
+    grow = catlimits.Nerve.grow
+
+    def counting(self):
+        built.append(id(self))
+        grow(self)
+
+    monkeypatch.setattr(catlimits.Nerve, "grow", counting)
+    first, second = (atomic_functor(cat, i, 1, 2) for i in (1, 3))
+    assert higher_limits(first, 3) == dense_limits(first, 3)
+    assert higher_limits(second, 3) == dense_limits(second, 3)
+    assert higher_limits(first, 3) == dense_limits(first, 3)
+    # the two supports and the dense oracle's every-object support, each
+    # built through level 4 once, the repeat building nothing
+    assert sorted(collections.Counter(built).values()) == [4, 4, 4]
+    assert [len(level) for level in chain_levels(cat, 3, first.dims)] == \
+        chain_counts(cat, first.dims, 3)[0] != chain_counts(cat, second.dims, 3)[0]
 
 
 def test_pushout_poset_limits():

@@ -105,6 +105,22 @@ def test_locality_checks_do_not_import_numpy_ma():
     assert done.stdout.splitlines()[-1] == "False"
 
 
+def test_transfer_map_does_not_import_numpy_ma():
+    # the coset representatives of ``transfer_cochain`` are distinct ints,
+    # not an ``np.unique`` (which imports numpy.ma)
+    src = str(Path(locus.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from locus.cohomology import CohomologyFamily, transfer_map; "
+         "from locus.harness import load_bundled; from locus.permgroups import sylow; "
+         "G = load_bundled('s4'); fam = CohomologyFamily(G, 2, 2); "
+         "transfer_map(fam.of(frozenset(sylow(G, 2).members)), "
+         "fam.of(frozenset([G.identity])), 1); "
+         "print('numpy.ma' in sys.modules)"],
+        env={"PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 # -- reachability from the pipelines ---------------------------------------------
 
 # where the pipelines start: ``locus`` on the command line, and harness.run
