@@ -312,10 +312,10 @@ def chain_counts(cat: FiniteCategory, dims: Sequence[int],
     return chains_out, coords_out
 
 
-# Bytes per chain of level n while the complex exists: CHAIN_BYTES + 8n.  A
-# deliberate over-estimate since chains are index arrays (4n bytes a chain,
-# and 8 to 12 per coface), kept so that no refusal moves before the guard's
-# recount (ROADMAP item 4); it counted tuples and offset dicts.
+# Bytes per chain of level n while the complex exists: CHAIN_BYTES + 8n.  It
+# counted tuples and offset dicts; for index arrays (4n bytes a chain, 8 a
+# coface) it is a deliberate over-estimate, kept so that no refusal moves
+# until the guard's pivot term is reworked and both are recounted together.
 CHAIN_BYTES = 112
 # Bytes per row the rank holds besides its columns (int or dict header and
 # pivot-table slot: 56-99 read at p = 2 on the same categories, 224 for the
