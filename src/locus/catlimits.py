@@ -513,10 +513,11 @@ def cohomology_functor_on_orbit_category(F, cat: FiniteCategory,
     """H^j descended to the orbit category (inner actions checked trivial)."""
     G, p = F.group, fam.p
     dims = [fam.of(P).dim(j) for P in cat.objects]
-    # descent precondition: inner automorphisms act trivially on H^j
+    # descent precondition: inner automorphisms act trivially on H^j; P acts
+    # through a homomorphism, so its generators suffice
     for i, P in enumerate(cat.objects):
         HP = fam.of(P)
-        for s in P:
+        for s in HP.sub.gens():
             mat = restriction_map(HP, HP, {x: G.conj(x, s) for x in P}, j)
             if not np.array_equal(mat % p, np.eye(dims[i], dtype=np.int64)):
                 raise FunctorError("inner automorphism acts nontrivially")

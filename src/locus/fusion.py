@@ -37,10 +37,6 @@ def _key_image(key: MapKey) -> MemberSet:
     return frozenset(y for _, y in key)
 
 
-def _key_dict(key: MapKey) -> Dict[int, int]:
-    return dict(key)
-
-
 class FusionSystem:
     """Hom-sets of injective homomorphisms between subgroups of S."""
 
@@ -150,7 +146,7 @@ def _maps_as_group(G: Group, P: MemberSet, keys: Sequence[MapKey]) -> Group:
     pos = {x: i for i, x in enumerate(pts)}
     perms = []
     for k in keys:
-        d = _key_dict(k)
+        d = dict(k)
         perms.append(tuple(pos[d[x]] for x in pts))
     ident = tuple(range(len(pts)))
     gens = [p for p in perms if p != ident] or [ident]
@@ -208,7 +204,7 @@ def fusion_of_locality(L) -> FusionSystem:
         for P in subgroups:
             for k in list(maps_from[P]):
                 img = _key_image(k)
-                d = _key_dict(k)
+                d = dict(k)
                 for Q in subgroups:
                     if Q < P:
                         rk = _map_key({x: d[x] for x in Q})
@@ -216,7 +212,7 @@ def fusion_of_locality(L) -> FusionSystem:
                             maps_from[Q].add(rk)
                             changed = True
                 for k2 in list(maps_from[img]):
-                    d2 = _key_dict(k2)
+                    d2 = dict(k2)
                     ck = _map_key({x: d2[d[x]] for x in P})
                     if ck not in maps_from[P]:
                         maps_from[P].add(ck)
@@ -289,7 +285,7 @@ def _receptive_failure(F: FusionSystem, P: MemberSet) -> Optional[str]:
     s_conj = F.s_conj()
     for Q in F.class_of(P):
         for k in F.isos(Q, P):
-            d = _key_dict(k)
+            d = dict(k)
             n_phi = set()
             for g in F.n_s(Q):
                 c = s_conj[g]
@@ -303,7 +299,7 @@ def _receptive_failure(F: FusionSystem, P: MemberSet) -> Optional[str]:
                 return f"N_phi not a recorded subgroup for |Q|={len(Q)}"
             extended = False
             for ext in F.maps_from[n_phi_set]:
-                e = _key_dict(ext)
+                e = dict(ext)
                 if all(e[x] == d[x] for x in Q):
                     extended = True
                     break
@@ -321,13 +317,6 @@ class SubgroupClassification:
         self.F = F
         self.flags: Dict[MemberSet, Dict[str, object]] = {}
         self.o_p_f: Optional[MemberSet] = None
-
-    def rep(self, P: MemberSet) -> MemberSet:
-        cls = self.F.class_of(P)
-        return cls[0]
-
-    def of(self, P: MemberSet) -> Dict[str, object]:
-        return self.flags[self.rep(P)]
 
     def all_with(self, flag: str) -> List[MemberSet]:
         """All subgroups (not just reps) whose class carries the flag."""
@@ -397,7 +386,7 @@ def _normal_in_fusion(F: FusionSystem, R: MemberSet,
         if not R <= E:
             return False
         for k in F.aut(E):
-            d = _key_dict(k)
+            d = dict(k)
             if frozenset(d[x] for x in R) != R:
                 return False
     return True
@@ -472,7 +461,7 @@ def _local_subsystem(F: FusionSystem, P: MemberSet, pointwise: bool) -> FusionSy
         AP = G.closure(sorted(A | P))
         collected: Set[MapKey] = set()
         for k in F.maps_from[frozenset(AP)]:
-            d = _key_dict(k)
+            d = dict(k)
             if pointwise:
                 if not all(d[x] == x for x in P):
                     continue

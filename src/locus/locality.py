@@ -136,6 +136,7 @@ class Locality:
         self.carrier_set: MemberSet = frozenset(self.carrier)
         self._conj_memo: Dict[int, Optional[int]] = {}
         self._transport: Dict[Tuple[MemberSet, int], Optional[MemberSet]] = {}
+        self._local: Dict[Tuple[MemberSet, str], Subgroup] = {}
         self._graph: Optional[_StateGraph] = None
 
     # -- plumbing -------------------------------------------------------
@@ -241,51 +242,43 @@ class Locality:
         self._conj_memo[key] = y
         return y
 
-    def left_conj_subgroup(self, members: MemberSet, f: int) -> Optional[MemberSet]:
-        """^fP = P^{f^-1} when every conjugation is defined, else None."""
-        G = self.ambient
-        fi = G.inv(f)
-        out = set()
+    def conj_set(self, members: Iterable[int], g: int) -> Optional[MemberSet]:
+        """{x^g : x in members} when every word (g^-1, x, g) lies in D, else
+        None."""
+        out = []
         for x in members:
-            y = self.conj_element(x, fi)
+            y = self.conj_element(x, g)
             if y is None:
                 return None
-            out.add(y)
+            out.append(y)
         return frozenset(out)
 
     # -- local subgroups -------------------------------------------------
 
     def local_subgroup(self, P: MemberSet, mode: str = "normalizer") -> Subgroup:
-        """N_L(P) or C_L(P), checked to be a subgroup when P is an object.
+        """N_L(P) or C_L(P), checked to be a subgroup when P is an object and
+        kept per (P, mode).
 
         Membership requires every conjugation x^g (x in P) to be defined in
-        the partial group, not merely in the ambient group.
+        the partial group, not merely in the ambient group; C_L(P) is the
+        part of N_L(P) that fixes P pointwise.
         """
-        G = self.ambient
-        pm = sorted(P)
-        found = []
-        for g in self.carrier:
-            images = []
-            ok = True
-            for x in pm:
-                y = self.conj_element(x, g)
-                if y is None:
-                    ok = False
-                    break
-                images.append(y)
-            if not ok:
-                continue
-            if mode == "normalizer":
-                if frozenset(images) == frozenset(P):
-                    found.append(g)
-            elif mode == "centralizer":
-                if images == pm:
-                    found.append(g)
-            else:
-                raise ValueError(f"unknown mode {mode!r}")
-        sub = G.subgroup(found, name=f"{mode[0].upper()}_L(P)")
-        if frozenset(P) in self.objects and not sub.verify():
+        P = frozenset(P)
+        sub = self._local.get((P, mode))
+        if sub is not None:
+            return sub
+        if mode == "normalizer":
+            found = [g for g in self.carrier if self.conj_set(P, g) == P]
+        elif mode == "centralizer":
+            conj = self.ambient.conj
+            found = [g for g in self.local_subgroup(P).members
+                     if all(conj(x, g) == x for x in P)]
+        else:
+            raise ValueError(f"unknown mode {mode!r}")
+        sub = self.ambient.subgroup(found, name=f"{mode[0].upper()}_L(P)")
+        if P in self.objects and not sub.verify():
             raise LocalityError(f"{mode} of an object is not closed (bug)")
+        self._local[(P, mode)] = sub
         return sub
 
     # -- restriction ------------------------------------------------------
@@ -844,29 +837,35 @@ class PartialNormalSubgroup:
         return f"PartialNormalSubgroup(order={self.order})"
 
 
+def _forced(L: Locality, members: MemberSet) -> Iterator[Tuple[int, str]]:
+    """(y, reason) for each element y that the partial-normal rules force
+    into ``members`` but that is missing: inverses, then products of pairs in
+    D, then defined conjugates by the carrier.  Pairwise products suffice:
+    prefixes of domain words are domain words, and splicing reduces longer
+    words to pairs."""
+    G = L.ambient
+    for x in members:
+        if (y := G.inv(x)) not in members:
+            yield y, f"not inversion-closed at {x}"
+    for a in members:
+        for b in members:
+            if L.in_domain((a, b)) and (y := G.mul(a, b)) not in members:
+                yield y, f"product escapes at ({a},{b})"
+    for n in members:
+        for g in L.carrier:
+            if (y := L.conj_element(n, g)) is not None and y not in members:
+                yield y, f"conjugate {n}^{g} escapes"
+
+
 def is_partial_normal(L: Locality, members: Iterable[int]) -> Tuple[bool, str]:
     """Partial subgroup closed under every defined conjugation."""
-    G = L.ambient
     mem = frozenset(members)
     if not mem <= L.carrier_set:
         return False, "members escape the carrier"
-    if G.identity not in mem:
+    if L.ambient.identity not in mem:
         return False, "missing identity"
-    for x in mem:
-        if G.inv(x) not in mem:
-            return False, f"not inversion-closed at {x}"
-    # pairwise products suffice: prefixes of domain words are domain words
-    # and splicing reduces longer words to pairs
-    for a in mem:
-        for b in mem:
-            if L.in_domain((a, b)) and G.mul(a, b) not in mem:
-                return False, f"product escapes at ({a},{b})"
-    for n in mem:
-        for g in L.carrier:
-            y = L.conj_element(n, g)
-            if y is not None and y not in mem:
-                return False, f"conjugate {n}^{g} escapes"
-    return True, ""
+    _, why = next(_forced(L, mem), (None, ""))
+    return not why, why
 
 
 def cosets(L: Locality, N: PartialNormalSubgroup) -> Dict[int, MemberSet]:
@@ -976,24 +975,14 @@ def o_pprime_locality(L: Locality,
     from .signalizer import object_signalizer_from_locals, theta_hat
 
     p = L.prime
-    locals_: Dict[MemberSet, Subgroup] = {}
-    for P in L.sorted_objects:
-        NP = L.local_subgroup(P, "normalizer")
-        locals_[P] = NP
-    local_opprime: Dict[MemberSet, FrozenSet[int]] = {}
-    for P, NP in locals_.items():
-        local_opprime[P] = subgroup_o_pprime(L.ambient, NP, p)
-
+    local_opprime = {P: subgroup_o_pprime(L.ambient, L.local_subgroup(P), p)
+                     for P in L.sorted_objects}
     if force_route != "seeds" and all(len(m) == 1 for m in local_opprime.values()):
         return PartialNormalSubgroup(L, frozenset([L.ambient.identity])), "locally-trivial"
 
-    char_p_ok = force_route != "seeds"
-    for P, NP in locals_.items():
-        if not char_p_ok:
-            break
-        if not _quotient_has_char_p(L.ambient, NP, local_opprime[P], p):
-            char_p_ok = False
-    if char_p_ok:
+    if force_route != "seeds" and all(
+            _quotient_has_char_p(L.ambient, L.local_subgroup(P), opp, p)
+            for P, opp in local_opprime.items()):
         theta = object_signalizer_from_locals(L, local_opprime)
         hat = theta_hat(theta)
         ok, why = is_partial_normal(L, hat)
@@ -1002,15 +991,13 @@ def o_pprime_locality(L: Locality,
         return PartialNormalSubgroup(L, hat), "signalizer"
 
     # fallback: seeds O_{p'}(C_L(P)) generate the candidate
-    seeds: set = {L.ambient.identity}
-    for P in L.sorted_objects:
-        CP = L.local_subgroup(P, "centralizer")
-        seeds |= subgroup_o_pprime(L.ambient, CP, p)
-    candidate = _partial_closure(L, frozenset(seeds))
+    candidate = _partial_closure(L, frozenset().union(*(
+        subgroup_o_pprime(L.ambient, L.local_subgroup(P, "centralizer"), p)
+        for P in L.sorted_objects)))
     ok, why = is_partial_normal(L, candidate)
     if not ok:
         raise LocalityError(f"fallback candidate not partial normal: {why}")
-    if frozenset(candidate) & L.sylow.members != {L.ambient.identity}:
+    if candidate & L.sylow.members != {L.ambient.identity}:
         raise LocalityError("fallback candidate meets S")
     N = PartialNormalSubgroup(L, candidate)
     quotient = quotient_locality(L, N)
@@ -1021,30 +1008,12 @@ def o_pprime_locality(L: Locality,
 
 
 def _partial_closure(L: Locality, seed: MemberSet) -> MemberSet:
-    G = L.ambient
-    members = set(seed) | {G.identity}
-    changed = True
-    while changed:
-        changed = False
-        for x in sorted(members):
-            y = G.inv(x)
-            if y not in members:
-                members.add(y)
-                changed = True
-        for a in sorted(members):
-            for b in sorted(members):
-                if L.in_domain((a, b)):
-                    y = G.mul(a, b)
-                    if y not in members:
-                        members.add(y)
-                        changed = True
-        for n in sorted(members):
-            for g in L.carrier:
-                y = L.conj_element(n, g)
-                if y is not None and y not in members:
-                    members.add(y)
-                    changed = True
-    return frozenset(members)
+    """The least set containing ``seed`` and the identity that the
+    partial-normal rules force nothing more into."""
+    members = frozenset(seed) | {L.ambient.identity}
+    while forced := {y for y, _ in _forced(L, members)}:
+        members |= forced
+    return members
 
 
 def as_group(G: Group, H: Subgroup) -> Group:

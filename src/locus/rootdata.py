@@ -326,6 +326,12 @@ class Torus:
             raise RootDataError("field order must be odd")
         if Q < 3 or (q is not None and q < 3):
             raise RootDataError(f"field order must be at least 3 (Q = {Q}, q = {q})")
+        for n in (q or Q, Q):
+            # F_n^x is cyclic of order n - 1 only when n is a prime power,
+            # a power of its least prime factor r
+            r = next(d for d in range(2, n + 1) if n % d == 0)
+            if p_part(n, r) != n:
+                raise RootDataError(f"field order {n} is not a prime power")
         self.Q = Q
         self.mod = Q - 1
         self.eps = eps
@@ -458,14 +464,6 @@ class NormalizerModel:
         """t^el = el^-1 h_t el (only the Weyl part acts on the torus)."""
         w, _ = el
         return self.act(self._w_inverse(w), t)
-
-    def element_order(self, el: Tuple[int, Vec], cap: int = 10000) -> int:
-        acc = el
-        for k in range(1, cap + 1):
-            if acc == self.identity():
-                return k
-            acc = self.mul(acc, el)
-        raise RootDataError("order exceeds cap")
 
     def commutes(self, a: Tuple[int, Vec], b: Tuple[int, Vec]) -> bool:
         return self.mul(a, b) == self.mul(b, a)

@@ -90,8 +90,7 @@ def check_element_signalizer(theta: ElementSignalizer) -> CheckReport:
     elems = order_p_elements(L, sm)
     cents: Dict[int, FrozenSet[int]] = {}
     for a in elems:
-        C = L.local_subgroup(G.closure([a]), "centralizer")
-        cents[a] = frozenset(C.members)
+        cents[a] = L.local_subgroup(G.closure([a]), "centralizer").members
         v = theta(a)
         if not v <= cents[a]:
             report.fail(f"theta({a}) not inside C_L({a})")
@@ -101,10 +100,8 @@ def check_element_signalizer(theta: ElementSignalizer) -> CheckReport:
         sub = G.subgroup(v)
         if not sub.verify():
             report.fail(f"theta({a}) is not a subgroup")
-        for g in cents[a]:
-            if any(L.conj_element(x, g) not in v for x in v):
-                report.fail(f"theta({a}) not normal in C_L({a})")
-                break
+        if any(L.conj_set(v, g) != v for g in cents[a]):
+            report.fail(f"theta({a}) not normal in C_L({a})")
 
     # conjugacy: theta(a^g) = theta(a)^g whenever a^g lands in S
     for a in elems:
@@ -112,15 +109,7 @@ def check_element_signalizer(theta: ElementSignalizer) -> CheckReport:
             ag = L.conj_element(a, g)
             if ag is None or ag not in sm:
                 continue
-            image = set()
-            ok = True
-            for x in theta(a):
-                y = L.conj_element(x, g)
-                if y is None:
-                    ok = False
-                    break
-                image.add(y)
-            if not ok or frozenset(image) != theta(ag):
+            if L.conj_set(theta(a), g) != theta(ag):
                 report.fail(f"conjugacy fails at a={a}, g={g}")
                 break
     report.note("conjugacy_pairs", len(elems) * len(L.carrier))
@@ -191,38 +180,25 @@ def check_object_signalizer(Theta: ObjectSignalizer) -> CheckReport:
             report.fail(f"Theta(P) not a p'-group, |P|={len(P)}")
         if not G.subgroup(v).verify():
             report.fail(f"Theta(P) not a subgroup, |P|={len(P)}")
-        for g in NP.members:
-            if any(L.conj_element(x, g) not in v for x in v):
-                report.fail(f"Theta(P) not normal in N_L(P), |P|={len(P)}")
-                break
+        if any(L.conj_set(v, g) != v for g in NP.members):
+            report.fail(f"Theta(P) not normal in N_L(P), |P|={len(P)}")
 
     s_g = {g: L.s_word((g,)) for g in L.carrier}
     for P in L.sorted_objects:
         for g in L.carrier:
             if not P <= s_g[g]:
                 continue
-            img_P = frozenset(G.conj(x, g) for x in P)
-            image = set()
-            ok = True
-            for x in Theta(P):
-                y = L.conj_element(x, g)
-                if y is None:
-                    ok = False
-                    break
-                image.add(y)
-            if not ok or frozenset(image) != Theta(img_P):
+            if L.conj_set(Theta(P), g) != Theta(L.conj_set(P, g)):
                 report.fail(f"object conjugacy fails, |P|={len(P)}, g={g}")
                 break
 
     balance = 0
-    cents = {Q: L.local_subgroup(Q, "centralizer").members
-             for Q in L.sorted_objects}
     for P in L.sorted_objects:
         for Q in L.sorted_objects:
             if not P <= Q:
                 continue
             balance += 1
-            if Theta(P) & cents[Q] != Theta(Q):
+            if Theta(P) & L.local_subgroup(Q, "centralizer").members != Theta(Q):
                 report.fail(f"object balance fails, |P|={len(P)}, |Q|={len(Q)}")
     report.note("balance_pairs", balance)
     return report

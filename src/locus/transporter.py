@@ -34,7 +34,7 @@ class TransporterSystem:
             (P, Q): [] for P in self.objects for Q in self.objects}
         for P in self.objects:
             for f in L.carrier:
-                img = L.left_conj_subgroup(P, f)
+                img = L.conj_set(P, self.group.inv(f))
                 if img is None:
                     continue
                 for Q in self.objects:
@@ -46,18 +46,6 @@ class TransporterSystem:
 
     def mor_elements(self, P: MemberSet, Q: MemberSet) -> List[int]:
         return self._mor[(frozenset(P), frozenset(Q))]
-
-    def morphisms(self, P: MemberSet, Q: MemberSet) -> List[Mor]:
-        P, Q = frozenset(P), frozenset(Q)
-        return [(f, P, Q) for f in self._mor[(P, Q)]]
-
-    def compose(self, psi: Mor, phi: Mor) -> Mor:
-        """psi o phi for phi: P -> Q, psi: Q -> R (left action)."""
-        g, Q1, R = psi
-        f, P, Q = phi
-        if Q1 != Q:
-            raise TransporterError("morphisms not composable")
-        return (self.group.mul(g, f), P, R)
 
     def left_conj(self, x: int, f: int) -> Optional[int]:
         """^fx inside the partial group, None if undefined."""
@@ -79,14 +67,13 @@ class TransporterSystem:
                 out.append(s)
         return out
 
-    def e_kernel(self, P: MemberSet) -> List[int]:
-        """E(P) = ker(rho_{P,P})."""
-        return [f for f in self._mor[(P, P)]
-                if all(self.left_conj(x, f) == x for x in P)]
+    def e_kernel(self, P: MemberSet) -> MemberSet:
+        """E(P) = ker(rho_{P,P}), the elements of C_L(P)."""
+        return self.locality.local_subgroup(P, "centralizer").members
 
     def iso_elements(self, P: MemberSet, Q: MemberSet) -> List[int]:
-        return [f for f in self._mor[(P, Q)]
-                if frozenset(self.left_conj(x, f) for x in P) == Q]
+        L = self.locality
+        return [f for f in self._mor[(P, Q)] if L.conj_set(P, self.group.inv(f)) == Q]
 
     def __repr__(self) -> str:
         total = sum(len(v) for v in self._mor.values())
@@ -201,16 +188,17 @@ def check_transporter_axioms(T: TransporterSystem) -> CheckReport:
     for P in T.objects:
         for Q in T.objects:
             for f in T.iso_elements(P, Q):
-                fi = G.inv(f)
                 for Pbar in over[P]:
-                    img = frozenset(G.conj(x, fi) for x in Pbar)
+                    # phi eps(Pbar) phi^-1, defined as Pbar normalizes P
+                    img = L.conj_set(Pbar, G.inv(f))
+                    if img is None:
+                        report.fail("(II): phi o eps(Pbar) o phi^-1 undefined")
+                        continue
                     for Qbar in over[Q]:
-                        if not img <= Qbar:
-                            continue
-                        checked += 1
-                        ext = L.left_conj_subgroup(Pbar, f)
-                        if ext is None or not ext <= Qbar:
-                            report.fail("(II): extension morphism missing")
+                        if img <= Qbar:
+                            checked += 1
+                            if f not in T._mor_sets[(Pbar, Qbar)]:
+                                report.fail("(II): extension morphism missing")
     report.note("II_checked", checked)
     return report
 
@@ -402,12 +390,8 @@ class CoproductObject:
         self.components = components  # the objects L_i
         self.tags = tags              # the defining pairs (L_i, lambda_i)
 
-    def __len__(self) -> int:
-        return len(self.components)
 
-
-def boxtimes(OT: OrbitCategory, P: MemberSet, Q: MemberSet,
-             verify: bool = True) -> Tuple[CoproductObject, CheckReport]:
+def boxtimes(OT: OrbitCategory, P: MemberSet, Q: MemberSet) -> Tuple[CoproductObject, CheckReport]:
     """P boxtimes Q = coproduct of the K^max orbit representatives, with the
     universal property of the product checked against every object."""
     report = CheckReport("boxtimes")
@@ -415,8 +399,6 @@ def boxtimes(OT: OrbitCategory, P: MemberSet, Q: MemberSet,
     data = kmax(OT.T, P, Q)
     comps = [A for A, _ in data.reps]
     obj = CoproductObject(comps, list(data.reps))
-    if not verify:
-        return obj, report
     G = OT.group
     for R in OT.objects:
         # factorization map Mor(R, P box Q) -> Mor(R,P) x Mor(R,Q)

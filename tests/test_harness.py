@@ -122,6 +122,7 @@ def test_cli_parser_and_exit_code(tmp_path):
      "locus: FunctorError: jmax = -1 is negative\n"),
     (["locality-check", "--group", "s4", "--samples", "-5"],
      "locus: LocalityError: samples = -5 is negative\n"),
+    (["lie-verify", "--q", "15"], "locus: RootDataError: field order 15 is not a prime power\n"),
 ])
 def test_cli_rejects_bad_input_in_one_line(capsys, argv, message):
     assert main(argv) == 2

@@ -160,7 +160,10 @@ def _unreached(sources: Dict[str, str], entry_points) -> List[str]:
     reaches every module-level function or class its bare names name, and
     through an attribute ``x.f`` also every method ``f``; a reached class
     reaches its dunder methods, which Python calls implicitly.  A local
-    variable that shares a method's name does not reach the method.
+    variable that shares a method's name does not reach the method, and a
+    method is counted as reached whenever another class's method of the
+    same name is called, so a dead method that shares its name with a live
+    one goes unseen.
     """
     functions: Dict[str, List[Tuple[str, ast.AST]]] = {}
     methods: Dict[str, List[Tuple[str, ast.AST]]] = {}

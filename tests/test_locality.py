@@ -274,6 +274,30 @@ def test_is_partial_normal():
     assert ok
 
 
+def test_is_partial_normal_reasons_come_in_rule_order():
+    # in punctured s4 every word lies in D, as V4 = O_2(S4) lies in every S_g
+    L = punctured("s4", 2)
+    G = L.ambient
+    moved = lambda x: sum(i != j for i, j in enumerate(G.perm(x)))  # noqa: E731
+    x4 = next(x for x in L.sylow.members if G.element_order(x) == 4)
+    a, b = (x for x in L.sylow.members if moved(x) == 2)
+    t = next(x for x in range(G.order) if moved(x) == 2)
+    # {1, x4} misses x4^-1 and x4^2; {1, a, b} misses ab and its conjugates
+    for mem, reason in [({x4}, f"not inversion-closed at {x4}"),
+                        ({a, b}, "product escapes at ("),
+                        ({t}, f"conjugate {t}^")]:
+        ok, why = is_partial_normal(L, mem | {G.identity})
+        assert not ok and why.startswith(reason), why
+
+
+def test_partial_closure_of_one_c3_generator_is_the_c3_factor():
+    L = punctured("a6xc3", 2)
+    C3 = _c3_factor(L)
+    c = max(C3)
+    assert locality._partial_closure(L, frozenset([c])) == C3
+    assert locality._partial_closure(L, C3) == C3
+
+
 def _moves_only_tail(G, x):
     p = G.perm(x)
     return all(p[i] == i for i in range(6)) and any(p[i] != i for i in range(6, 9))
@@ -418,6 +442,20 @@ def test_memoized_conj_element_matches_fresh_domain_test(data):
     expected = G.conj(x, g) if in_d else None
     assert L.conj_element(x, g) == expected
     assert L.conj_element(x, g) == expected  # second call comes from the memo
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_conj_set_matches_the_per_element_definition(data):
+    L = cached_punctured(data.draw(st.sampled_from(["s4", "a6"])), 2)
+    G = L.ambient
+    members = data.draw(st.one_of(st.sampled_from(L.sorted_objects),
+                                  st.frozensets(st.sampled_from(L.carrier), max_size=4)))
+    g = data.draw(st.sampled_from(L.carrier))
+    defined = [all(h in L.carrier_set for h in (G.inv(g), x, g))
+               and _pair_tracked_s_word(L, (G.inv(g), x, g)) in L.objects for x in members]
+    expected = frozenset(G.conj(x, g) for x in members) if all(defined) else None
+    assert L.conj_set(members, g) == expected
 
 
 # state-graph sizes of the punctured localities at p = 2, as recorded before

@@ -150,6 +150,25 @@ def test_characteristic_p_reduction_aborts_on_component():
         characteristic_p_reduction(L)
 
 
+def test_signalizer_quotient_computes_each_local_subgroup_once(monkeypatch, capsys):
+    # the 9 objects of a6xc3 at p = 2 have 9 centralizers and 9 normalizers
+    # in L, and 9 normalizers in L/Theta-hat
+    from locus.cli import main
+    from locus.permgroups import Group
+
+    computed = []
+    subgroup = Group.subgroup
+
+    def counting(self, members, name=""):
+        if name in ("N_L(P)", "C_L(P)"):
+            computed.append(name)
+        return subgroup(self, members, name=name)
+
+    monkeypatch.setattr(Group, "subgroup", counting)
+    assert main(["signalizer-quotient", "--group", "a6xc3"]) == 0
+    assert sorted(computed) == ["C_L(P)"] * 9 + ["N_L(P)"] * 18
+
+
 def test_o_pprime_fallback_route():
     L = punctured("a6xc3", 2)
     N, route = o_pprime_locality(L, force_route="seeds")

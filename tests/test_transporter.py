@@ -65,6 +65,15 @@ def test_e_kernel_of_s_a6():
     assert len(T.e_kernel(Sset)) == 2  # Z(S) acts trivially on fusion
 
 
+def test_e_kernel_is_the_kernel_of_rho_on_every_object():
+    for setup in (setup_s4, setup_a6):
+        G, S, L, T, OT = setup()
+        for P in T.objects:
+            kernel = [f for f in T.mor_elements(P, P)
+                      if all(T.left_conj(x, f) == x for x in P)]
+            assert T.e_kernel(P) == frozenset(kernel)
+
+
 def test_axioms_pass_both():
     for setup in (setup_s4, setup_a6):
         G, S, L, T, OT = setup()
@@ -142,8 +151,8 @@ def test_boxtimes_symmetric_components():
     G, S, L, T, OT = setup_s4()
     for P in OT.objects:
         for Q in OT.objects:
-            b1, _ = boxtimes(OT, P, Q, verify=False)
-            b2, _ = boxtimes(OT, Q, P, verify=False)
+            b1 = boxtimes(OT, P, Q)[0]
+            b2 = boxtimes(OT, Q, P)[0]
             assert sorted(len(c) for c in b1.components) == \
                 sorted(len(c) for c in b2.components)
 
