@@ -274,14 +274,17 @@ def test_is_partial_normal():
     assert ok
 
 
+def _moved_points(G, x):
+    return sum(i != j for i, j in enumerate(G.perm(x)))
+
+
 def test_is_partial_normal_reasons_come_in_rule_order():
     # in punctured s4 every word lies in D, as V4 = O_2(S4) lies in every S_g
     L = punctured("s4", 2)
     G = L.ambient
-    moved = lambda x: sum(i != j for i, j in enumerate(G.perm(x)))  # noqa: E731
     x4 = next(x for x in L.sylow.members if G.element_order(x) == 4)
-    a, b = (x for x in L.sylow.members if moved(x) == 2)
-    t = next(x for x in range(G.order) if moved(x) == 2)
+    a, b = (x for x in L.sylow.members if _moved_points(G, x) == 2)
+    t = next(x for x in range(G.order) if _moved_points(G, x) == 2)
     # {1, x4} misses x4^-1 and x4^2; {1, a, b} misses ab and its conjugates
     for mem, reason in [({x4}, f"not inversion-closed at {x4}"),
                         ({a, b}, "product escapes at ("),
@@ -290,12 +293,17 @@ def test_is_partial_normal_reasons_come_in_rule_order():
         assert not ok and why.startswith(reason), why
 
 
-def test_partial_closure_of_one_c3_generator_is_the_c3_factor():
+def test_partial_closure_is_the_least_closed_set():
     L = punctured("a6xc3", 2)
     C3 = _c3_factor(L)
-    c = max(C3)
-    assert locality._partial_closure(L, frozenset([c])) == C3
+    assert locality._partial_closure(L, frozenset([max(C3)])) == C3
     assert locality._partial_closure(L, C3) == C3
+    # a transposition of s4 closes to all of S4 only once the products of
+    # its conjugates are taken
+    L4 = punctured("s4", 2)
+    G4 = L4.ambient
+    t = next(x for x in range(G4.order) if _moved_points(G4, x) == 2)
+    assert locality._partial_closure(L4, frozenset([t])) == frozenset(range(G4.order))
 
 
 def _moves_only_tail(G, x):
