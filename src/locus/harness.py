@@ -390,8 +390,8 @@ def _universal_suite(OT) -> Dict[str, object]:
         subs = [P for P in OT.objects if P <= R]
         for P in subs:
             for Q in subs:
-                fP = OT._orbit_of[(G.identity, P, R)]
-                fQ = OT._orbit_of[(G.identity, Q, R)]
+                fP = OT.morphism(G.identity, P, R)
+                fQ = OT.morphism(G.identity, Q, R)
                 obj, _ = pullback(OT, fP, P, fQ, Q, R, verify=False)
                 oracle = double_coset_components(T, P, Q, R)
                 if not components_match(T, P, obj.components, oracle):

@@ -233,6 +233,10 @@ class OrbitCategory:
     def mor(self, P: MemberSet, Q: MemberSet) -> List[FrozenSet[int]]:
         return self._orbits[(frozenset(P), frozenset(Q))]
 
+    def morphism(self, f: int, P: MemberSet, Q: MemberSet) -> FrozenSet[int]:
+        """The morphism of OT that the morphism (f, P, Q) of T represents."""
+        return self._orbit_of[(f, frozenset(P), frozenset(Q))]
+
     def compose(self, psi_orbit: FrozenSet[int], Q: MemberSet, R: MemberSet,
                 phi_orbit: FrozenSet[int], P: MemberSet) -> FrozenSet[int]:
         """[psi] o [phi]: P -> R via representatives."""

@@ -268,6 +268,19 @@ def test_lie_verify_bytes_pinned(q):
     assert hashlib.sha256(data).hexdigest() == LIE_VERIFY_SHA256[q]
 
 
+# sha256 of the canonical orbit-universal report at the default seed 2024
+ORBIT_UNIVERSAL_SHA256 = {
+    "s4": "6407414d0bfd3708701f357af1f03405d3e206579f404044f65f0d135dc9ff27",
+    "a6": "bd7431f9e2eb141a4f3d5228a1bf9e0a90e5b7d1d0173fcd48101c3ce3b8cc23",
+}
+
+
+@pytest.mark.parametrize("group", sorted(ORBIT_UNIVERSAL_SHA256))
+def test_orbit_universal_bytes_pinned(group):
+    data = run(RunConfig(pipeline="orbit-universal", group=group)).canonical_bytes()
+    assert hashlib.sha256(data).hexdigest() == ORBIT_UNIVERSAL_SHA256[group]
+
+
 def test_budget_exceeded_marks_skipped(monkeypatch):
     from locus.cohomology import MEMORY_BUDGET_ENV, BudgetError, FpCohomology
     from locus.harness import _budget_guarded

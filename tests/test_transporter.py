@@ -12,6 +12,7 @@ from locus.transporter import (
     components_match,
     double_coset_components,
     kmax,
+    KmaxData,
     mor_counts_mod_p,
     orbit_category,
     pullback,
@@ -171,7 +172,7 @@ def test_boxtimes_with_s():
 def test_pullback_identity_cospan():
     G, S, L, T, OT = setup_s4()
     for P in OT.objects:
-        ident = OT._orbit_of[(G.identity, P, P)]
+        ident = OT.morphism(G.identity, P, P)
         obj, rep = pullback(OT, ident, P, ident, P, P)
         assert rep.passed
         # U(id, id) is P itself up to the the orbit bookkeeping: one
@@ -185,8 +186,8 @@ def test_pullback_inclusion_cospan_v4_c4_d8():
     V4 = frozenset(o_p(G, 2).members)
     C4 = next(o for o in OT.objects if len(o) == 4 and o != V4
               and any(G.element_order(x) == 4 for x in o))
-    fP = OT._orbit_of[(G.identity, V4, Sset)]
-    fQ = OT._orbit_of[(G.identity, C4, Sset)]
+    fP = OT.morphism(G.identity, V4, Sset)
+    fQ = OT.morphism(G.identity, C4, Sset)
     obj, rep = pullback(OT, fP, V4, fQ, C4, Sset)
     assert rep.passed, rep.failures
     oracle = double_coset_components(T, V4, C4, Sset)
@@ -202,8 +203,8 @@ def test_pullback_all_inclusion_cospans_match_double_cosets():
             subs = [P for P in OT.objects if P <= R]
             for P in subs:
                 for Q in subs:
-                    fP = OT._orbit_of[(G.identity, P, R)]
-                    fQ = OT._orbit_of[(G.identity, Q, R)]
+                    fP = OT.morphism(G.identity, P, R)
+                    fQ = OT.morphism(G.identity, Q, R)
                     obj, rep = pullback(OT, fP, P, fQ, Q, R, verify=False)
                     oracle = double_coset_components(T, P, Q, R)
                     assert components_match(T, P, obj.components, oracle), \
@@ -272,3 +273,38 @@ def test_transporter_axioms_fail_when_a_composite_is_dropped():
     failures = check_transporter_axioms(T).failures
     assert "composition escapes the category" in failures
     assert not any(f.startswith("identity missing") for f in failures)
+
+
+# The orbit-category checks "orbit composition not well defined", "morphism
+# fails to be epic" and "identity orbit is not neutral", and the restriction
+# checks "restriction not injective" and "restriction image differs", cannot
+# be made to fail from the transporter's morphism lists: the orbits are the
+# cosets Q f of the group, whose products, cancellation and restrictions obey
+# the group laws.  The product and pullback checks read the kept K^max.
+
+def _fresh_s4_orbit_category():
+    G, T = _fresh_s4_transporter()
+    OT, rep = orbit_category(T)
+    assert rep.passed
+    return G, T, OT, frozenset(T.locality.sylow.members)
+
+
+def _count_kmax_orbits_twice(T, P, Q):
+    data = kmax(T, P, Q)
+    T._kmax[(P, Q)] = KmaxData(data.pairs, data.reps + data.reps, data.orbit_index)
+
+
+def test_boxtimes_fails_when_a_kmax_orbit_is_counted_twice():
+    G, T, OT, S = _fresh_s4_orbit_category()
+    _count_kmax_orbits_twice(T, S, S)
+    failures = boxtimes(OT, S, S)[1].failures
+    assert f"product map not injective at |R|={len(S)}" in failures
+
+
+def test_pullback_fails_when_a_kmax_orbit_is_counted_twice():
+    G, T, OT, S = _fresh_s4_orbit_category()
+    ident = OT.morphism(G.identity, S, S)
+    assert pullback(OT, ident, S, ident, S, S)[1].passed
+    _count_kmax_orbits_twice(T, S, S)
+    failures = pullback(OT, ident, S, ident, S, S)[1].failures
+    assert f"pullback universal property fails at |Rt|={len(S)}" in failures
