@@ -527,27 +527,9 @@ def cohomology_functor_on_orbit_category(F, cat: FiniteCategory,
 
 
 def transporter_orbit_cat(OT) -> FiniteCategory:
-    """The orbit category of a transporter system as a FiniteCategory,
-    built on the first call and kept on ``OT``."""
-    if OT._cat is not None:
-        return OT._cat
-    objs = OT.objects
-    mor_labels = {(i, j): [(min(o), P, Q) for o in OT.mor(P, Q)]
-                  for i, P in enumerate(objs) for j, Q in enumerate(objs)}
-
-    def compose(glab, flab):
-        g, Q, R = glab
-        f, P, _ = flab
-        orbit = OT._orbit_of[(OT.group.mul(g, f), P, R)]
-        return (min(orbit), P, R)
-
-    def identity_of(i):
-        P = objs[i]
-        orbit = OT._orbit_of[(OT.group.identity, P, P)]
-        return (min(orbit), P, P)
-
-    OT._cat = FiniteCategory(objs, mor_labels, compose, identity_of)
-    return OT._cat
+    """The orbit category of a transporter system: the FiniteCategory that
+    ``transporter.orbit_category`` numbered."""
+    return OT.cat
 
 
 def ot_cohomology_functor(OT, fam: CohomologyFamily, j: int) -> ModuleFunctor:
@@ -707,9 +689,11 @@ def proto_mackey_check(OT, fam: CohomologyFamily, j: int) -> Dict[str, object]:
                 if not np.array_equal(Mstar_of(f, P, Q) % p, rhs % p):
                     fail(f"(b) fails on iso |P|={len(P)}")
     # orbit independence of the covariant side
+    G = OT.group
     for P in OT.objects:
         for Q in OT.objects:
-            for orbit in OT.mor(P, Q):
+            for m in OT.mor(P, Q):
+                orbit = {G.mul(q, OT.cat.labels[m][0]) for q in Q}
                 mats = {tuple((Mstar_of(f, P, Q) % p).ravel()) for f in orbit}
                 if len(mats) != 1:
                     fail(f"M_* not constant on an orbit |P|={len(P)},|Q|={len(Q)}")
@@ -723,7 +707,8 @@ def proto_mackey_check(OT, fam: CohomologyFamily, j: int) -> Dict[str, object]:
                     for go in OT.mor(Q, R):
                         cospans += 1
                         U, _ = pullback(OT, fo, P, go, Q, R, verify=False)
-                        lhs = (M_of(min(go), Q, R) @ Mstar_of(min(fo), P, R)) % p
+                        lhs = (M_of(OT.cat.labels[go][0], Q, R)
+                               @ Mstar_of(OT.cat.labels[fo][0], P, R)) % p
                         rhs = np.zeros_like(lhs)
                         for A, lam in U.tags:
                             resA = restriction_map(fam.of(P), fam.of(A), {x: x for x in A}, j)
@@ -733,7 +718,7 @@ def proto_mackey_check(OT, fam: CohomologyFamily, j: int) -> Dict[str, object]:
     report["cospans"] = cospans
 
     # (B1): endomorphisms are isomorphisms
-    report["b1"] = all(frozenset(OT.T.left_conj(x, min(o)) for x in P) == P
+    report["b1"] = all(frozenset(OT.T.left_conj(x, OT.cat.labels[o][0]) for x in P) == P
                        for P in OT.objects for o in OT.mor(P, P))
     # (B2): the Sylow object receives morphism sets of order prime to p
     S = frozenset(OT.T.locality.sylow.members)

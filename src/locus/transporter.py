@@ -4,15 +4,20 @@ coproduct-level products and pullbacks.
 Morphisms of T are triples (f, P, Q) with ^fP <= Q, composed right to left
 (maps act on the left throughout this module, matching the convention
 switch between the locality calculus and the category-level arguments).
-The orbit category divides out postcomposition by the target group; its
-products P boxtimes Q and pullbacks U(f, g) live in the finite-coproduct
-completion and are verified against their universal properties directly.
+The orbit category divides out postcomposition by the target group and
+numbers its morphisms once, as one FiniteCategory; its products P boxtimes
+Q and pullbacks U(f, g) live in the finite-coproduct completion and are
+verified against their universal properties on that category's composition
+array.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
+from .catlimits import FiniteCategory
 from .locality import CheckReport, Locality, MemberSet
 from .permgroups import Group
 
@@ -206,95 +211,100 @@ def check_transporter_axioms(T: TransporterSystem) -> CheckReport:
 # -- orbit category ---------------------------------------------------------
 
 class OrbitCategory:
-    """Morphisms of T modulo postcomposition with the target group."""
+    """Morphisms of T modulo postcomposition with the target group.
+
+    The orbit of (f, P, Q) is the coset Q f.  Each orbit is numbered once, as
+    a morphism of the FiniteCategory ``cat`` labelled (min element, P, Q), in
+    order of source, target and label; ``cat.comp`` is its composition.
+    """
 
     def __init__(self, T: TransporterSystem):
         self.T = T
-        self.group = T.group
+        self.group = G = T.group
         self.objects = T.objects
-        self._orbits: Dict[Tuple[MemberSet, MemberSet], List[FrozenSet[int]]] = {}
-        self._orbit_of: Dict[Tuple[int, MemberSet, MemberSet], FrozenSet[int]] = {}
-        self._cat = None  # catlimits.transporter_orbit_cat, built on first use
-        G = self.group
-        for P in self.objects:
-            for Q in self.objects:
-                seen: Set[int] = set()
-                orbits = []
-                for f in T.mor_elements(P, Q):
-                    if f in seen:
-                        continue
-                    orbit = frozenset(G.mul(q, f) for q in Q)
-                    seen |= orbit
-                    orbits.append(orbit)
-                    for h in orbit:
-                        self._orbit_of[(h, P, Q)] = orbit
-                self._orbits[(P, Q)] = sorted(orbits, key=min)
+        self._position = {P: i for i, P in enumerate(self.objects)}
+        # per object Q, the least element of the coset Q x of every element
+        # x: the label element of the orbit of (x, P, Q), whatever P is
+        self._coset_min = [G.mul_many(np.array(sorted(Q))[:, None], np.arange(G.order)).min(axis=0)
+                           for Q in self.objects]
+        mor_labels = {(i, j): [(m, P, Q) for m in sorted(set(
+                          self._coset_min[j][T.mor_elements(P, Q)].tolist()))]
+                      for i, P in enumerate(self.objects) for j, Q in enumerate(self.objects)}
 
-    def mor(self, P: MemberSet, Q: MemberSet) -> List[FrozenSet[int]]:
-        return self._orbits[(frozenset(P), frozenset(Q))]
+        def compose(glab, flab):
+            g, _, R = glab
+            f, P, _ = flab
+            return (int(self._coset_min[self._position[R]][G.mul(g, f)]), P, R)
 
-    def morphism(self, f: int, P: MemberSet, Q: MemberSet) -> FrozenSet[int]:
+        def identity_of(i):
+            P = self.objects[i]
+            return (int(self._coset_min[i][G.identity]), P, P)
+
+        cat = self.cat = FiniteCategory(self.objects, mor_labels, compose, identity_of)
+        self._number = {lab: m for m, lab in enumerate(cat.labels)}
+        self._label = np.array([lab[0] for lab in cat.labels], dtype=np.intp)
+        self._src = np.array(cat.src, dtype=np.intp)
+        self._into = [np.flatnonzero(np.array(cat.tgt) == j) for j in range(cat.n)]
+        self._products: Dict[Tuple[MemberSet, MemberSet], _Product] = {}
+
+    def morphism(self, f: int, P: MemberSet, Q: MemberSet) -> int:
         """The morphism of OT that the morphism (f, P, Q) of T represents."""
-        return self._orbit_of[(f, frozenset(P), frozenset(Q))]
+        P, Q = frozenset(P), frozenset(Q)
+        m = self._number.get((int(self._coset_min[self._position[Q]][f]), P, Q))
+        if m is None:
+            raise TransporterError("not a morphism of the transporter system")
+        return m
 
-    def compose(self, psi_orbit: FrozenSet[int], Q: MemberSet, R: MemberSet,
-                phi_orbit: FrozenSet[int], P: MemberSet) -> FrozenSet[int]:
-        """[psi] o [phi]: P -> R via representatives."""
-        g = min(psi_orbit)
-        f = min(phi_orbit)
-        return self._orbit_of[(self.group.mul(g, f), frozenset(P), frozenset(R))]
+    def mor(self, P: MemberSet, Q: MemberSet) -> range:
+        return self.cat.morphisms(self._position[frozenset(P)], self._position[frozenset(Q)])
+
+    def _product(self, P: MemberSet, Q: MemberSet) -> "_Product":
+        """P boxtimes Q, kept per (P, Q) with the K^max it was read from."""
+        data = kmax(self.T, P, Q)
+        kept = self._products.get((P, Q))
+        if kept is None or kept.data is not data:
+            kept = self._products[(P, Q)] = _Product(self, P, Q, data)
+        return kept
 
     def aut(self, P: MemberSet) -> Group:
-        """Aut_OT(P) as a permutation group on orbit labels."""
-        P = frozenset(P)
-        orbits = self.mor(P, P)
-        pos = {o: i for i, o in enumerate(orbits)}
-        perms = []
-        for o in orbits:
-            perms.append(tuple(pos[self.compose(o, P, P, q, P)] for q in orbits))
-        gens = [q for q in perms if q != tuple(range(len(orbits)))] or [tuple(range(len(orbits)))]
-        H = Group(len(orbits), gens, name="Aut_OT(P)")
-        if H.order != len(orbits):
+        """Aut_OT(P) as a permutation group on its morphisms, numbered from 0."""
+        h = self.mor(P, P)
+        perms = [tuple(row) for row in (self.cat.comp[np.ix_(h, h)] - h.start).tolist()]
+        gens = [q for q in perms if q != tuple(range(len(h)))] or [tuple(range(len(h)))]
+        H = Group(len(h), gens, name="Aut_OT(P)")
+        if H.order != len(h):
             raise TransporterError("orbit automorphisms do not form a regular group")
         return H
 
     def __repr__(self) -> str:
-        total = sum(len(v) for v in self._orbits.values())
-        return f"OrbitCategory(objects={len(self.objects)}, mors={total})"
+        return f"OrbitCategory(objects={len(self.objects)}, mors={len(self.cat.labels)})"
 
 
 def orbit_category(T: TransporterSystem) -> Tuple[OrbitCategory, CheckReport]:
     OT = OrbitCategory(T)
     report = CheckReport("orbit-category")
-    G = T.group
-    # composition well-defined on orbits
-    for P in OT.objects:
-        for Q in OT.objects:
-            for R in OT.objects:
-                for of in OT.mor(P, Q):
-                    for og in OT.mor(Q, R):
-                        targets = {OT._orbit_of[(G.mul(g, f), P, R)]
-                                   for f in of for g in og}
-                        if len(targets) != 1:
-                            report.fail("orbit composition not well defined")
-    # every morphism epic
-    for P in OT.objects:
-        for Q in OT.objects:
-            for R in OT.objects:
-                for oa in OT.mor(P, Q):
-                    seen = {}
-                    for ob in OT.mor(Q, R):
-                        c = OT.compose(ob, Q, R, oa, P)
-                        if c in seen and seen[c] != ob:
-                            report.fail("morphism fails to be epic")
-                        seen[c] = ob
+    G, cat, label = T.group, OT.cat, OT._label
+    comp = cat.comp
+    for j, Q in enumerate(OT.objects):
+        into = OT._into[j]
+        # composition well defined on orbits: g q f lies in the orbit
+        # comp[g, f] for every element q f of each orbit into Q.  Left
+        # multiplication by R keeps the orbit of a product in Mor(P, R), so
+        # one g per orbit covers every element of [g].
+        elements = G.mul_many(np.array(sorted(Q)), label[into][:, None])
+        for k in range(cat.n):
+            out = cat.morphisms(j, k)
+            got = OT._coset_min[k][G.mul_many(label[out][:, None, None], elements)]
+            if (got != label[comp[np.ix_(out, into)]][:, :, None]).any():
+                report.fail("orbit composition not well defined")
+        # every morphism into Q epic: g -> g o f is injective out of Q
+        after = np.sort(comp[np.ix_(np.flatnonzero(OT._src == j), into)], axis=0)
+        for _ in np.flatnonzero((after[1:] == after[:-1]).any(axis=0)):
+            report.fail("morphism fails to be epic")
     # identity orbits act as identities
-    for P in OT.objects:
-        ident = OT._orbit_of[(G.identity, P, P)]
-        for Q in OT.objects:
-            for of in OT.mor(P, Q):
-                if OT.compose(of, P, Q, ident, P) != of:
-                    report.fail("identity orbit is not neutral")
+    every = np.arange(len(cat.labels))
+    for _ in np.flatnonzero(comp[every, np.asarray(cat.identity)[OT._src]] != every):
+        report.fail("identity orbit is not neutral")
     return OT, report
 
 
@@ -395,81 +405,92 @@ class CoproductObject:
         self.tags = tags              # the defining pairs (L_i, lambda_i)
 
 
+class _Product:
+    """P boxtimes Q on the morphisms of OT, read from one K^max.
+
+    For each orbit representative (A, lambda) of ``data``: ``iota``, the
+    inclusion A -> P, and ``lam``, the morphism (lambda, A, Q).  For every
+    morphism mu into each A (the representative is ``part``): ``first`` =
+    iota o mu and ``second`` = lam o mu, from ``source``, the source of mu.
+    This is the factorization map Mor(R, P boxtimes Q) -> Mor(R,P) x Mor(R,Q)
+    of every object R at once.
+    """
+
+    def __init__(self, OT: OrbitCategory, P: MemberSet, Q: MemberSet, data: "KmaxData"):
+        self.data = data
+        self.iota = np.array([OT.morphism(OT.group.identity, A, P) for A, _ in data.reps],
+                             dtype=np.intp)
+        self.lam = np.array([OT.morphism(lam, A, Q) for A, lam in data.reps], dtype=np.intp)
+        into = [OT._into[OT._position[A]] for A, _ in data.reps]
+        self.part = np.repeat(np.arange(len(into)), [len(mu) for mu in into])
+        mu = np.concatenate([np.zeros(0, dtype=np.intp)] + into)
+        self.first = OT.cat.comp[self.iota[self.part], mu]
+        self.second = OT.cat.comp[self.lam[self.part], mu]
+        self.source = OT._src[mu]
+
+
+def _repeated_at(OT: OrbitCategory, sources: np.ndarray, first: np.ndarray,
+                 second: np.ndarray) -> np.ndarray:
+    """Per object, whether a pair (first, second) with that source occurs twice."""
+    key = first * len(OT.cat.labels) + second
+    order = np.argsort(key, kind="stable")
+    twice = key[order][1:] == key[order][:-1]
+    return np.bincount(sources[order][1:][twice], minlength=len(OT.objects)) > 0
+
+
 def boxtimes(OT: OrbitCategory, P: MemberSet, Q: MemberSet) -> Tuple[CoproductObject, CheckReport]:
     """P boxtimes Q = coproduct of the K^max orbit representatives, with the
     universal property of the product checked against every object."""
     report = CheckReport("boxtimes")
     P, Q = frozenset(P), frozenset(Q)
-    data = kmax(OT.T, P, Q)
-    comps = [A for A, _ in data.reps]
-    obj = CoproductObject(comps, list(data.reps))
-    G = OT.group
-    for R in OT.objects:
-        # factorization map Mor(R, P box Q) -> Mor(R,P) x Mor(R,Q)
-        seen_pairs: Dict[Tuple[FrozenSet[int], FrozenSet[int]], Tuple[int, FrozenSet[int]]] = {}
-        total = 0
-        for i, (A, lam) in enumerate(data.reps):
-            for mu in OT.mor(R, A):
-                total += 1
-                m = min(mu)
-                first = OT._orbit_of[(m, R, P)]
-                second = OT._orbit_of[(G.mul(lam, m), R, Q)]
-                key = (first, second)
-                if key in seen_pairs and seen_pairs[key] != (i, mu):
-                    report.fail(f"product map not injective at |R|={len(R)}")
-                seen_pairs[key] = (i, mu)
+    prod = OT._product(P, Q)
+    comps = [A for A, _ in prod.data.reps]
+    obj = CoproductObject(comps, list(prod.data.reps))
+    repeated = _repeated_at(OT, prod.source, prod.first, prod.second)
+    total = np.bincount(prod.source, minlength=len(OT.objects))
+    for r, R in enumerate(OT.objects):
+        if repeated[r]:
+            report.fail(f"product map not injective at |R|={len(R)}")
         expect = len(OT.mor(R, P)) * len(OT.mor(R, Q))
-        if total != expect or len(seen_pairs) != expect:
+        if total[r] != expect or repeated[r]:
             report.fail(
-                f"product bijection fails at |R|={len(R)}: {total} vs {expect}")
+                f"product bijection fails at |R|={len(R)}: {total[r]} vs {expect}")
     report.note("components", len(comps))
     return obj, report
 
 
-def pullback(OT: OrbitCategory, f_orbit: FrozenSet[int], P: MemberSet,
-             g_orbit: FrozenSet[int], Q: MemberSet, R: MemberSet,
+def pullback(OT: OrbitCategory, f: int, P: MemberSet, g: int, Q: MemberSet, R: MemberSet,
              verify: bool = True) -> Tuple[CoproductObject, CheckReport]:
-    """U(f, g) for a cospan P -> R <- Q inside P boxtimes Q."""
+    """U(f, g) for a cospan f: P -> R <- Q: g of morphisms of OT, inside
+    P boxtimes Q."""
     report = CheckReport("pullback")
     P, Q, R = frozenset(P), frozenset(Q), frozenset(R)
-    G = OT.group
-    data = kmax(OT.T, P, Q)
-    f = min(f_orbit)
-    g = min(g_orbit)
-    chosen: List[Tuple[MemberSet, int]] = []
-    for A, lam in data.reps:
-        left = OT._orbit_of[(f, A, R)]          # f o iota_A^P restricted
-        right = OT._orbit_of[(G.mul(g, lam), A, R)]
-        if left == right:
-            chosen.append((A, lam))
+    comp = OT.cat.comp
+    prod = OT._product(P, Q)
+    # the components on which f o iota_A^P = g o lambda
+    on = comp[f, prod.iota] == comp[g, prod.lam]
+    chosen = [rep for rep, keep in zip(prod.data.reps, on.tolist()) if keep]
     obj = CoproductObject([A for A, _ in chosen], chosen)
     if not verify:
         return obj, report
 
-    for Rt in OT.objects:
-        pairs = []
-        for phi in OT.mor(Rt, P):
-            pf = OT._orbit_of[(G.mul(f, min(phi)), Rt, R)]
-            for psi in OT.mor(Rt, Q):
-                pg = OT._orbit_of[(G.mul(g, min(psi)), Rt, R)]
-                if pf == pg:
-                    pairs.append((phi, psi))
-        through: List[Tuple[FrozenSet[int], FrozenSet[int]]] = []
-        for A, lam in chosen:
-            for mu in OT.mor(Rt, A):
-                m = min(mu)
-                through.append((OT._orbit_of[(m, Rt, P)],
-                                OT._orbit_of[(G.mul(lam, m), Rt, Q)]))
-        if sorted(map(_orbit_pair_key, through)) != sorted(
-                map(_orbit_pair_key, [(a, b) for a, b in pairs])):
-            report.fail(f"pullback universal property fails at |Rt|={len(Rt)}")
+    # Mor(Rt, U) -> {(phi, psi) : f o phi = g o psi} is a bijection for every
+    # Rt: each factorization solves the equation, none repeats, and there
+    # are as many as solutions.  The solutions are a join of the columns f o
+    # phi and g o psi on their value, counted per value.
+    size = len(OT.cat.labels)
+    joined = (np.bincount(comp[f, OT._into[OT._position[P]]], minlength=size)
+              * np.bincount(comp[g, OT._into[OT._position[Q]]], minlength=size))
+    solutions = np.bincount(OT._src, weights=joined, minlength=len(OT.objects))
+    through = on[prod.part]
+    first, second, rts = prod.first[through], prod.second[through], prod.source[through]
+    wrong = np.bincount(rts[comp[f, first] != comp[g, second]], minlength=len(OT.objects))
+    fails = ((np.bincount(rts, minlength=len(OT.objects)) != solutions) | (wrong > 0)
+             | _repeated_at(OT, rts, first, second))
+    for rt in np.flatnonzero(fails):
+        report.fail(f"pullback universal property fails at |Rt|={len(OT.objects[rt])}")
     report.note("components", len(chosen))
     return obj, report
-
-
-def _orbit_pair_key(pair: Tuple[FrozenSet[int], FrozenSet[int]]):
-    a, b = pair
-    return (min(a), min(b))
 
 
 def double_coset_components(T: TransporterSystem, P: MemberSet, Q: MemberSet,
@@ -499,20 +520,18 @@ def restriction_fixed_points(OT: OrbitCategory, P: MemberSet,
     G = OT.group
     P, Q = frozenset(P), frozenset(Q)
     S = frozenset(OT.T.locality.sylow.members)
-    if not G.subgroup(P).is_normal_in(G.subgroup(Q)):
+    if not (P <= Q and G.subgroup(P).is_normal_in(G.subgroup(Q))):
         raise TransporterError("P must be normal in Q")
-    res_img: Dict[FrozenSet[int], FrozenSet[int]] = {}
-    for of in OT.mor(Q, S):
-        f = min(of)
-        res_img[of] = OT._orbit_of[(f, P, S)]
-    if len(set(res_img.values())) != len(res_img):
+    comp = OT.cat.comp
+    # restriction is precomposition with the inclusion P -> Q
+    res_img = comp[OT.mor(Q, S), OT.morphism(G.identity, P, Q)].tolist()
+    if len(set(res_img)) != len(res_img):
         report.fail("restriction not injective")
-    fixed = []
-    for om in OT.mor(P, S):
-        m = min(om)
-        if all(OT._orbit_of[(G.mul(m, x), P, S)] == om for x in Q):
-            fixed.append(om)
-    if sorted(map(min, set(res_img.values()))) != sorted(map(min, fixed)):
+    # x in Q acts on Mor(P, S) by precomposition with (x, P, P)
+    onto = np.asarray(OT.mor(P, S))
+    acted = comp[np.ix_(onto, [OT.morphism(x, P, P) for x in Q])]
+    fixed = onto[(acted == onto[:, None]).all(axis=1)].tolist()
+    if sorted(set(res_img)) != fixed:
         report.fail("restriction image differs from Q/P fixed points")
     report.note("fixed_points", len(fixed))
     return report

@@ -529,7 +529,6 @@ def test_atomic_comparison_a6_all_classes(monkeypatch):
     # criterion 10's call sequence on a fresh orbit category of the
     # punctured a6 builds its 9-object category once
     L, T, _ = punctured_ot("a6", 2)
-    OT, _ = orbit_category(T)
     built = []
     init = FiniteCategory.__init__
 
@@ -538,6 +537,7 @@ def test_atomic_comparison_a6_all_classes(monkeypatch):
         built.append(self.n)
 
     monkeypatch.setattr(FiniteCategory, "__init__", counting)
+    OT, _ = orbit_category(T)
     cat = transporter_orbit_cat(OT)
     for cls in cat.iso_classes():
         rep = cat.objects[cls[0]]

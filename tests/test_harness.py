@@ -272,6 +272,7 @@ def test_lie_verify_bytes_pinned(q):
 ORBIT_UNIVERSAL_SHA256 = {
     "s4": "6407414d0bfd3708701f357af1f03405d3e206579f404044f65f0d135dc9ff27",
     "a6": "bd7431f9e2eb141a4f3d5228a1bf9e0a90e5b7d1d0173fcd48101c3ce3b8cc23",
+    "a6xc3": "06afd44b79c530a195103511c16190f22f932a18e3d098e5b37f7cb551fa823f",
 }
 
 
