@@ -391,22 +391,6 @@ class Subgroup:
             self._sorted = tuple(sorted(self.members))
         return self._sorted
 
-    def __contains__(self, x: int) -> bool:
-        return x in self.members
-
-    def __iter__(self):
-        return iter(self.sorted_members)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Subgroup) and other.parent is self.parent
-                and other.members == self.members)
-
-    def __hash__(self) -> int:
-        return hash((id(self.parent), self.members))
-
-    def __le__(self, other: "Subgroup") -> bool:
-        return self.members <= other.members
-
     def gens(self) -> List[int]:
         """A small deterministic generating set."""
         if self._gens is None:

@@ -396,7 +396,7 @@ def test_small_cover_locality_is_normalizer():
     # is controlled by that normalizer.
     M = bundled("sl3_4")
     S = sylow(M, 3)
-    assert S.order == 27 and max(M.element_order(x) for x in S) == 3
+    assert S.order == 27 and max(M.element_order(x) for x in S.members) == 3
     sm = S.members
     carrier = [g for g in range(M.order)
                if len([x for x in sm if M.conj(x, g) in sm]) >= 9]
