@@ -10,7 +10,10 @@ temporary directories that are removed afterwards: a revision as it is, a
 checkout as ``git stash create`` records its tracked files, which leaves
 the checkout untouched (stage new files first; untracked ones are left
 out).  Wall time and peak RSS both differ between a working checkout and an
-archive of the same files, so only archives compare like with like.  Pair i
+archive of the same files, so only archives compare like with like.  Each
+archive's ``src`` and ``perfbench`` are byte-compiled once before its runs:
+under PYTHONDONTWRITEBYTECODE=1 every run would otherwise compile the
+sources again, and its peak RSS would be the compiler's.  Pair i
 runs the parent first when i is even and the change first when i is odd.
 After every run the record that the benchmark wrote to
 ``<archive>/.bench_out/`` is read back.  With ``--traced`` one traced run
@@ -89,6 +92,8 @@ def resolve_side(spec: str, stack: contextlib.ExitStack) -> Tuple[Path, str]:
     tar = subprocess.run(["git", "archive", "--format=tar", tree], cwd=cwd,
                          check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(tmp)], input=tar, check=True)
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+                   cwd=tmp, check=True, stdout=subprocess.DEVNULL)
     return tmp, commit
 
 

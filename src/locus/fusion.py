@@ -357,7 +357,6 @@ def has_strongly_p_embedded(H: Group, p: int) -> bool:
 def classify_subgroups(F: FusionSystem) -> SubgroupClassification:
     """Centric / radical / essential / subcentric flags plus O_p(F)."""
     out = classify_subgroups_core_only(F)
-    G = F.group
     essentials = [rec["fully_normalized_rep"] for rec in out.flags.values()
                   if rec["essential"]]
     for R in F.subgroups:

@@ -1,17 +1,18 @@
 """Finite permutation groups with full element enumeration.
 
 Groups are given by generators in disjoint-cycle notation and enumerated
-completely on construction (desk scale, default cap 200000 elements).
-Elements are addressed by their index in the sorted list of permutation
+completely on construction (desk scale, default cap 200000 elements) into
+one (order, degree) array of image rows.  Elements are addressed by their
+row's index in lexicographic order, the order of the sorted permutation
 tuples, so every iteration order below is deterministic.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from array import array
+from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -20,7 +21,7 @@ Perm = Tuple[int, ...]
 
 DEFAULT_ORDER_CAP = 200000
 SUBGROUP_LATTICE_CAP = 4096
-# groups above this order get no tables; mul and conj compose tuples instead
+# groups above this order get no tables; mul and conj compose rows instead
 TABLE_ORDER_CAP = 1500
 
 
@@ -30,18 +31,6 @@ class GroupError(ValueError):
 
 def identity_perm(degree: int) -> Perm:
     return tuple(range(degree))
-
-
-def compose(p: Perm, q: Perm) -> Perm:
-    """Product p*q acting on points from the right: i -> q[p[i]]."""
-    return tuple(q[i] for i in p)
-
-
-def invert(p: Perm) -> Perm:
-    result = [0] * len(p)
-    for i, j in enumerate(p):
-        result[j] = i
-    return tuple(result)
 
 
 def perm_order(p: Perm) -> int:
@@ -112,7 +101,11 @@ def parse_perm(text: str, degree: int) -> Perm:
 
 
 class Group:
-    """A fully enumerated permutation group on {1..degree}."""
+    """A fully enumerated permutation group on {1..degree}.
+
+    ``E`` holds the elements as rows of point images (uint8 up to degree
+    256, else uint16), in lexicographic order; element x is row x.  The
+    product a*b acts on points from the right, i -> b[a[i]]."""
 
     def __init__(self, degree: int, generators: Sequence[Perm], name: str = "G",
                  order_cap: int = DEFAULT_ORDER_CAP):
@@ -126,13 +119,18 @@ class Group:
                 raise GroupError(f"not a permutation of degree {degree}: {g}")
             gens.append(tuple(g))
         self.generator_perms: List[Perm] = gens
-        elements = _enumerate_closure(degree, gens, order_cap)
-        self.elements: List[Perm] = sorted(elements)
-        self.order: int = len(self.elements)
-        self._index: Dict[Perm, int] = {p: i for i, p in enumerate(self.elements)}
-        self.identity: int = self._index[identity_perm(degree)]
-        self.inverse: List[int] = [self._index[invert(p)] for p in self.elements]
-        self.generators: List[int] = sorted({self._index[g] for g in gens})
+        dtype = np.dtype(np.uint8 if degree <= 256 else np.uint16)
+        self.E, self._rows = _enumerate(degree, gens, order_cap, dtype)
+        self.order: int = len(self.E)
+        # row bytes -> element index, keyed by the bytes objects of _rows
+        self._index: Dict[bytes, int] = dict(zip(self._rows, range(self.order)))
+        # untabled mul on uint8 rows: b's row padded to a bytes.translate table
+        self._pad = bytes(256 - degree) if degree <= 256 else None
+        self.identity: int = self.index(identity_perm(degree))
+        inv = np.empty_like(self.E)
+        inv[np.arange(self.order)[:, None], self.E] = np.arange(degree, dtype=dtype)
+        self.inverse: List[int] = [self._index[r] for r in _row_bytes(inv)]
+        self.generators: List[int] = sorted({self.index(g) for g in gens})
         # flat tables, entry a*n + b (set by build_tables)
         self._mul_table: Optional[array] = None
         self._conj_table: Optional[array] = None
@@ -145,18 +143,23 @@ class Group:
     # -- basics ---------------------------------------------------------
 
     def perm(self, x: int) -> Perm:
-        return self.elements[x]
+        return tuple(self.E[x].tolist())
 
     def index(self, p: Perm) -> int:
+        """The element with image tuple p; GroupError for any other input."""
         try:
-            return self._index[p]
-        except KeyError:
-            raise GroupError("permutation not in group") from None
+            if len(p) == self.degree:
+                return self._index[array(self.E.dtype.char, p).tobytes()]
+        except (KeyError, TypeError, ValueError, OverflowError):
+            pass
+        raise GroupError("permutation not in group")
 
     def mul(self, a: int, b: int) -> int:
         if self._mul_table is not None:
             return self._mul_table[a * self.order + b]
-        return self._index[compose(self.elements[a], self.elements[b])]
+        if self._pad is None:  # uint16 rows: one gather
+            return self._index[self.E[b][self.E[a]].tobytes()]
+        return self._index[self._rows[a].translate(self._rows[b] + self._pad)]
 
     def inv(self, a: int) -> int:
         return self.inverse[a]
@@ -220,17 +223,13 @@ class Group:
     def _base_core(self) -> Tuple[np.ndarray, ...]:
         """(E, E^-1 at the base, sorted base-image keys, their element indices).
 
-        E holds the elements as rows (uint8 up to degree 256, else uint16).
         The base is greedy (Sims 1970): each next point is the one moved by
         the most elements that fix the points chosen so far, until only the
         identity fixes them all.  Keys compare the raw bytes of the image
         rows, so no code of degree ** len(base) is formed that could overflow.
         """
         if self._core is None:
-            n, d = self.order, self.degree
-            dtype = np.uint8 if d <= 256 else np.uint16
-            E = np.fromiter(itertools.chain.from_iterable(self.elements),
-                            dtype=dtype, count=n * d).reshape(n, d)
+            E, n, d = self.E, self.order, self.degree
             base: List[int] = []
             fixing = E
             while len(fixing) > 1 or not base:
@@ -244,7 +243,7 @@ class Group:
         return self._core
 
     def element_order(self, x: int) -> int:
-        return perm_order(self.elements[x])
+        return perm_order(self.perm(x))
 
     def build_tables(self) -> None:
         """Precompute multiplication and conjugation tables, up to order
@@ -253,18 +252,15 @@ class Group:
         Both are flat unsigned 16-bit arrays with entry a*n + b (the cap
         keeps every index below 2^16), filled in place through (n, n) numpy
         views.  Columns of the multiplication table are filled along a BFS
-        spanning tree of the Cayley graph, so only n*|gens| tuple
-        compositions are needed.
+        spanning tree of the Cayley graph, so only the right multiplications
+        by the generators are composed, one ``mul_many`` each.
         """
         n = self.order
         if self._mul_table is not None or n > TABLE_ORDER_CAP:
             return
-        idx = self._index
-        elems = self.elements
         gens = self.generators or [self.identity]
         # right multiplication by each generator, as an index array
-        right = {g: np.fromiter((idx[compose(p, elems[g])] for p in elems),
-                                dtype=np.uint16, count=n) for g in gens}
+        right = {g: self.mul_many(np.arange(n), g) for g in gens}
         # BFS tree: every x != 1 reached as parent * gen
         tree: List[Optional[Tuple[int, int]]] = [None] * n
         bfs_order = [self.identity]
@@ -350,22 +346,34 @@ def _row_keys(a: np.ndarray) -> np.ndarray:
     return a.view(np.dtype((np.void, width))).ravel()
 
 
-def _enumerate_closure(degree: int, gens: Sequence[Perm], cap: int) -> List[Perm]:
-    members = {identity_perm(degree)}
-    frontier = list(members)
-    while frontier:
-        new = []
-        for p in frontier:
-            for g in gens:
-                q = compose(p, g)
-                if q not in members:
-                    members.add(q)
-                    if len(members) > cap:
-                        raise GroupError(
-                            f"group order exceeds cap {cap}; refusing to enumerate")
-                    new.append(q)
-        frontier = new
-    return list(members)
+def _row_bytes(a: np.ndarray) -> List[bytes]:
+    """The bytes of each row of a 2-d array."""
+    a = np.ascontiguousarray(a)
+    return a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel().tolist()
+
+
+def _enumerate(degree: int, gens: Sequence[Perm], cap: int,
+               dtype: np.dtype) -> Tuple[np.ndarray, List[bytes]]:
+    """The group generated by gens as lexicographically sorted rows, and their bytes.
+
+    Breadth first: each generator g takes the whole frontier to its right
+    products in one gather g[frontier].  Repeats are dropped by set
+    difference on row bytes; the final sort undoes their hash order."""
+    gen_rows = [np.asarray(g, dtype=dtype) for g in gens]
+    frontier = np.arange(degree, dtype=dtype)[None]
+    seen = set(_row_bytes(frontier))
+    while len(frontier):
+        fresh: set = set()
+        for g in gen_rows:
+            fresh |= set(_row_bytes(g[frontier])) - seen
+            if len(seen) + len(fresh) > cap:
+                raise GroupError(f"group order exceeds cap {cap}; refusing to enumerate")
+        seen |= fresh
+        frontier = np.frombuffer(b"".join(fresh), dtype=dtype).reshape(-1, degree)
+    E = np.frombuffer(b"".join(seen), dtype=dtype).reshape(-1, degree)
+    E = E[np.lexsort(E.T[::-1])]
+    E.flags.writeable = False
+    return E, _row_bytes(E)
 
 
 class Subgroup:
@@ -423,7 +431,6 @@ class Subgroup:
         return frozenset(G.conj(x, g) for x in self.members)
 
     def is_normal_in(self, other: "Subgroup") -> bool:
-        G = self.parent
         return all(self.conjugate_set(g) == self.members for g in other.gens())
 
     def is_p_group(self, p: int) -> bool:
@@ -468,8 +475,6 @@ def load_group(text: str, name: str = "G", order_cap: int = DEFAULT_ORDER_CAP) -
 
 def load_group_file(path) -> Group:
     """A group file, named after its stem."""
-    from pathlib import Path
-
     p = Path(path)
     return load_group(p.read_text(encoding="utf-8"), name=p.stem)
 

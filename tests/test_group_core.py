@@ -5,8 +5,10 @@ degree <= 7, cut down to the longest prefix of generators whose group has
 order <= 200.  Group facts are compared with ``sympy.combinatorics``; the
 scans over G (``conj_all``, transporters, normalizers, O_p, O_p') are
 compared with oracles written here with the scalar ``Group.conj`` over
-every element, and both tables of ``build_tables`` entry by entry with
-``compose`` and ``invert``.  SL3(4) at p = 3 closes the file: its scans
+every element.  The element array, the inverses, the scalar ``mul`` and both
+tables of ``build_tables`` are checked against a tuple construction written
+here: a breadth-first closure over permutation tuples, sorted, with
+``_compose`` and ``_invert``.  SL3(4) at p = 3 closes the file: its scans
 over 60,480 elements are the reason for the vector core.
 """
 
@@ -29,9 +31,7 @@ from locus.permgroups import (
     GroupError,
     center,
     centralizer_set,
-    compose,
     conjugacy_classes,
-    invert,
     load_group,
     load_group_file,
     normalizer_set,
@@ -58,6 +58,48 @@ def small_groups(draw) -> Group:
         except GroupError:
             continue
     return Group(degree, gens[:1])  # one permutation of degree <= 7: order <= 12
+
+
+def _compose(p, q):
+    """p*q acting on points from the right: i -> q[p[i]]."""
+    return tuple(q[i] for i in p)
+
+
+def _invert(p):
+    result = [0] * len(p)
+    for i, j in enumerate(p):
+        result[j] = i
+    return tuple(result)
+
+
+def _tuple_elements(G: Group):
+    """The elements of G by a breadth-first closure of its generator
+    tuples, sorted: the order of G's element indices."""
+    members = {tuple(range(G.degree))}
+    frontier = list(members)
+    while frontier:
+        new = []
+        for p in frontier:
+            for g in G.generator_perms:
+                q = _compose(p, g)
+                if q not in members:
+                    members.add(q)
+                    new.append(q)
+        frontier = new
+    return sorted(members)
+
+
+def _assert_matches_tuple_construction(G: Group):
+    perms = _tuple_elements(G)
+    assert G.order == len(perms) == len(G.E)
+    assert [G.perm(x) for x in range(G.order)] == perms
+    assert G.E.tolist() == [list(p) for p in perms]
+    assert G.E.dtype == (np.uint8 if G.degree <= 256 else np.uint16)
+    index = {p: i for i, p in enumerate(perms)}
+    assert G.identity == index[tuple(range(G.degree))]
+    assert G.inverse == [index[_invert(p)] for p in perms]
+    assert G.generators == sorted({index[g] for g in G.generator_perms})
+    return perms
 
 
 def _sympy(G: Group) -> PermutationGroup:
@@ -137,6 +179,99 @@ PSL3_3 = """degree 13
 (1 3 4)(6 9 12)(7 13 10)
 (5 6 7)(8 9 10)(11 12 13)
 """
+
+
+PSL3_4 = """degree 21
+(2 10)(3 11)(4 12)(5 13)(14 18)(15 20)(16 21)(17 19)
+(2 18)(3 21)(4 19)(5 20)(10 14)(11 16)(12 17)(13 15)
+(1 3)(4 5)(7 11)(8 16)(9 21)(12 20)(13 17)(15 19)
+(1 5)(3 4)(7 15)(8 20)(9 13)(11 19)(12 16)(17 21)
+(6 7)(8 9)(10 11)(12 13)(14 15)(16 17)(18 19)(20 21)
+(6 8)(7 9)(10 12)(11 13)(14 16)(15 17)(18 20)(19 21)
+"""
+
+
+def _c2_11_c3_on_300():
+    """C2^11 x C3 on 300 points (order 6144): uint16 rows, above the
+    table cap, so mul and conj take the untabled path."""
+    gens = []
+    for i in range(11):
+        p = list(range(300))
+        p[2 * i], p[2 * i + 1] = 2 * i + 1, 2 * i
+        gens.append(tuple(p))
+    p = list(range(300))
+    p[22], p[23], p[24] = 23, 24, 22
+    gens.append(tuple(p))
+    G = Group(300, gens, name="c2^11xc3")
+    G.build_tables()
+    assert G.order == 6144 and G._mul_table is None
+    return G
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_groups())
+def test_elements_match_tuple_construction(G):
+    _assert_matches_tuple_construction(G)
+
+
+@pytest.mark.parametrize("name", ["s4", "a6", "a6xc3", "d8", "es27", "ext27_sd16",
+                                  "sd16", "sl3_4"])
+def test_bundled_elements_match_tuple_construction(name):
+    _assert_matches_tuple_construction(bundled(name))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: load_group(PSL3_4, name="psl3_4"),
+    lambda: load_group(PSL3_3, name="psl3_3"),
+    _c2_11_c3_on_300,
+    lambda: load_group("degree 4"),
+], ids=["psl3_4", "psl3_3", "c2^11xc3", "trivial"])
+def test_big_and_trivial_elements_match_tuple_construction(make):
+    G = make()
+    _assert_matches_tuple_construction(G)
+    if G.order == 1:
+        assert G.E.tolist() == [[0, 1, 2, 3]] and G.generators == []
+
+
+def test_untabled_mul_matches_tuple_oracle():
+    rng = random.Random(11)
+    for G in (load_group(PSL3_4, name="psl3_4"), _c2_11_c3_on_300()):
+        assert G._mul_table is None
+        perms = [G.perm(x) for x in range(G.order)]
+        index = {p: i for i, p in enumerate(perms)}
+        for _ in range(2000):
+            a, b = rng.randrange(G.order), rng.randrange(G.order)
+            assert G.mul(a, b) == index[_compose(perms[a], perms[b])]
+            assert G.conj(a, b) == index[_compose(_compose(_invert(perms[b]), perms[a]),
+                                                  perms[b])]
+            assert G.inv(a) == index[_invert(perms[a])]
+            assert G.index(perms[a]) == a
+
+
+def test_order_cap_is_hit_inside_a_layer():
+    # s4 from (1 2 3 4), (1 2): the 24th element is found partway through
+    # the last layer of the closure
+    with pytest.raises(GroupError, match="group order exceeds cap 23"):
+        load_group("degree 4\n(1 2 3 4)\n(1 2)", order_cap=23)
+    assert load_group("degree 4\n(1 2 3 4)\n(1 2)", order_cap=24).order == 24
+
+
+@pytest.mark.parametrize("bad", [
+    (0, 1, 2), (0, 1, 2, 3, 4), (0, 1, 2, 300), (0, 1, 2, -1), (0, 1, 2, 3.0),
+    (0, 1, 2, "3"), (0, 1, 2, None), 3, None, "0123", (0, 0, 1, 2)])
+def test_index_rejects_bad_input(bad):
+    G = load_group("degree 4\n(1 2 3 4)\n(1 2)")
+    with pytest.raises(GroupError, match="permutation not in group"):
+        G.index(bad)
+
+
+def test_index_rejects_bad_input_on_uint16_rows():
+    G = Group(300, [])
+    assert G.index(tuple(range(300))) == G.identity
+    for bad in (tuple(range(299)), tuple(range(299)) + (70000,),
+                tuple(range(299)) + (299.0,), tuple(range(299)) + (-1,)):
+        with pytest.raises(GroupError, match="permutation not in group"):
+            G.index(bad)
 
 
 def test_conj_all_matches_scalar_conj_on_psl3_3():
@@ -225,24 +360,24 @@ def test_mul_many_broadcasts_alike_tabled_and_untabled():
     T = bundled("s4")
     assert T._mul_table is not None
     U = load_group("degree 4\n(1 2 3 4)\n(1 2)")
-    assert U._mul_table is None and U.elements == T.elements
+    assert U._mul_table is None and np.array_equal(U.E, T.E)
     col, row = np.arange(T.order)[:, None], np.arange(T.order)
     assert T.mul_many(col, row).tolist() == U.mul_many(col, row).tolist()
     assert T.mul_many(3, row).tolist() == U.mul_many(3, row).tolist()
 
 
 def _assert_tables_match_oracle(G):
-    """Every entry of both tables against compose / invert on the perms."""
+    """Every entry of both tables against the tuple construction."""
     G.build_tables()
     n = G.order
     for table in (G._mul_table, G._conj_table):
         assert isinstance(table, array) and table.typecode == "H" and len(table) == n * n
-    perms = G.elements
+    perms = _assert_matches_tuple_construction(G)
     for a, pa in enumerate(perms):
         assert G._mul_table[a * n:(a + 1) * n].tolist() == [
-            G.index(compose(pa, pb)) for pb in perms]
+            G.index(_compose(pa, pb)) for pb in perms]
         assert G._conj_table[a * n:(a + 1) * n].tolist() == [
-            G.index(compose(compose(invert(pg), pa), pg)) for pg in perms]
+            G.index(_compose(_compose(_invert(pg), pa), pg)) for pg in perms]
 
 
 @settings(max_examples=40, deadline=None)

@@ -174,7 +174,8 @@ def test_bench_pairs_rejects_fewer_than_two_pairs(tmp_path):
 
 
 # a stand-in perfbench/run.py: writes a record whose wall_s is WALL and
-# whose result names the directory it ran from
+# whose result names the directory it ran from and the byte-compiled files
+# that were there
 FAKE_RUN = """import json, sys
 from pathlib import Path
 root = Path(__file__).resolve().parent.parent
@@ -182,8 +183,10 @@ argv = dict(zip(sys.argv[1::2], sys.argv[2::2]))
 out = root / ".bench_out"
 out.mkdir(exist_ok=True)
 metrics = {m: {"value": WALL} for m in ("wall_s", "setup_s", "cpu_s", "peak_rss_mb")}
+compiled = sorted(p.name.split(".")[0] for p in root.glob("*/__pycache__/*.pyc"))
 record = {"machine": {}, "elapsed_s": 0, "spread": {}, "failures": 0,
-          "result": {"correct": True, "metrics": metrics, "ran_in": str(root)}}
+          "result": {"correct": True, "metrics": metrics, "ran_in": str(root),
+                     "compiled": compiled}}
 name = f"{argv['--workload']}-seed{argv['--seed']}-trace{argv['--trace']}.json"
 (out / name).write_text(json.dumps(record))
 """
@@ -194,6 +197,8 @@ def test_bench_pairs_runs_revisions_from_removed_archives(tmp_path):
     repo = tmp_path / "repo"
     (repo / "perfbench").mkdir(parents=True)
     (repo / "perfbench" / "expected.json").write_text('{"w": [{"sha256": "x"}]}')
+    (repo / "src").mkdir()
+    (repo / "src" / "mod.py").write_text("X = 1\n")
 
     def git(*args):
         return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
@@ -223,6 +228,10 @@ def test_bench_pairs_runs_revisions_from_removed_archives(tmp_path):
         ran_in = {r["result"]["ran_in"] for rs in entry["runs"].values() for r in rs}
         parent_dirs = {r["result"]["ran_in"] for r in entry["runs"]["parent"]}
         assert len(parent_dirs) == 1 and len(ran_in) == 2 and str(repo) not in ran_in
+        # both archives were byte-compiled before their first run, though
+        # no run imports anything
+        assert {tuple(r["result"]["compiled"]) for rs in entry["runs"].values()
+                for r in rs} == {("mod", "run")}
         # the archives are gone, and nothing else was left in the temp dir
         assert not any(Path(d).exists() for d in ran_in)
         assert list(tmp.iterdir()) == []

@@ -275,12 +275,14 @@ def test_transporter_axioms_fail_when_a_composite_is_dropped():
     assert not any(f.startswith("identity missing") for f in failures)
 
 
-# The orbit-category checks "orbit composition not well defined", "morphism
-# fails to be epic" and "identity orbit is not neutral", and the restriction
-# checks "restriction not injective" and "restriction image differs", cannot
-# be made to fail from the transporter's morphism lists: the orbits are the
-# cosets Q f of the group, whose products, cancellation and restrictions obey
-# the group laws.  The product and pullback checks read the kept K^max.
+# The orbit-category checks "orbit composition not well defined" and
+# "morphism fails to be epic", and the restriction checks "restriction not
+# injective" and "restriction image differs", cannot be made to fail from
+# the transporter's morphism lists: the orbits are the cosets Q f of the
+# group, whose products, cancellation and restrictions obey the group laws.
+# That identity orbits act as identities is checked by the FiniteCategory
+# constructor ("right identity fails").  The product and pullback checks
+# read the kept K^max.
 
 def _fresh_s4_orbit_category():
     G, T = _fresh_s4_transporter()
