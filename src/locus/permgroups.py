@@ -29,10 +29,6 @@ class GroupError(ValueError):
     """Raised on malformed group input or violated preconditions."""
 
 
-def identity_perm(degree: int) -> Perm:
-    return tuple(range(degree))
-
-
 def perm_order(p: Perm) -> int:
     n = len(p)
     seen = [False] * n
@@ -78,7 +74,7 @@ def parse_perm(text: str, degree: int) -> Perm:
     """Parse a product of disjoint cycles like ``(1 2 3)(4 5)`` (1-based)."""
     stripped = text.strip()
     if stripped in ("()", "", "id"):
-        return identity_perm(degree)
+        return tuple(range(degree))
     consumed = re.sub(_CYCLE_RE, "", stripped).strip()
     if consumed:
         raise GroupError(f"could not parse permutation {text!r}")
@@ -126,7 +122,7 @@ class Group:
         self._index: Dict[bytes, int] = dict(zip(self._rows, range(self.order)))
         # untabled mul on uint8 rows: b's row padded to a bytes.translate table
         self._pad = bytes(256 - degree) if degree <= 256 else None
-        self.identity: int = self.index(identity_perm(degree))
+        self.identity: int = 0  # (0, 1, ..., degree - 1) sorts first
         inv = np.empty_like(self.E)
         inv[np.arange(self.order)[:, None], self.E] = np.arange(degree, dtype=dtype)
         self.inverse: List[int] = [self._index[r] for r in _row_bytes(inv)]
@@ -253,14 +249,15 @@ class Group:
         keeps every index below 2^16), filled in place through (n, n) numpy
         views.  Columns of the multiplication table are filled along a BFS
         spanning tree of the Cayley graph, so only the right multiplications
-        by the generators are composed, one ``mul_many`` each.
+        by the generators are composed, one gather E[g][E] each.
         """
         n = self.order
         if self._mul_table is not None or n > TABLE_ORDER_CAP:
             return
         gens = self.generators or [self.identity]
         # right multiplication by each generator, as an index array
-        right = {g: self.mul_many(np.arange(n), g) for g in gens}
+        right = {g: np.array([self._index[r] for r in _row_bytes(self.E[g][self.E])],
+                             dtype=np.uint16) for g in gens}
         # BFS tree: every x != 1 reached as parent * gen
         tree: List[Optional[Tuple[int, int]]] = [None] * n
         bfs_order = [self.identity]
@@ -347,9 +344,9 @@ def _row_keys(a: np.ndarray) -> np.ndarray:
 
 
 def _row_bytes(a: np.ndarray) -> List[bytes]:
-    """The bytes of each row of a 2-d array."""
-    a = np.ascontiguousarray(a)
-    return a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel().tolist()
+    """The bytes of each row of a 2-d array, cut from one buffer."""
+    buf, width = a.tobytes(), a.dtype.itemsize * a.shape[1]
+    return [buf[i:i + width] for i in range(0, len(buf), width)]
 
 
 def _enumerate(degree: int, gens: Sequence[Perm], cap: int,
