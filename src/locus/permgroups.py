@@ -144,11 +144,9 @@ class Group:
     def index(self, p: Perm) -> int:
         """The element with image tuple p; GroupError for any other input."""
         try:
-            if len(p) == self.degree:
-                return self._index[array(self.E.dtype.char, p).tobytes()]
+            return self._index[array(self.E.dtype.char, p).tobytes()]
         except (KeyError, TypeError, ValueError, OverflowError):
-            pass
-        raise GroupError("permutation not in group")
+            raise GroupError("permutation not in group") from None
 
     def mul(self, a: int, b: int) -> int:
         if self._mul_table is not None:

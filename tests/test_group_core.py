@@ -234,8 +234,11 @@ def test_big_and_trivial_elements_match_tuple_construction(make):
 
 
 def test_untabled_mul_matches_tuple_oracle():
+    # S4 on 300 points, never tabled: a nonabelian group on uint16 rows
+    s4_on_300 = Group(300, [(1, 2, 3, 0) + tuple(range(4, 300)),
+                            (1, 0) + tuple(range(2, 300))])
     rng = random.Random(11)
-    for G in (load_group(PSL3_4, name="psl3_4"), _c2_11_c3_on_300()):
+    for G in (load_group(PSL3_4, name="psl3_4"), _c2_11_c3_on_300(), s4_on_300):
         assert G._mul_table is None
         perms = [G.perm(x) for x in range(G.order)]
         index = {p: i for i, p in enumerate(perms)}
