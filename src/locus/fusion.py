@@ -15,6 +15,7 @@ from .permgroups import (
     Group,
     Subgroup,
     all_subgroups,
+    conj_images,
     member_mask,
     o_p,
     p_part,
@@ -72,9 +73,9 @@ class FusionSystem:
     def s_conj(self) -> Dict[int, Dict[int, int]]:
         """The S x S conjugation table s -> {x: x^s}, built once."""
         if self._s_conj is None:
-            G = self.group
             sm = self.sylow.sorted_members
-            self._s_conj = {s: {x: G.conj(x, s) for x in sm} for s in sm}
+            cols = conj_images(self.group, self.sylow)[:, sm].T.tolist()
+            self._s_conj = {s: dict(zip(sm, col)) for s, col in zip(sm, cols)}
         return self._s_conj
 
     def aut_s(self, P: MemberSet) -> List[MapKey]:
@@ -163,13 +164,13 @@ def _conjugation_maps(G: Group, S: Subgroup, subgroups: Sequence[MemberSet],
     """The maps c_g on each P in subgroups, for every g (of ``among`` if
     given) with P^g <= S.
 
-    Row i of ``images`` is s_i^g for every g, one conj_all per member of S;
-    the maps on P are the distinct columns of P's rows over the g with
-    P <= S_g.  A Python set removes the repeats: np.unique would import
-    numpy.ma (about 1 MiB) and was no faster here.
+    Row i of ``images`` is s_i^g for every g, shared with every other scan
+    over S through conj_images; the maps on P are the distinct columns of
+    P's rows over the g with P <= S_g.  A Python set removes the repeats:
+    np.unique would import numpy.ma (about 1 MiB) and was no faster here.
     """
     row = {s: i for i, s in enumerate(S.sorted_members)}
-    images = np.stack([G.conj_all(s) for s in S.sorted_members])
+    images = conj_images(G, S)
     if among is not None:
         images = images[:, among]
     in_s = member_mask(G, S.members)[images]

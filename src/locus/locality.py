@@ -8,7 +8,8 @@ of trusting this rule).  S_w is the intersection of the sets
 S_h = {s in S : s^h in S} over the prefix products h of w; each S_h is an
 int bitmask over the sorted members of S, owned by the locality, so S_w
 costs one AND per letter.  A locality computes S_h for every ambient element
-at once from |S| ``conj_all`` columns; L_Delta(G) reads its carrier off them.
+at once from the |S| rows of ``conj_images``, the array of conjugates s^g
+that F_S(G), F_S(L) and O_p read too; L_Delta(G) reads its carrier off them.
 
 Word-level axiom checks run exhaustively up to length 3 via a compressed
 state graph (a state is the pair (product, S_w mask), which determines the
@@ -41,7 +42,7 @@ from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optio
 
 import numpy as np
 
-from .permgroups import Group, Subgroup, _row_keys, all_subgroups, member_mask, p_part
+from .permgroups import Group, Subgroup, _row_keys, all_subgroups, conj_images, member_mask, p_part
 
 Word = Tuple[int, ...]
 MemberSet = FrozenSet[int]
@@ -351,11 +352,10 @@ def _all_s_masks(G: Group, S: Subgroup) -> List[int]:
     """S_g = {s in S : s^g in S} as a mask for every g of G, bit i standing
     for the i-th member of S.
 
-    Column i, the g with s_i^g in S, is one conj_all of s_i.
+    Column i, the g with s_i^g in S, is read off row i of conj_images.
     """
     in_s = member_mask(G, S.members)
-    tracked = np.stack([in_s[G.conj_all(s)] for s in S.sorted_members], axis=1)
-    packed = np.packbits(tracked, axis=1, bitorder="little")
+    packed = np.packbits(in_s[conj_images(G, S)].T, axis=1, bitorder="little")
     width, data = packed.shape[1], packed.tobytes()
     return [int.from_bytes(data[i:i + width], "little")
             for i in range(0, len(data), width)]

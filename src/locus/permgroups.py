@@ -132,9 +132,10 @@ class Group:
         self._conj_table: Optional[array] = None
         # base-image arrays behind conj_all, built on its first call
         self._core: Optional[Tuple[np.ndarray, ...]] = None
-        # the members of one Sylow subgroup per prime, found on the first
-        # sylow(G, p); members only, so that no cycle keeps G alive
+        # the members of one Sylow subgroup per prime, and conj_images(G, S)
+        # per member set of S: members only, so that no cycle keeps G alive
         self._sylow: Dict[int, FrozenSet[int]] = {}
+        self._conj_images: Dict[FrozenSet[int], np.ndarray] = {}
 
     # -- basics ---------------------------------------------------------
 
@@ -165,13 +166,16 @@ class Group:
         return self.mul(self.mul(self.inverse[g], x), g)
 
     def conj_all(self, x: int) -> np.ndarray:
-        """x^g = g^-1 x g for every g at once, as element indices in the
-        smallest unsigned dtype that holds them.
+        """x^g = g^-1 x g for every g at once, as element indices: tabled, a
+        read-only uint16 view of the table's row x, else in the smallest uint dtype.
 
-        x^g sends a base point b to g[x[g^-1[b]]].  The base images determine
-        an element, so only they are computed, and each image row is looked
-        up among the sorted base-image keys; GroupError if one is missing.
+        Untabled, x^g sends a base point b to g[x[g^-1[b]]].  The base images
+        determine an element, so only they are computed, and each image row is
+        looked up among the sorted base-image keys; GroupError if one is missing.
         """
+        if self._conj_table is not None:
+            row = memoryview(self._conj_table)[x * self.order:(x + 1) * self.order]
+            return np.frombuffer(row.toreadonly(), dtype=np.uint16)
         E, einv_base, _, _ = self._base_core()
         img = np.take_along_axis(E, E[x].take(einv_base), axis=1)
         return self._lookup(img, "a conjugate")
@@ -581,11 +585,21 @@ def conjugacy_classes(G: Group) -> List[List[int]]:
     return classes
 
 
+def conj_images(G: Group, S: Subgroup) -> np.ndarray:
+    """The read-only (|S|, |G|) array with s_i^g in row i, column g, s_i the
+    i-th of ``S.sorted_members``; one conj_all per member, kept on G."""
+    if S.members not in G._conj_images:
+        images = np.stack([G.conj_all(s) for s in S.sorted_members])
+        images.flags.writeable = False
+        G._conj_images[S.members] = images
+    return G._conj_images[S.members]
+
+
 def o_p(G: Group, p: int) -> Subgroup:
     """O_p(G): the s in a Sylow p-subgroup S with s^g in S for every g."""
     S = sylow(G, p)
-    in_s = member_mask(G, S.members)
-    core = [s for s in S.sorted_members if in_s[G.conj_all(s)].all()]
+    stays = member_mask(G, S.members)[conj_images(G, S)].all(axis=1)
+    core = [s for s, ok in zip(S.sorted_members, stays.tolist()) if ok]
     return G.subgroup(core, name=f"O_{p}({G.name})")
 
 

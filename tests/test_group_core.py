@@ -5,10 +5,11 @@ degree <= 7, cut down to the longest prefix of generators whose group has
 order <= 200.  Group facts are compared with ``sympy.combinatorics``; the
 scans over G (``conj_all``, transporters, normalizers, O_p, O_p') are
 compared with oracles written here with the scalar ``Group.conj`` over
-every element.  The element array, the inverses, the scalar ``mul`` and both
-tables of ``build_tables`` are checked against a tuple construction written
-here: a breadth-first closure over permutation tuples, sorted, with
-``_compose`` and ``_invert``.  SL3(4) at p = 3 closes the file: its scans
+every element, and so is the (|S|, |G|) array of ``conj_images``.  The
+element array, the inverses, the scalar ``mul`` and both tables of
+``build_tables`` are checked against a tuple construction written here: a
+breadth-first closure over permutation tuples, sorted, with ``_compose`` and
+``_invert``.  SL3(4) at p = 3 closes the file: its scans
 over 60,480 elements are the reason for the vector core.
 """
 
@@ -31,6 +32,7 @@ from locus.permgroups import (
     GroupError,
     center,
     centralizer_set,
+    conj_images,
     conjugacy_classes,
     load_group,
     load_group_file,
@@ -301,9 +303,67 @@ def test_conj_all_keys_wider_than_int64():
     E, einv_base, keys, _ = G._base_core()
     assert E.dtype == np.uint16 and einv_base.shape == (256, 8)
     assert keys.dtype.kind == "V" and keys.dtype.itemsize == 16
-    G.build_tables()  # the scalar oracle reads its own table
+    # the oracle is a tabled copy; G itself stays on the base-image core
+    T = Group(300, gens)
+    T.build_tables()
+    assert G._conj_table is None and T._conj_table is not None
     for x in range(G.order):
-        assert G.conj_all(x).tolist() == [G.conj(x, g) for g in range(G.order)]
+        assert G.conj_all(x).tolist() == [T.conj(x, g) for g in range(G.order)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_groups())
+def test_tabled_conj_all_is_a_read_only_table_row(G):
+    T = Group(G.degree, G.generator_perms)
+    T.build_tables()
+    table = bytes(T._conj_table)
+    for x in range(G.order):
+        row = T.conj_all(x)
+        assert row.dtype == np.uint16 and not row.flags.writeable
+        assert row.tolist() == G.conj_all(x).tolist()
+        with pytest.raises(ValueError):
+            row[0] = 0
+    assert G._conj_table is None and bytes(T._conj_table) == table
+
+
+@pytest.mark.parametrize("make,p", [
+    (lambda: bundled("s4"), 2),
+    (lambda: bundled("a6"), 3),
+    (lambda: load_group(PSL3_4, name="psl3_4"), 3),
+], ids=["s4", "a6", "psl3_4"])
+def test_conj_images_match_scalar_conj(make, p):
+    G = make()
+    S = sylow(G, p)
+    images = conj_images(G, S)
+    assert images.tolist() == [[G.conj(s, g) for g in range(G.order)]
+                               for s in S.sorted_members]
+    assert conj_images(G, G.subgroup(S.members)) is images  # kept per member set
+    with pytest.raises(ValueError):
+        images[0, 0] = 0
+    F = fusion_of_group(G, S, p)
+    assert F.s_conj() == {s: {x: G.conj(x, s) for x in S.sorted_members}
+                          for s in S.sorted_members}
+
+
+def test_bigcover_sequence_conjugates_each_member_of_s_once(monkeypatch):
+    # PSL(3,3) at p = 3 as the bigcover workload runs it: |S| = 27 rows of
+    # conj_images, plus the 3 normalizers that grow the Sylow subgroup
+    G = load_group(PSL3_3, name="psl3_3")
+    calls = []
+    conj_all = Group.conj_all
+
+    def counted(self, x):
+        calls.append(self)
+        return conj_all(self, x)
+
+    monkeypatch.setattr(Group, "conj_all", counted)
+    S = sylow(G, 3)
+    L = build_locality(G, S, delta_min_order(S, 9), 3)
+    assert is_saturated(fusion_of_group(G, S, 3))[0]
+    assert is_saturated(fusion_of_locality(L))[0]
+    assert o_p(G, 3).order == 1
+    assert S.order == 27 and calls.count(G) == 30
+    assert list(G._conj_images) == [S.members]
 
 
 def test_conj_all_raises_on_a_missing_key():
