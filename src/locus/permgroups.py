@@ -598,8 +598,8 @@ def conj_images(G: Group, S: Subgroup) -> np.ndarray:
 def o_p(G: Group, p: int) -> Subgroup:
     """O_p(G): the s in a Sylow p-subgroup S with s^g in S for every g."""
     S = sylow(G, p)
-    stays = member_mask(G, S.members)[conj_images(G, S)].all(axis=1)
-    core = [s for s, ok in zip(S.sorted_members, stays.tolist()) if ok]
+    in_s = member_mask(G, S.members)
+    core = [s for s, row in zip(S.sorted_members, conj_images(G, S)) if in_s[row].all()]
     return G.subgroup(core, name=f"O_{p}({G.name})")
 
 
