@@ -247,11 +247,11 @@ class Group:
         """Precompute multiplication and conjugation tables, up to order
         TABLE_ORDER_CAP (larger groups are left untabled).
 
-        Both are flat unsigned 16-bit arrays with entry a*n + b (the cap
-        keeps every index below 2^16), filled in place through (n, n) numpy
-        views.  Columns of the multiplication table are filled along a BFS
-        spanning tree of the Cayley graph, so only the right multiplications
-        by the generators are composed, one gather E[g][E] each.
+        Both are flat unsigned 16-bit arrays with entry a*n + b (the cap keeps
+        every index below 2^16), one entry repeated (no zeroed n*n bytes copied
+        in) and filled in place through (n, n) numpy views.  Columns of the
+        multiplication table follow a BFS spanning tree of the Cayley graph, so
+        only right products by generators are composed, one gather E[g][E] each.
         """
         n = self.order
         if self._mul_table is not None or n > TABLE_ORDER_CAP:
@@ -276,7 +276,7 @@ class Group:
                     bfs_order.append(y)
         # column b of a*b is column parent(b) pushed through right
         # multiplication by the tree generator
-        mul = array("H", bytes(2 * n * n))
+        mul = array("H", [0]) * (n * n)
         M = np.frombuffer(mul, dtype=np.uint16).reshape(n, n)
         M[:, self.identity] = np.arange(n)
         for b in bfs_order[1:]:
@@ -285,7 +285,7 @@ class Group:
         self._mul_table = mul
         # column g of x^g = (g^-1 x) g: row g^-1 of mul, then column g
         inv = self.inverse
-        conj = array("H", bytes(2 * n * n))
+        conj = array("H", [0]) * (n * n)
         C = np.frombuffer(conj, dtype=np.uint16).reshape(n, n)
         for g in range(n):
             C[:, g] = M[:, g][M[inv[g]]]

@@ -15,6 +15,7 @@ over 60,480 elements are the reason for the vector core.
 
 import json
 import random
+import tracemalloc
 from array import array
 
 import numpy as np
@@ -452,6 +453,22 @@ def test_tables_match_compose_oracle(G):
 @pytest.mark.parametrize("name", ["s4", "a6"])
 def test_bundled_tables_match_compose_oracle(name):
     _assert_tables_match_oracle(load_group_file(DATA_DIR / f"{name}.grp"))
+
+
+def test_build_tables_holds_no_third_table_sized_buffer():
+    # a zeroed bytes of n*n entries copied into each table once made the peak
+    # three tables' worth, and the peak RSS of a run hung on whether the
+    # allocator could reuse the freed copy
+    G = bundled("a6xc3")
+    T = Group(G.degree, G.generator_perms)
+    size = 2 * T.order ** 2
+    tracemalloc.start()
+    try:
+        T.build_tables()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert T.order == 1080 and 2 * size < peak < 2.5 * size
 
 
 def test_order_one_tables():
