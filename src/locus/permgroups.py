@@ -174,8 +174,8 @@ class Group:
         looked up among the sorted base-image keys; GroupError if one is missing.
         """
         if self._conj_table is not None:
-            row = memoryview(self._conj_table)[x * self.order:(x + 1) * self.order]
-            return np.frombuffer(row.toreadonly(), dtype=np.uint16)
+            table = np.frombuffer(memoryview(self._conj_table).toreadonly(), dtype=np.uint16)
+            return table.reshape(self.order, -1)[x]
         E, einv_base, _, _ = self._base_core()
         img = np.take_along_axis(E, E[x].take(einv_base), axis=1)
         return self._lookup(img, "a conjugate")

@@ -324,6 +324,9 @@ def test_tabled_conj_all_is_a_read_only_table_row(G):
         assert row.tolist() == G.conj_all(x).tolist()
         with pytest.raises(ValueError):
             row[0] = 0
+    for H in (G, T):  # past the last element, both paths raise alike
+        with pytest.raises(IndexError):
+            H.conj_all(G.order)
     assert G._conj_table is None and bytes(T._conj_table) == table
 
 
