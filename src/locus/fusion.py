@@ -135,11 +135,6 @@ class FusionSystem:
         c = len(self.c_s(P))
         return all(len(self.c_s(Q)) <= c for Q in self.class_of(P))
 
-    def __repr__(self) -> str:
-        total = sum(len(v) for v in self.maps_from.values())
-        return (f"FusionSystem(p={self.prime}, |S|={self.sylow.order}, "
-                f"maps={total}, from={self.provenance})")
-
 
 def _maps_as_group(G: Group, P: MemberSet, keys: Sequence[MapKey]) -> Group:
     """View a set of automorphism keys of P as a permutation group."""

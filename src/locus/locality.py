@@ -294,10 +294,6 @@ class Locality:
         return _closed(Locality(self.ambient, self.sylow, self.prime, objs, carrier,
                                 name=name or f"{self.name}|restricted"))
 
-    def __repr__(self) -> str:
-        return (f"Locality({self.name}, |carrier|={len(self.carrier)}, "
-                f"|Delta|={len(self.objects)}, |S|={self.sylow.order}, p={self.prime})")
-
 
 # -- object-set helpers --------------------------------------------------
 
@@ -833,9 +829,6 @@ class PartialNormalSubgroup:
     def order(self) -> int:
         return len(self.members)
 
-    def __repr__(self) -> str:
-        return f"PartialNormalSubgroup(order={self.order})"
-
 
 def _forced(L: Locality, members: MemberSet) -> Iterator[Tuple[int, str]]:
     """(y, reason) for each element y that the partial-normal rules force
@@ -961,28 +954,26 @@ def quotient_locality(L: Locality, N: PartialNormalSubgroup,
 
 # -- O_p'(L) ----------------------------------------------------------------
 
-def o_pprime_locality(L: Locality,
-                      force_route: Optional[str] = None) -> Tuple[PartialNormalSubgroup, str]:
+def o_pprime_locality(L: Locality) -> Tuple[PartialNormalSubgroup, str]:
     """Largest partial normal p'-subgroup, with the certification route used.
 
     Route 1: all local O_{p'}(N_L(P)) trivial forces O_{p'}(L) = 1.
     Route 2: signalizer functor on objects (local quotients of
     characteristic p), where the union of the local subgroups is O_{p'}(L).
     Route 3: generate from local seeds and certify by re-running on the
-    quotient, which must be p'-reduced.  ``force_route='seeds'`` skips the
-    first two (used to exercise the fallback).
+    quotient, which must be p'-reduced.  S3 x A5 at p = 2 takes it: for P
+    of order 2 inside S3, N_L(P) = C2 x A5 is not of characteristic p.
     """
     from .signalizer import object_signalizer_from_locals, theta_hat
 
     p = L.prime
     local_opprime = {P: subgroup_o_pprime(L.ambient, L.local_subgroup(P), p)
                      for P in L.sorted_objects}
-    if force_route != "seeds" and all(len(m) == 1 for m in local_opprime.values()):
+    if all(len(m) == 1 for m in local_opprime.values()):
         return PartialNormalSubgroup(L, frozenset([L.ambient.identity])), "locally-trivial"
 
-    if force_route != "seeds" and all(
-            _quotient_has_char_p(L.ambient, L.local_subgroup(P), opp, p)
-            for P, opp in local_opprime.items()):
+    if all(_quotient_has_char_p(L.ambient, L.local_subgroup(P), opp, p)
+           for P, opp in local_opprime.items()):
         theta = object_signalizer_from_locals(L, local_opprime)
         hat = theta_hat(theta)
         ok, why = is_partial_normal(L, hat)

@@ -326,9 +326,6 @@ class Group:
             frontier = new
         return frozenset(members)
 
-    def __repr__(self) -> str:
-        return f"Group({self.name!r}, degree={self.degree}, order={self.order})"
-
 
 def _row_keys(a: np.ndarray) -> np.ndarray:
     """Each row of a 2-d array as one key that compares by its bytes.
@@ -444,10 +441,6 @@ class Subgroup:
         G = self.parent
         return self.is_abelian() and all(
             x == G.identity or G.element_order(x) == p for x in self.members)
-
-    def __repr__(self) -> str:
-        label = self.name or "H"
-        return f"Subgroup({label}, order={self.order})"
 
 
 # -- group file format --------------------------------------------------

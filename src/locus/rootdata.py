@@ -433,15 +433,6 @@ class NormalizerModel:
         w, t = acc
         return (w, self.torus.mult(t, t2))
 
-    def inv(self, el: Tuple[int, Vec]) -> Tuple[int, Vec]:
-        w, _ = el
-        cand = self.n_of_weyl(self._w_inverse(w))
-        prod = self.mul(el, cand)
-        if prod[0] != 0:
-            raise RootDataError("inverse candidate has wrong Weyl part")
-        r = prod[1]
-        return self.mul(cand, self.h_pair(tuple(-x for x in r)))
-
     def _w_inverse(self, w: int) -> int:
         # W(B3) matrices are signed permutations, so the inverse is the transpose
         return self.windex[self.mats[w].T.tobytes()]

@@ -80,10 +80,6 @@ class TransporterSystem:
         L = self.locality
         return [f for f in self._mor[(P, Q)] if L.conj_set(P, self.group.inv(f)) == Q]
 
-    def __repr__(self) -> str:
-        total = sum(len(v) for v in self._mor.values())
-        return f"TransporterSystem({self.locality.name}, objects={len(self.objects)}, mors={total})"
-
 
 def transporter_of_locality(L: Locality) -> Tuple[TransporterSystem, CheckReport]:
     T = TransporterSystem(L)
@@ -275,9 +271,6 @@ class OrbitCategory:
         if H.order != len(h):
             raise TransporterError("orbit automorphisms do not form a regular group")
         return H
-
-    def __repr__(self) -> str:
-        return f"OrbitCategory(objects={len(self.objects)}, mors={len(self.cat.labels)})"
 
 
 def orbit_category(T: TransporterSystem) -> Tuple[OrbitCategory, CheckReport]:

@@ -19,6 +19,10 @@ def bundled(name: str) -> Group:
     return load_bundled(name)
 
 
+# S3 x A5, whose O_2'(L) only the seeds route of ``o_pprime_locality`` certifies
+S3XA5_GRP = "degree 8\n(1 2)\n(1 2 3)\n(4 5 6 7 8)\n(4 5 6)\n"
+
+
 @pytest.fixture
 def deadline():
     """Fail a test after 10 s instead of letting it hang."""

@@ -1,17 +1,26 @@
-"""Source hygiene: no unused imports, no code that no pipeline reaches, and
-every traced entry point exists."""
+"""Source hygiene: no unused imports, no function that the pipeline runs
+never enter unless it is listed with a reason, and every traced entry point
+exists."""
 
 import ast
+import contextlib
 import importlib
 import importlib.util
+import inspect
+import io
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, Iterable, List, Tuple
+from types import CodeType
+from typing import Callable, Dict, List, Optional, Set
 
 import pytest
 
 import locus
+from locus.cli import main
+
+from conftest import S3XA5_GRP
 
 MODULES = sorted(Path(locus.__file__).parent.glob("*.py"))
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -121,14 +130,11 @@ def test_transfer_map_does_not_import_numpy_ma():
     assert done.stdout.splitlines()[-1] == "False"
 
 
-# -- reachability from the pipelines ---------------------------------------------
-
-# where the pipelines start: ``locus`` on the command line, and harness.run
-ENTRY_POINTS = [("cli", "main"), ("harness", "run")]
+# -- reachability by execution ------------------------------------------------------
 
 TRACER_PINNED = "wrapped by perfbench/tracer.py SPANS; delete at the next benchmark change"
 
-# functions and methods that no pipeline reaches but that stay, with the reason
+# functions and methods that no pipeline enters but that stay, with the reason
 ALLOWED_UNREACHED = {
     "catlimits.proto_mackey_check": TRACER_PINNED,
     "signalizer.characteristic_p_reduction": TRACER_PINNED,
@@ -140,82 +146,153 @@ ALLOWED_UNREACHED = {
                                              "perfbench/tracer.py SPANS wraps; delete with it",
     "permgroups.cycle_string": "writes the bundled groups in scripts/make_groups.py",
     "locality.Locality.restrict": "the restriction L|Delta' of the paper; tested",
+    "locality.CheckReport.__repr__": "pytest prints it when an `assert rep.passed` fails",
+}
+
+# functions that only a failing input enters, with a test (that takes no
+# fixtures) that gives one
+FAILURE_PATHS = {
+    "locality.CheckReport.fail":
+        "test_locality::test_locality_axioms_fail_when_s_is_not_a_p_group",
+    "locality._Block.word": "test_locality::test_transport_entry_lost_fails_chain_construction",
+    "locality._is_partial_subgroup_set":
+        "test_locality::test_locality_axioms_fail_l1_on_a_p_subgroup_above_s",
 }
 
 
-def _references(node: ast.AST) -> Iterable[Tuple[bool, str]]:
-    """(is_attribute, name) for every bare name and attribute under node."""
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            yield False, n.id
-        elif isinstance(n, ast.Attribute):
-            yield True, n.attr
+def _code_of(obj) -> Optional[CodeType]:
+    if isinstance(obj, property):
+        obj = obj.fget
+    if isinstance(obj, (staticmethod, classmethod)):
+        obj = obj.__func__
+    return getattr(inspect.unwrap(obj), "__code__", None) if callable(obj) else None
 
 
-def _unreached(sources: Dict[str, str], entry_points) -> List[str]:
-    """Functions and methods (dunders aside) that no entry point reaches.
-
-    The walk goes by name.  Module-level code and class bodies run on
-    import, so they are reached, as are the entry points.  A reached body
-    reaches every module-level function or class its bare names name, and
-    through an attribute ``x.f`` also every method ``f``; a reached class
-    reaches its dunder methods, which Python calls implicitly.  A local
-    variable that shares a method's name does not reach the method, and a
-    method is counted as reached whenever another class's method of the
-    same name is called, so a dead method that shares its name with a live
-    one goes unseen.
-    """
-    functions: Dict[str, List[Tuple[str, ast.AST]]] = {}
-    methods: Dict[str, List[Tuple[str, ast.AST]]] = {}
-    dunders: Dict[str, List[Tuple[str, ast.AST]]] = {}  # class name -> its dunders
-    todo: List[ast.AST] = []
-    for module, source in sources.items():
-        for node in ast.parse(source).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                functions.setdefault(node.name, []).append((f"{module}.{node.name}", node))
-                if (module, node.name) in entry_points:
-                    todo.append(node)
-            elif isinstance(node, ast.ClassDef):
-                for sub in node.body:
-                    if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        qualname = f"{module}.{node.name}.{sub.name}"
-                        methods.setdefault(sub.name, []).append((qualname, sub))
-                        if sub.name.startswith("__"):
-                            dunders.setdefault(node.name, []).append((qualname, sub))
-                    else:
-                        todo.append(sub)
-                todo += node.decorator_list + node.bases
-            else:
-                todo.append(node)
-    reached, seen = set(), set()
-    while todo:
-        for ref in _references(todo.pop()):
-            if ref in seen:
-                continue
-            seen.add(ref)
-            is_attribute, name = ref
-            hits = functions.get(name, []) + dunders.get(name, [])
-            if is_attribute:
-                hits += methods.get(name, [])
-            for qualname, node in hits:
-                reached.add(qualname)
-                todo.append(node)
-    defined = [q for group in (functions, methods) for name, defs in group.items()
-               if not name.startswith("__") for q, _ in defs]
-    return sorted(q for q in defined if q not in reached)
+def _defined_code(package) -> Dict[CodeType, str]:
+    """The code of each module-level function and class method that the
+    modules of ``package`` define, to its name ``module.qualname``."""
+    modules = [package] + [importlib.import_module(f"{package.__name__}.{info.name}")
+                           for info in pkgutil.iter_modules(package.__path__)]
+    defined = {}
+    for module in modules:
+        prefix = module.__name__.partition(".")[2] or module.__name__
+        for name, obj in vars(module).items():
+            members = ([(f"{name}.{attr}", v) for attr, v in vars(obj).items()]
+                       if inspect.isclass(obj) else [(name, obj)])
+            for qualname, member in members:
+                code = _code_of(member)
+                if code is not None and code.co_filename == module.__file__:
+                    defined[code] = f"{prefix}.{qualname}"
+    return defined
 
 
-def _locus_unreached() -> List[str]:
-    return _unreached({path.stem: path.read_text() for path in MODULES}, ENTRY_POINTS)
+def _entered(run: Callable[[], None]) -> Set[CodeType]:
+    """The code of every function whose body ``run()`` enters."""
+    entered: Set[CodeType] = set()
+
+    def record(frame, event, arg):
+        # called on every event of the run: keep it to one set insertion
+        if event == "call":
+            entered.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return entered
 
 
-def test_every_function_is_reached_from_a_pipeline():
-    unexplained = [q for q in _locus_unreached() if q not in ALLOWED_UNREACHED]
-    assert unexplained == [], "delete them, or add them to ALLOWED_UNREACHED with a reason"
+def _unentered(package, run: Callable[[], None]) -> List[str]:
+    """The functions and methods of ``package`` whose body ``run()`` never
+    enters, by name ``module.qualname``."""
+    entered = _entered(run)
+    return sorted(name for code, name in _defined_code(package).items() if code not in entered)
 
 
-def test_allowlist_has_no_stale_entries():
-    assert sorted(set(ALLOWED_UNREACHED) - set(_locus_unreached())) == []
+def _pipeline_runs(tmp: Path) -> List[List[str]]:
+    """CLI calls that, between them, take all eight pipelines and each path
+    that only some inputs or options reach."""
+    s3xa5 = tmp / "s3xa5.grp"  # takes the seeds route of o_pprime_locality
+    s3xa5.write_text(S3XA5_GRP)
+    return [
+        ["group-inspect", "--group", "s4"],
+        ["group-inspect", "--group", "a6", "--prime", "3"],
+        ["locality-check", "--group", "s4", "--objects", "min-order:2",
+         "--report", str(tmp / "report.json")],
+        ["locality-check", "--group", "a6", "--objects", "centric"],
+        ["locality-check", "--group", str(s3xa5)],
+        ["fusion-classify", "--group", "a6"],
+        ["signalizer-quotient", "--group", "a6xc3"],
+        ["orbit-universal", "--group", "s4"],
+        ["sharpness", "--group", "s4"],
+        ["lie-verify"],
+        ["full-acceptance"],
+    ]
+
+
+@pytest.fixture(scope="module")
+def locus_unentered(tmp_path_factory) -> List[str]:
+    runs = _pipeline_runs(tmp_path_factory.mktemp("pipelines"))
+
+    def run_all():
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            statuses = [main(argv) for argv in runs]
+        assert statuses == [0] * len(runs)
+
+    return _unentered(locus, run_all)
+
+
+def test_every_function_is_reached_from_a_pipeline(locus_unentered):
+    unexplained = [q for q in locus_unentered
+                   if q not in ALLOWED_UNREACHED and q not in FAILURE_PATHS]
+    assert unexplained == [], ("delete them, or add them to ALLOWED_UNREACHED with a "
+                               "reason or to FAILURE_PATHS with the test that enters them")
+
+
+def test_allowlist_has_no_stale_entries(locus_unentered):
+    listed = set(ALLOWED_UNREACHED) | set(FAILURE_PATHS)
+    assert sorted(listed - set(locus_unentered)) == []
+
+
+def test_failure_paths_enter_what_they_name():
+    code_of = {name: code for code, name in _defined_code(locus).items()}
+    missed = []
+    for qualname, test in FAILURE_PATHS.items():
+        module, name = test.split("::")
+        if code_of[qualname] not in _entered(getattr(importlib.import_module(module), name)):
+            missed.append(test)
+    assert missed == []
+
+
+def test_unreached_detector(tmp_path, monkeypatch):
+    # Crate.used shares its name with the live Box.used, and Box.__repr__ is a
+    # dunder of a live class: a walk by name counts both as reached
+    package = tmp_path / "toypkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text("from .core import run\n\ndef main():\n    return run()\n")
+    (package / "core.py").write_text(
+        "import functools\n"
+        "class Box:\n"
+        "    def __init__(self):\n        self.v = helper()\n"
+        "    def used(self):\n        return 1\n"
+        "    @property\n    def size(self):\n        return 2\n"
+        "    @staticmethod\n    def spare():\n        return Box()\n"
+        "    def __repr__(self):\n        return 'Box()'\n"
+        "class Crate:\n"
+        "    def used(self):\n        return 3\n"
+        "def helper():\n    return 0\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def table():\n    return helper()\n"
+        "def run():\n    box = Box()\n    return box.used() + box.size\n"
+        "def orphan():\n    return run()\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    toy = importlib.import_module("toypkg")
+    main_of_toy = importlib.import_module("toypkg.cli").main
+    assert _unentered(toy, main_of_toy) == [
+        "core.Box.__repr__", "core.Box.spare", "core.Crate.used", "core.orphan", "core.table"]
 
 
 def test_tracer_pinned_names_are_traced():
@@ -224,19 +301,3 @@ def test_tracer_pinned_names_are_traced():
               for dotted_list in stems.values() for dotted in dotted_list}
     pinned = {q for q, reason in ALLOWED_UNREACHED.items() if reason == TRACER_PINNED}
     assert sorted(pinned - traced) == []
-
-
-def test_unreached_detector():
-    sources = {
-        "cli": "from .core import run\n"
-               "def main():\n    return run()\n"
-               "if __name__ == '__main__':\n    main()\n",
-        "core": "class Box:\n"
-                "    def __init__(self):\n        self.v = helper()\n"
-                "    def used(self):\n        return 1\n"
-                "    def unused(self):\n        return 2\n"
-                "def helper():\n    return 0\n"
-                "def run():\n    unused = Box()\n    return unused.used()\n"
-                "def orphan():\n    return run()\n",
-    }
-    assert _unreached(sources, [("cli", "main")]) == ["core.Box.unused", "core.orphan"]

@@ -153,6 +153,22 @@ def test_locality_axioms_fail_missing_object():
     assert any("(L3)" in f or "(L2)" in f for f in rep.failures)
 
 
+def test_locality_axioms_fail_l1_on_a_p_subgroup_above_s():
+    # all of D8 over the normal Klein four V = <(1 3), (2 4)>: D8 itself is
+    # a 2-subgroup of the carrier above S = V
+    G = bundled("d8")
+    V = G.subgroup(G.closure([G.index(parse_perm(t, 4)) for t in ("(1 3)", "(2 4)")]))
+    rep = check_locality_axioms(Locality(G, V, 2, [V.members], range(G.order)), samples=300)
+    assert rep.failures == ["(L1) violated: p-subgroup above S through g=2"]
+
+
+def test_locality_axioms_fail_when_s_is_not_a_p_group():
+    G = bundled("s4")
+    C3 = sylow(G, 3)
+    rep = check_locality_axioms(Locality(G, C3, 2, [C3.members], None), samples=300)
+    assert rep.failures == ["S is not a p-group"]
+
+
 def test_restriction_passes_axioms():
     G = bundled("a6")
     S = sylow(G, 2)

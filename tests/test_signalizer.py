@@ -3,6 +3,7 @@
 import pytest
 
 from locus.fusion import fusion_of_locality, fusion_systems_agree_via
+from locus.harness import load_bundled
 from locus.locality import (
     Locality,
     build_locality,
@@ -22,7 +23,7 @@ from locus.signalizer import (
     theta_on_objects,
 )
 
-from conftest import bundled
+from conftest import S3XA5_GRP, bundled
 
 
 def punctured(name, p):
@@ -169,9 +170,12 @@ def test_signalizer_quotient_computes_each_local_subgroup_once(monkeypatch, caps
     assert sorted(computed) == ["C_L(P)"] * 9 + ["N_L(P)"] * 18
 
 
-def test_o_pprime_fallback_route():
-    L = punctured("a6xc3", 2)
-    N, route = o_pprime_locality(L, force_route="seeds")
+def test_o_pprime_fallback_route(tmp_path):
+    path = tmp_path / "s3xa5.grp"
+    path.write_text(S3XA5_GRP)
+    G = load_bundled(str(path))
+    S = sylow(G, 2)
+    N, route = o_pprime_locality(build_locality(G, S, delta_all_nontrivial(S), 2))
     assert N.order == 3
     assert route == "seeds+quotient-reduced"
 
