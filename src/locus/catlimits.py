@@ -38,45 +38,41 @@ class FunctorError(ValueError):
     pass
 
 
+def _fault(bad: np.ndarray, message: str) -> None:
+    """Raise FunctorError ``message`` with the first index where ``bad`` holds."""
+    if bad.any():
+        raise FunctorError(f"{message} {', '.join(map(str, np.argwhere(bad)[0].tolist()))}")
+
+
 class FiniteCategory:
-    """Explicit object list, morphism table, and composition law.
+    """Explicit object list, morphism arrays, and composition table.
 
     Morphisms are numbered in order of (source, target), so each hom-set is
     a range; ``comp[g, f]`` is g o f, or -1 where g and f do not compose.
     """
 
-    def __init__(self, objects: Sequence, mor_labels: Dict[Tuple[int, int], List],
-                 compose: Callable, identity_of: Callable):
-        """``compose(j_to_k_label, i_to_j_label)`` returns an i-to-k label;
-        ``identity_of(obj_index)`` the identity label at an object."""
+    def __init__(self, objects: Sequence, src: Sequence[int], tgt: Sequence[int],
+                 comp: np.ndarray, identity: Sequence[int], labels: Sequence):
         self.objects = list(objects)
         self.n = len(self.objects)
-        self.src, self.tgt, self.labels = [], [], []  # per morphism
-        self._hom: Dict[Tuple[int, int], range] = {}
-        index: Dict[Tuple[int, int, object], int] = {}
-        for (i, j), labels in sorted(mor_labels.items()):
-            self._hom[(i, j)] = range(len(self.labels), len(self.labels) + len(labels))
-            for lab in labels:
-                index[(i, j, lab)] = len(self.labels)
-                self.labels.append(lab)
-                self.src.append(i)
-                self.tgt.append(j)
-        self.identity: List[int] = []
-        for i in range(self.n):
-            lab = identity_of(i)
-            if (i, i, lab) not in index:
-                raise FunctorError(f"identity {lab!r} at object {i} is not a morphism")
-            self.identity.append(index[(i, i, lab)])
-        self.comp = np.full((len(self.labels),) * 2, -1, dtype=np.int32)
-        for (j, k), gs in self._hom.items():  # g: j -> k after each f: i -> j
-            for i in range(self.n):
-                for f in self.morphisms(i, j):
-                    for g in gs:
-                        lab = compose(self.labels[g], self.labels[f])
-                        if (i, k, lab) not in index:
-                            raise FunctorError(f"composite {lab!r} of morphisms {g} and {f} "
-                                               f"is not a morphism {i} -> {k}")
-                        self.comp[g, f] = index[(i, k, lab)]
+        s, t, ident = (np.asarray(a, dtype=np.intp) for a in (src, tgt, identity))
+        self.src, self.tgt, self.identity = s.tolist(), t.tolist(), ident.tolist()
+        self.labels, self.comp = list(labels), np.asarray(comp, dtype=np.int32)
+        size = len(self.labels)
+        if ((len(s), len(t), len(ident)) != (size, size, self.n) or self.comp.shape != (size, size)
+                or ((s < 0) | (t < 0) | (s >= self.n) | (t >= self.n)).any()
+                or (np.diff(s * self.n + t) < 0).any()):
+            raise FunctorError("morphisms not numbered by (source, target)")
+        self._first = np.searchsorted(s * self.n + t, np.arange(self.n ** 2 + 1)).tolist()
+        composable = s[:, None] == t
+        _fault((ident < 0) | (ident >= size), "identity out of range at object")
+        _fault((self.comp < -1) | (self.comp >= size), "composite out of range at morphisms")
+        _fault(composable & (self.comp < 0), "composite missing at morphisms")
+        _fault(~composable & (self.comp >= 0), "composite of morphisms that do not compose at")
+        _fault((s[ident] != np.arange(self.n)) | (t[ident] != np.arange(self.n)),
+               "identity with the wrong endpoints at object")
+        _fault(composable & ((s[self.comp] != s) | (t[self.comp] != t[:, None])),
+               "composite with the wrong endpoints at morphisms")
         self._check_axioms()
         self._skeleton: Optional[Tuple[FiniteCategory, List[List[int]]]] = None
         self._nerves: Dict[int, Nerve] = {}  # by support bitmask (``nerve``)
@@ -97,7 +93,7 @@ class FiniteCategory:
                 raise FunctorError("composition not associative")
 
     def morphisms(self, i: int, j: int) -> range:
-        return self._hom.get((i, j), range(0))
+        return range(self._first[i * self.n + j], self._first[i * self.n + j + 1])
 
     def iso_classes(self) -> List[List[int]]:
         """Object classes under invertible morphisms.  Isomorphism is an
@@ -120,17 +116,21 @@ class FiniteCategory:
         class, with the classes; built on the first call and kept."""
         if self._skeleton is None:
             classes = self.iso_classes()
-            self._skeleton = (self.full_subcategory([c[0] for c in classes])[0], classes)
+            self._skeleton = (self.full_subcategory([c[0] for c in classes]), classes)
         return self._skeleton
 
-    def full_subcategory(self, keep: Sequence[int]) -> Tuple["FiniteCategory", Dict[int, int]]:
+    def full_subcategory(self, keep: Sequence[int]) -> "FiniteCategory":
+        """The full subcategory on the objects ``keep``, in that order; each
+        morphism is labelled by its number in this category."""
         keep = list(keep)
-        old_to_new = {o: i for i, o in enumerate(keep)}
-        mor_labels = {(a, b): list(self.morphisms(i, j))
-                      for a, i in enumerate(keep) for b, j in enumerate(keep)}
-        sub = FiniteCategory([self.objects[o] for o in keep], mor_labels,
-                             lambda g, f: int(self.comp[g, f]), lambda i: self.identity[keep[i]])
-        return sub, old_to_new
+        kept = [m for i in keep for j in keep for m in self.morphisms(i, j)]
+        number = np.full(len(self.labels) + 1, -1, dtype=np.int32)  # number[-1] is -1
+        number[kept] = np.arange(len(kept))
+        at = {o: a for a, o in enumerate(keep)}
+        return FiniteCategory([self.objects[o] for o in keep], [at[self.src[m]] for m in kept],
+                              [at[self.tgt[m]] for m in kept],
+                              number[self.comp[np.ix_(kept, kept)]],
+                              number[[self.identity[o] for o in keep]], kept)
 
 
 class ModuleFunctor:
@@ -447,7 +447,7 @@ def _coboundary_rows(p: int, cofaces: Tuple[np.ndarray, ...], firsts: np.ndarray
 
 def restrict_functor(functor: ModuleFunctor, keep: Sequence[int]) -> ModuleFunctor:
     """The functor on the full subcategory of the objects ``keep``."""
-    return _functor_on(functor, functor.cat.full_subcategory(keep)[0], keep)
+    return _functor_on(functor, functor.cat.full_subcategory(keep), keep)
 
 
 def skeleton_functor(functor: ModuleFunctor) -> ModuleFunctor:
@@ -465,7 +465,7 @@ def _functor_on(functor: ModuleFunctor, sub: FiniteCategory,
 
 # -- categories from fusion/transporter data ---------------------------------
 
-def fusion_orbit_category(F, objects: Sequence[MemberSet]) -> Tuple[FiniteCategory, Dict]:
+def fusion_orbit_category(F, objects: Sequence[MemberSet]) -> FiniteCategory:
     """O(F) on the given objects: Hom_F(P,Q) modulo Inn(Q).
 
     Morphism labels are (orbit representative graph, target index): the
@@ -473,39 +473,33 @@ def fusion_orbit_category(F, objects: Sequence[MemberSet]) -> Tuple[FiniteCatego
     """
     G = F.group
     objs = sorted(objects, key=lambda m: (len(m), sorted(m)))
-    obj_index = {P: i for i, P in enumerate(objs)}
-    orbit_of: Dict[Tuple[int, int, Tuple], Tuple] = {}
-    mor_labels: Dict[Tuple[int, int], List] = {}
+    orbit_of: Dict[Tuple[int, int, Tuple], int] = {}  # (i, j, graph) -> its morphism
+    src, tgt, labels = [], [], []
     for i, P in enumerate(objs):
         for j, Q in enumerate(objs):
-            homs, labels = F.hom(P, Q), []
-            hom_set = set(homs)
+            homs, least = set(F.hom(P, Q)), {}  # graph -> least graph of its orbit
             for k in homs:
-                if (i, j, k) in orbit_of:
+                if k in least:
                     continue
                 d = dict(k)
                 orbit = {tuple(sorted((x, G.conj(d[x], G.inv(q))) for x in P)) for q in Q}
-                if not orbit <= hom_set:
+                if not orbit <= homs:
                     raise FunctorError("Inn(Q) does not act on Hom(P,Q)")
-                labels.append((min(orbit), j))
-                orbit_of.update(((i, j, k2), labels[-1]) for k2 in orbit)
-            mor_labels[(i, j)] = sorted(labels)
-
-    def compose(glab, flab):
-        gk, k = glab
-        fk, _ = flab
-        gd = dict(gk)
-        composed = tuple(sorted((x, gd[y]) for x, y in fk))
-        i = obj_index[frozenset(x for x, _ in fk)]
-        return orbit_of[(i, k, composed)]
-
-    def identity_of(i):
-        P = objs[i]
-        ident = tuple(sorted((x, x) for x in P))
-        return orbit_of[(i, i, ident)]
-
-    cat = FiniteCategory(objs, mor_labels, compose, identity_of)
-    return cat, orbit_of
+                least.update(dict.fromkeys(orbit, min(orbit)))
+            number = {r: len(labels) + a for a, r in enumerate(sorted(set(least.values())))}
+            orbit_of.update(((i, j, k), number[r]) for k, r in least.items())
+            src += [i] * len(number)
+            tgt += [j] * len(number)
+            labels += [(r, j) for r in number]
+    into = [[f for f, t in enumerate(tgt) if t == j] for j in range(len(objs))]
+    comp = np.full((len(labels),) * 2, -1, dtype=np.int32)
+    for g, ((graph, k), j) in enumerate(zip(labels, src)):
+        d = dict(graph)
+        composed = [tuple(sorted((x, d[y]) for x, y in labels[f][0])) for f in into[j]]
+        comp[g, into[j]] = [orbit_of.get((src[f], k, c), -1) for f, c in zip(into[j], composed)]
+    identity = [orbit_of.get((i, i, tuple(sorted((x, x) for x in P))), -1)
+                for i, P in enumerate(objs)]
+    return FiniteCategory(objs, src, tgt, comp, identity, labels)
 
 
 def cohomology_functor_on_orbit_category(F, cat: FiniteCategory,
@@ -544,54 +538,58 @@ def ot_cohomology_functor(OT, fam: CohomologyFamily, j: int) -> ModuleFunctor:
 
 # -- Lambda functors ---------------------------------------------------------
 
+def coset_category(G: Group, objects: Sequence[MemberSet],
+                   elements: Callable[[int, int], Sequence[int]]
+                   ) -> Tuple[FiniteCategory, np.ndarray]:
+    """The category on subgroups P_i of G whose morphisms P_i -> P_j are the
+    cosets P_j f of the f in ``elements(i, j)``, labelled (min P_j f, P_i, P_j),
+    with the (n, |G|) table of min P_i x.  (P_k g)(P_j f) = P_k gf; a composite
+    that is not a morphism raises ``FunctorError``.  The key (i n + j) |G| +
+    label increases with the morphism number, so the composites through each
+    middle object are one ``mul_many`` gather and one ``searchsorted``."""
+    n, order = len(objects), G.order
+    coset_min = np.stack([G.mul_many(np.array(sorted(P))[:, None], np.arange(order)).min(axis=0)
+                          for P in objects])
+    keys = []
+    for i in range(n):
+        for j in range(n):
+            hit = np.zeros(order, dtype=bool)
+            hit[coset_min[j][np.asarray(elements(i, j), dtype=np.intp)]] = True
+            keys.append((i * n + j) * order + np.flatnonzero(hit))
+    keys = np.concatenate(keys + [[-1]])  # the last, -1, matches no key
+    (src, tgt), mins = np.divmod(keys[:-1] // order, n), keys[:-1] % order
+
+    def number(i: np.ndarray, k: np.ndarray, element: np.ndarray) -> np.ndarray:
+        key = (i * n + k) * order + coset_min[k, element]
+        m = np.searchsorted(keys[:-1], key)
+        if (keys[m] != key).any():
+            raise FunctorError("a composite of cosets is not a morphism")
+        return m
+
+    comp = np.full((len(mins),) * 2, -1, dtype=np.int32)
+    for j in range(n):
+        out, into = np.flatnonzero(src == j), np.flatnonzero(tgt == j)
+        comp[np.ix_(out, into)] = number(src[into][None, :], tgt[out][:, None],
+                                         G.mul_many(mins[out][:, None], mins[into][None, :]))
+    every = np.arange(n)
+    labels = [(m, objects[i], objects[j]) for m, i, j in zip(mins.tolist(), src, tgt)]
+    return FiniteCategory(objects, src, tgt, comp, number(every, every, np.full(n, G.identity)),
+                          labels), coset_min
+
+
 def p_orbit_category(Gamma: Group, p: int) -> Tuple[FiniteCategory, List[FrozenSet[int]]]:
-    """Transitive Gamma-sets with p-group isotropy, one per conjugacy class.
+    """Transitive Gamma-sets with p-group isotropy, one per conjugacy class,
+    with the class representatives P: the orbit category of the transporter
+    category of Gamma on them.  A map Gamma/P -> Gamma/Q sends P to a coset
+    Q.h with h P h^-1 <= Q, so h = t^-1 for t in the transporter N(P, Q)."""
+    from .permgroups import all_subgroups, subgroup_classes, sylow, transporter
 
-    Objects are the right-coset sets Gamma/P for class representatives P.
-    A map Gamma/P -> Gamma/Q sends P to the coset Q.h and is labelled by
-    that coset; it is well defined exactly when h p h^-1 lies in Q for all
-    p in P.  Composition of labels Q.h then R.m gives R.(m h).
-    """
-    from .permgroups import all_subgroups, sylow, transporter
-
-    S = sylow(Gamma, p)
-    reps: List[FrozenSet[int]] = []
-    seen: Set[FrozenSet[int]] = set()
-    for m in all_subgroups(S):
-        if m in seen:
-            continue
-        orbit, frontier = {m}, [m]
-        while frontier:
-            h = frontier.pop()
-            for g in Gamma.generators:
-                img = frozenset(Gamma.conj(x, g) for x in h)
-                if img not in orbit:
-                    orbit.add(img)
-                    frontier.append(img)
-        seen |= orbit
-        reps.append(m)
-
-    def right_coset(Q: FrozenSet[int], g: int) -> FrozenSet[int]:
-        return frozenset(Gamma.mul(q, g) for q in Q)
-
-    mor_labels: Dict[Tuple[int, int], List] = {}
-    for i, P in enumerate(reps):
-        for j, Q in enumerate(reps):
-            # Q.h is a label exactly when h^-1 lies in the transporter N(P, Q)
-            cosets = {right_coset(Q, Gamma.inv(t)) for t in transporter(
-                Gamma, Gamma.subgroup(P), Gamma.subgroup(Q))}
-            mor_labels[(i, j)] = sorted(((c, i, j) for c in cosets), key=lambda t: sorted(t[0]))
-
-    def compose(glab, flab):
-        cg, _, k = glab
-        cf, i, _ = flab
-        return (right_coset(reps[k], Gamma.mul(min(cg), min(cf))), i, k)
-
-    def identity_of(i):
-        return (reps[i], i, i)
-
-    names = [f"G/P{i}(|P|={len(P)})" for i, P in enumerate(reps)]
-    return FiniteCategory(names, mor_labels, compose, identity_of), reps
+    reps = [cls[0] for cls in subgroup_classes(Gamma, all_subgroups(sylow(Gamma, p)),
+                                               Gamma.generators)]
+    subs, inverse = [Gamma.subgroup(P) for P in reps], np.array(Gamma.inverse)
+    cat, _ = coset_category(Gamma, reps,
+                            lambda i, j: inverse[transporter(Gamma, subs[i], subs[j])])
+    return cat, reps
 
 
 def lambda_dims(Gamma: Group, p: int, module_dim: int, max_degree: int = 4) -> List[int]:
@@ -763,7 +761,7 @@ def sharpness_pipeline(L, jmax: int = 2, max_degree: int = 4) -> Dict[str, objec
     if not sat:
         raise FunctorError(f"fusion system not saturated: {wit[:1]}")
     centrics = classify_subgroups_core_only(F).all_with("centric")
-    cat, _ = fusion_orbit_category(F, centrics)
+    cat = fusion_orbit_category(F, centrics)
     fam = CohomologyFamily(L.ambient, L.prime, max(jmax, 2))
 
     table: Dict[Tuple[int, int], int] = {}

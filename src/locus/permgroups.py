@@ -666,29 +666,32 @@ def _subgroup_lattice(S: Subgroup) -> Tuple[FrozenSet[int], ...]:
     return tuple(sorted(found, key=lambda m: (len(m), sorted(m))))
 
 
+def subgroup_classes(G: Group, subs: Sequence[FrozenSet[int]],
+                     gens: Sequence[int]) -> List[List[FrozenSet[int]]]:
+    """The members of ``subs`` by conjugacy classes under <gens>, each class
+    sorted, in order of first member.  The walk visits every conjugate, also
+    those outside ``subs``, so members joined only through one stay joined."""
+    members, seen, classes = set(subs), set(), []
+    for mem in subs:
+        if mem in seen:
+            continue
+        orbit, frontier = {mem}, [mem]
+        while frontier:
+            h = frontier.pop()
+            for g in gens:
+                img = frozenset(G.conj(x, g) for x in h)
+                if img not in orbit:
+                    orbit.add(img)
+                    frontier.append(img)
+        seen |= orbit
+        classes.append(sorted(orbit & members, key=sorted))
+    return classes
+
+
 def subgroups_up_to_conjugacy(S: Subgroup) -> List[List[Subgroup]]:
     """Conjugacy classes (under S) of all subgroups of S."""
-    G = S.parent
-    subs = all_subgroups(S)
-    remaining = set(subs)
-    classes: List[List[Subgroup]] = []
-    for mem in subs:
-        if mem not in remaining:
-            continue
-        orbit = {mem}
-        frontier = [mem]
-        while frontier:
-            new = []
-            for h in frontier:
-                for g in S.gens():
-                    img = frozenset(G.conj(x, g) for x in h)
-                    if img not in orbit:
-                        orbit.add(img)
-                        new.append(img)
-            frontier = new
-        remaining -= orbit
-        classes.append([G.subgroup(m) for m in sorted(orbit, key=sorted)])
-    return classes
+    return [[S.parent.subgroup(m) for m in cls]
+            for cls in subgroup_classes(S.parent, all_subgroups(S), S.gens())]
 
 
 def quotient_group(G: Group, N: Subgroup) -> Tuple[Group, Dict[int, int]]:

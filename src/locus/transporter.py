@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .catlimits import FiniteCategory
+from .catlimits import coset_category
 from .locality import CheckReport, Locality, MemberSet
 from .permgroups import Group
 
@@ -211,7 +211,8 @@ class OrbitCategory:
 
     The orbit of (f, P, Q) is the coset Q f.  Each orbit is numbered once, as
     a morphism of the FiniteCategory ``cat`` labelled (min element, P, Q), in
-    order of source, target and label; ``cat.comp`` is its composition.
+    order of source, target and label (``catlimits.coset_category``);
+    ``cat.comp`` is its composition.
     """
 
     def __init__(self, T: TransporterSystem):
@@ -219,35 +220,20 @@ class OrbitCategory:
         self.group = G = T.group
         self.objects = T.objects
         self._position = {P: i for i, P in enumerate(self.objects)}
-        # per object Q, the least element of the coset Q x of every element
-        # x: the label element of the orbit of (x, P, Q), whatever P is
-        self._coset_min = [G.mul_many(np.array(sorted(Q))[:, None], np.arange(G.order)).min(axis=0)
-                           for Q in self.objects]
-        mor_labels = {(i, j): [(m, P, Q) for m in sorted(set(
-                          self._coset_min[j][T.mor_elements(P, Q)].tolist()))]
-                      for i, P in enumerate(self.objects) for j, Q in enumerate(self.objects)}
-
-        def compose(glab, flab):
-            g, _, R = glab
-            f, P, _ = flab
-            return (int(self._coset_min[self._position[R]][G.mul(g, f)]), P, R)
-
-        def identity_of(i):
-            P = self.objects[i]
-            return (int(self._coset_min[i][G.identity]), P, P)
-
-        cat = self.cat = FiniteCategory(self.objects, mor_labels, compose, identity_of)
-        self._number = {lab: m for m, lab in enumerate(cat.labels)}
-        self._label = np.array([lab[0] for lab in cat.labels], dtype=np.intp)
-        self._src = np.array(cat.src, dtype=np.intp)
-        self._into = [np.flatnonzero(np.array(cat.tgt) == j) for j in range(cat.n)]
+        # _coset_min[j, x] labels the orbit of (x, P, Q_j), whatever P is
+        self.cat, self._coset_min = coset_category(
+            G, self.objects, lambda i, j: T.mor_elements(self.objects[i], self.objects[j]))
+        self._label = np.array([lab[0] for lab in self.cat.labels], dtype=np.intp)
+        self._src = np.array(self.cat.src, dtype=np.intp)
+        self._into = [np.flatnonzero(np.array(self.cat.tgt) == j) for j in range(self.cat.n)]
         self._products: Dict[Tuple[MemberSet, MemberSet], _Product] = {}
 
     def morphism(self, f: int, P: MemberSet, Q: MemberSet) -> int:
         """The morphism of OT that the morphism (f, P, Q) of T represents."""
-        P, Q = frozenset(P), frozenset(Q)
-        m = self._number.get((int(self._coset_min[self._position[Q]][f]), P, Q))
-        if m is None:
+        h = self.mor(P, Q)
+        label = self._coset_min[self._position[frozenset(Q)], f]
+        m = h.start + int(np.searchsorted(self._label[h.start:h.stop], label))
+        if m == h.stop or self._label[m] != label:
             raise TransporterError("not a morphism of the transporter system")
         return m
 

@@ -18,6 +18,7 @@ from locus.catlimits import (
     atomic_functor,
     chain_counts,
     cohomology_functor_on_orbit_category,
+    coset_category,
     fusion_orbit_category,
     higher_limits,
     lambda_dims,
@@ -35,10 +36,11 @@ from locus.cohomology import MEMORY_BUDGET_ENV, BudgetError, CohomologyFamily
 from locus.fusion import classify_subgroups_core_only, fusion_of_group, fusion_of_locality
 from locus.locality import build_locality, delta_all_nontrivial
 from locus.linalg import row_echelon_modp
-from locus.permgroups import load_group, sylow
+from locus.permgroups import all_subgroups, load_group, sylow
 from locus.transporter import orbit_category, transporter_of_locality
 
-from conftest import bundled
+from conftest import bundled, labelled_category
+from test_group_core import small_groups
 
 
 def poset_category(relations, n):
@@ -63,7 +65,7 @@ def poset_category(relations, n):
     def identity_of(i):
         return ("le", i, i)
 
-    return FiniteCategory(list(range(n)), mor, compose, identity_of)
+    return labelled_category(list(range(n)), mor, compose, identity_of)
 
 
 def c3_category():
@@ -72,8 +74,8 @@ def c3_category():
 
 def cyclic_category(n):
     """One object whose morphisms form the cyclic group of order n."""
-    return FiniteCategory(["*"], {(0, 0): list(range(n))},
-                          lambda g, f: (g + f) % n, lambda i: 0)
+    return labelled_category(["*"], {(0, 0): list(range(n))},
+                             lambda g, f: (g + f) % n, lambda i: 0)
 
 
 def constant_functor(cat, p, dim):
@@ -93,16 +95,44 @@ LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4,
 ], ids=["right-identity", "left-identity", "not-associative"])
 def test_category_axioms_fail_by_name(compose, message):
     with pytest.raises(FunctorError, match=f"^{message}"):
-        FiniteCategory(["*"], {(0, 0): list(range(5))}, compose, lambda i: 0)
+        labelled_category(["*"], {(0, 0): list(range(5))}, compose, lambda i: 0)
 
 
-@pytest.mark.parametrize("compose, identity, message", [
-    (lambda g, f: g + f, 0, r"composite \d+ of morphisms \d+ and \d+ is not a morphism 0 -> 0"),
-    (lambda g, f: (g + f) % 3, 5, "identity 5 at object 0 is not a morphism"),
-], ids=["composite", "identity"])
-def test_labels_outside_the_hom_set_are_named(compose, identity, message):
-    with pytest.raises(FunctorError, match=f"^{message}"):
-        FiniteCategory(["*"], {(0, 0): [0, 1, 2]}, compose, lambda i: identity)
+def arrow_with(src=(0, 0, 1), tgt=(0, 1, 1), comp=((0, -1, -1), (1, -1, -1), (-1, 1, 2)),
+               identity=(0, 2)):
+    """The arguments of two objects with their identities 0 and 2 and one
+    arrow 1: 0 -> 1, with the arrays given replaced."""
+    return [0, 1], list(src), list(tgt), np.array(comp), list(identity), ["id0", "a", "id1"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (arrow_with(src=[1, 0, 1], tgt=[1, 1, 1]), r"morphisms not numbered by \(source, target\)"),
+    (arrow_with(tgt=[0, 1, 2]), r"morphisms not numbered by \(source, target\)"),
+    (arrow_with(identity=[0, 3]), "identity out of range at object 1"),
+    (arrow_with(comp=[[0, -1, -1], [1, -1, -1], [-1, 3, 2]]),
+     "composite out of range at morphisms 2, 1"),
+    (arrow_with(comp=[[0, -1, -1], [-1, -1, -1], [-1, 1, 2]]),
+     "composite missing at morphisms 1, 0"),
+    (arrow_with(comp=[[0, -1, -1], [1, -1, 1], [-1, 1, 2]]),
+     "composite of morphisms that do not compose at 1, 2"),
+    (arrow_with(identity=[1, 2]), "identity with the wrong endpoints at object 0"),
+    (arrow_with(comp=[[0, -1, -1], [2, -1, -1], [-1, 1, 2]]),
+     "composite with the wrong endpoints at morphisms 1, 0"),
+], ids=["unsorted", "object-range", "identity", "composite", "missing", "not-composable",
+        "identity-ends", "composite-ends"])
+def test_labels_outside_the_hom_set_are_named(args, message):
+    # a label outside the hom-set is a morphism number out of range
+    # (``labelled_category``); each fault of the arrays has its own name
+    assert FiniteCategory(*arrow_with()).iso_classes() == [[0], [1]]
+    with pytest.raises(FunctorError, match=f"^{message}$"):
+        FiniteCategory(*args)
+
+
+def test_cosets_outside_the_hom_sets_are_named():
+    # {1, g} in C3 is not closed: g o g is the coset of g^2, no morphism
+    C3 = load_group("degree 3\n(1 2 3)")
+    with pytest.raises(FunctorError, match="^a composite of cosets is not a morphism$"):
+        coset_category(C3, [frozenset([C3.identity])], lambda i, j: [C3.identity, 1])
 
 
 def test_split_idempotent_is_no_isomorphism():
@@ -115,7 +145,7 @@ def test_split_idempotent_is_no_isomorphism():
         return f if g.startswith("id") else g if f.startswith("id") else table[(g, f)]
 
     mor = {(0, 0): ["id0"], (0, 1): ["i"], (1, 0): ["r"], (1, 1): ["id1", "e"]}
-    cat = FiniteCategory([0, 1], mor, compose, lambda i: f"id{i}")
+    cat = labelled_category([0, 1], mor, compose, lambda i: f"id{i}")
     assert cat.iso_classes() == [[0], [1]]
 
 
@@ -160,7 +190,7 @@ def test_one_object_group_category_gives_group_cohomology():
     def compose(g, f):
         return g ^ f
 
-    cat = FiniteCategory(["*"], mor, compose, lambda i: 0)
+    cat = labelled_category(["*"], mor, compose, lambda i: 0)
     F = constant_functor(cat, 2, 1)
     assert higher_limits(F, 4) == [1, 1, 1, 1, 1]
 
@@ -182,7 +212,7 @@ def s4_centric_fusion():
     G = bundled("s4")
     F = fusion_of_group(G, sylow(G, 2), 2)
     centrics = classify_subgroups_core_only(F).all_with("centric")
-    return F, fusion_orbit_category(F, centrics)[0]
+    return F, fusion_orbit_category(F, centrics)
 
 
 def s4_centric_cohomology_functor(j):
@@ -242,7 +272,7 @@ def test_higher_limits_budget_raises_before_building_chains(monkeypatch):
 def a6_centric_h3_functor():
     G = bundled("a6")
     F = fusion_of_group(G, sylow(G, 2), 2)
-    cat, _ = fusion_orbit_category(F, classify_subgroups_core_only(F).all_with("centric"))
+    cat = fusion_orbit_category(F, classify_subgroups_core_only(F).all_with("centric"))
     return cohomology_functor_on_orbit_category(F, cat, CohomologyFamily(G, 2, 3), 3)
 
 
@@ -437,7 +467,7 @@ def test_sharpness_builds_each_nerve_level_once(monkeypatch):
 
 def test_supports_of_one_category_get_their_own_levels(monkeypatch):
     F, _ = s4_centric_fusion()
-    cat = fusion_orbit_category(F, classify_subgroups_core_only(F).all_with("centric"))[0]
+    cat = fusion_orbit_category(F, classify_subgroups_core_only(F).all_with("centric"))
     built = []
     grow = catlimits.Nerve.grow
 
@@ -501,6 +531,59 @@ def punctured_ot(name, p):
     T, _ = transporter_of_locality(L)
     OT, _ = orbit_category(T)
     return L, T, OT
+
+
+def coset_oracle(G, objects, elements):
+    """``labelled_category`` on the cosets P_j f of the f in elements(i, j),
+    each labelled (min P_j f, i, j) and composed by multiplying the minima,
+    one scalar ``mul`` at a time."""
+    def label(x, i, j):
+        return min(G.mul(q, x) for q in objects[j]), i, j
+
+    n = len(objects)
+    mor = {(i, j): sorted({label(f, i, j) for f in elements(i, j)})
+           for i in range(n) for j in range(n)}
+    return labelled_category(objects, mor, lambda g, f: label(G.mul(g[0], f[0]), f[1], g[2]),
+                             lambda i: label(G.identity, i, i))
+
+
+def assert_same_category(cat, oracle):
+    assert (cat.objects, cat.src, cat.tgt, cat.identity) == (
+        oracle.objects, oracle.src, oracle.tgt, oracle.identity)
+    assert np.array_equal(cat.comp, oracle.comp)
+    assert [lab[0] for lab in cat.labels] == [lab[0] for lab in oracle.labels]
+
+
+@pytest.mark.parametrize("name", ["s4", "a6", "a6xc3"])
+def test_orbit_category_matches_the_label_oracle(name):
+    _, T, OT = punctured_ot(name, 2)
+    objects = OT.objects
+    assert_same_category(OT.cat, coset_oracle(
+        OT.group, objects, lambda i, j: T.mor_elements(objects[i], objects[j])))
+
+
+def p_subgroup_classes(G, p):
+    """The first of each conjugacy class of subgroups of a Sylow p-subgroup
+    in ``all_subgroups`` order, the class found by conjugating with every
+    element of G."""
+    reps, seen = [], set()
+    for m in all_subgroups(sylow(G, p)):
+        if m not in seen:
+            reps.append(m)
+            seen |= {frozenset(G.conj(x, g) for x in m) for g in range(G.order)}
+    return reps
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_groups())
+def test_p_orbit_category_matches_the_label_oracle(G):
+    for p in (q for q in (2, 3, 5) if G.order % q == 0):
+        cat, reps = p_orbit_category(G, p)
+        assert reps == p_subgroup_classes(G, p)
+        # Gamma/P -> Gamma/Q sends P to Q h for each h with h P h^-1 <= Q
+        assert_same_category(cat, coset_oracle(G, reps, lambda i, j: [
+            h for h in range(G.order)
+            if all(G.mul(G.mul(h, x), G.inv(h)) in reps[j] for x in reps[i])]))
 
 
 def test_skeleton_invariance_on_punctured_s4():
@@ -620,7 +703,7 @@ def test_fusion_orbit_category_a6_counts():
     F = fusion_of_group(G, S, 2)
     cls = classify_subgroups_core_only(F)
     centrics = cls.all_with("centric")
-    cat, _ = fusion_orbit_category(F, centrics)
+    cat = fusion_orbit_category(F, centrics)
     assert cat.n == 4
     # Aut_O(V4) = S3 has 6 orbit classes (Inn(V4) trivial on a Klein four)
     sizes = sorted(len(cat.morphisms(i, i)) for i in range(cat.n))
@@ -633,7 +716,7 @@ def test_stable_elements_match_lim0_a6():
     F = fusion_of_group(G, S, 2)
     cls = classify_subgroups_core_only(F)
     centrics = cls.all_with("centric")
-    cat, _ = fusion_orbit_category(F, centrics)
+    cat = fusion_orbit_category(F, centrics)
     fam = CohomologyFamily(G, 2, 2)
     for j in range(3):
         functor = cohomology_functor_on_orbit_category(F, cat, fam, j)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locus import cohomology
-from locus.catlimits import FiniteCategory, ModuleFunctor, higher_limits
+from locus.catlimits import ModuleFunctor, higher_limits
 from locus.cohomology import (
     MEMORY_BUDGET_ENV,
     BudgetError,
@@ -24,7 +24,7 @@ from locus.cohomology import (
 )
 from locus.permgroups import GroupError, all_subgroups, load_group, o_p, sylow
 
-from conftest import bundled
+from conftest import bundled, labelled_category
 
 
 def _c2():
@@ -316,7 +316,7 @@ def test_dims_match_higher_limits_on_the_one_object_category(group, p, top, want
     # with one object, whose normalized nerve is the normalized bar resolution
     G = _oracle_group(group)
     members = list(G.full_subgroup().sorted_members)
-    cat = FiniteCategory(["P"], {(0, 0): members}, G.mul, lambda i: G.identity)
+    cat = labelled_category(["P"], {(0, 0): members}, G.mul, lambda i: G.identity)
     constant = ModuleFunctor(cat, p, [1], {m: np.ones((1, 1)) for m in range(len(members))})
     assert higher_limits(constant, top) == want
     assert FpCohomology(G, G.full_subgroup(), p, top).dims() == want

@@ -275,6 +275,29 @@ def test_transporter_axioms_fail_when_a_composite_is_dropped():
     assert not any(f.startswith("identity missing") for f in failures)
 
 
+def test_transporter_axioms_fail_when_an_automorphism_of_s_is_dropped():
+    G, T = _fresh_s4_transporter()
+    S = frozenset(T.locality.sylow.members)
+    f = next(f for f in T._mor[(S, S)] if f != G.identity)
+    T._mor[(S, S)].remove(f)
+    T._mor_sets[(S, S)].discard(f)
+    failures = check_transporter_axioms(T).failures
+    for message in ["(I): eps(S) not Sylow in Aut_T(S)", "(A2): right E(P)-action escapes Mor",
+                    "(II): extension morphism missing"]:
+        assert message in failures
+
+
+def test_transporter_axioms_fail_when_a_kernel_element_is_dropped():
+    # e in E(P) has rho(e) = rho(1), so the fibre of rho over the identity
+    # map is no longer an E(P)-orbit
+    G, T = _fresh_s4_transporter()
+    P = next(P for P in T.objects if len(P) == 2)
+    e = next(e for e in sorted(T.e_kernel(P)) if e != G.identity)
+    T._mor[(P, P)].remove(e)
+    T._mor_sets[(P, P)].discard(e)
+    assert "(A2): rho is not the E(P)-orbit map" in check_transporter_axioms(T).failures
+
+
 # The orbit-category checks "orbit composition not well defined" and
 # "morphism fails to be epic", and the restriction checks "restriction not
 # injective" and "restriction image differs", cannot be made to fail from
