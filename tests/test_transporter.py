@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locus.harness import _universal_suite
 from locus.locality import build_locality, delta_all_nontrivial
 from locus.permgroups import o_p, sylow
 from locus.transporter import (
@@ -333,3 +334,21 @@ def test_pullback_fails_when_a_kmax_orbit_is_counted_twice():
     _count_kmax_orbits_twice(T, S, S)
     failures = pullback(OT, ident, S, ident, S, S)[1].failures
     assert f"pullback universal property fails at |Rt|={len(S)}" in failures
+
+
+def _failing_cospans(OT):
+    """The cospans (f, g) whose per-cospan ``pullback`` check fails."""
+    return sorted((f, g) for P in OT.objects for Q in OT.objects for R in OT.objects
+                  for f in OT.mor(P, R) for g in OT.mor(Q, R)
+                  if not pullback(OT, f, P, g, Q, R)[1].passed)
+
+
+def test_universal_suite_fails_when_a_kmax_orbit_is_counted_twice():
+    G, T, OT, S = _fresh_s4_orbit_category()
+    assert _universal_suite(OT)["pullbacks_ok"]
+    _count_kmax_orbits_twice(T, S, S)
+    assert _universal_suite(OT)["pullbacks_ok"] is False
+    # Mor_OT(S, S) is one morphism, and only the cospan of identities on S
+    # reads the corrupted K^max_{S,S}
+    ident = OT.morphism(G.identity, S, S)
+    assert _failing_cospans(OT) == [(ident, ident)]
