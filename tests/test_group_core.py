@@ -9,7 +9,8 @@ every element, and so is the (|S|, |G|) array of ``conj_images``.  The
 element array, the inverses, the scalar ``mul`` and both tables of
 ``build_tables`` are checked against a tuple construction written here: a
 breadth-first closure over permutation tuples, sorted, with ``_compose`` and
-``_invert``.  SL3(4) at p = 3 closes the file: its scans
+``_invert``.  ``quotient_group`` is checked against a loop of one scalar
+``mul`` per product.  SL3(4) at p = 3 closes the file: its scans
 over 60,480 elements are the reason for the vector core.
 """
 
@@ -41,6 +42,7 @@ from locus.permgroups import (
     o_p,
     o_pprime,
     p_part,
+    quotient_group,
     sylow,
     transporter,
 )
@@ -175,6 +177,40 @@ def test_op_and_opprime_match_scans(G):
         opp = {x for x in range(G.order)
                if len(G.closure(_scan_class(G, x))) % p != 0}
         assert o_pprime(G, p).members == opp
+
+
+
+def _loop_quotient(G: Group, N):
+    """G/N by one scalar ``mul`` per product: the cosets Nx numbered by
+    their least elements, in increasing order."""
+    coset_of, reps = {}, []
+    for x in range(G.order):
+        if x not in coset_of:
+            for n in N.members:
+                coset_of[G.mul(n, x)] = len(reps)
+            reps.append(x)
+    degree = len(reps)
+    Q = Group(degree, [tuple(coset_of[G.mul(r, g)] for r in reps) for g in G.generators])
+    image = [Q.index(tuple(coset_of[G.mul(r, y)] for r in reps)) for y in reps]
+    return Q, {x: image[coset_of[x]] for x in range(G.order)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_groups(), st.data())
+def test_quotient_group_matches_the_scalar_loop(G, data):
+    x = data.draw(st.integers(0, G.order - 1))
+    normals = [G.subgroup([G.identity]), G.full_subgroup(), center(G),
+               G.subgroup(G.closure(_scan_class(G, x)))]
+    normals += [o_p(G, p) for p in _primes(G.order)]
+    normals += [o_pprime(G, p) for p in _primes(G.order)]
+    if data.draw(st.booleans()):
+        G.build_tables()
+    for N in normals:
+        Q, proj = quotient_group(G, N)
+        want, want_proj = _loop_quotient(G, N)
+        assert Q.generator_perms == want.generator_perms
+        assert Q.E.tolist() == want.E.tolist()
+        assert proj == want_proj
 
 
 PSL3_3 = """degree 13
