@@ -84,12 +84,15 @@ class FiniteCategory:
             raise FunctorError("right identity fails")
         if (self.comp[ident[tgt], every] != every).any():
             raise FunctorError("left identity fails")
+        # the composable pairs (g, f) by tgt(g): h composes after those at src(h)
         g, f = np.nonzero(self.comp >= 0)
+        order = np.argsort(tgt[g], kind="stable")
+        g, f = g[order], f[order]
         gf = self.comp[g, f]
-        for h in range(len(self.labels)):
-            hg = self.comp[h, g]
-            on = hg >= 0  # the composable (g, f) with h after g
-            if (self.comp[hg[on], f[on]] != self.comp[h, gf[on]]).any():
+        at = np.searchsorted(tgt[g], np.arange(self.n + 1)).tolist()
+        for h, i in enumerate(self.src):
+            pairs = slice(at[i], at[i + 1])
+            if (self.comp[self.comp[h, g[pairs]], f[pairs]] != self.comp[h, gf[pairs]]).any():
                 raise FunctorError("composition not associative")
 
     def morphisms(self, i: int, j: int) -> range:

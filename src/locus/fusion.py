@@ -332,6 +332,8 @@ def out_group(F: FusionSystem, P: MemberSet) -> Tuple[Group, Dict[int, int]]:
     inn = set()
     for s in P:
         inn.add(autg.index(tuple(pos[G.conj(x, s)] for x in pts)))
+    if len(inn) == 1:  # P is abelian: Out_F(P) is Aut_F(P)
+        return autg, {x: x for x in range(autg.order)}
     return quotient_group(autg, autg.subgroup(inn))
 
 

@@ -188,15 +188,14 @@ class Group:
         Untabled ones compose at the base only: (ab)[x] = b[a[x]] for a
         base point x, and the image row is looked up as in ``conj_all``.
         """
-        a, b = np.broadcast_arrays(np.asarray(a, dtype=np.intp),
-                                   np.asarray(b, dtype=np.intp))
+        a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
         if self._mul_table is not None:
             table = np.frombuffer(self._mul_table, dtype=np.uint16)
             return table[a * self.order + b]
         E, einv_base, _, _ = self._base_core()
         base = einv_base[self.identity]  # the identity's inverse fixes the base
         img = E[b[..., None], E[a[..., None], base]]
-        return self._lookup(img.reshape(-1, len(base)), "a product").reshape(a.shape)
+        return self._lookup(img.reshape(-1, len(base)), "a product").reshape(img.shape[:-1])
 
     def conj_many(self, x, g) -> np.ndarray:
         """Elementwise x^g, as ``conj`` does, for index arrays x and g that
@@ -204,7 +203,7 @@ class Group:
         else (g^-1 x) g by two ``mul_many``."""
         if self._conj_table is None:
             return self.mul_many(self.mul_many(np.asarray(self.inverse)[g], x), g)
-        x, g = np.broadcast_arrays(np.asarray(x, dtype=np.intp), np.asarray(g, dtype=np.intp))
+        x, g = np.asarray(x, dtype=np.intp), np.asarray(g, dtype=np.intp)
         return np.frombuffer(self._conj_table, dtype=np.uint16)[x * self.order + g]
 
     def _lookup(self, img: np.ndarray, what: str) -> np.ndarray:
@@ -696,26 +695,24 @@ def subgroups_up_to_conjugacy(S: Subgroup) -> List[List[Subgroup]]:
 
 def quotient_group(G: Group, N: Subgroup) -> Tuple[Group, Dict[int, int]]:
     """Coset group G/N (as permutations of the coset space) plus projection."""
-    if not N.is_normal_in(G.full_subgroup()):
+    # the right coset Nx is numbered by its least element min_n nx, in
+    # increasing order: one gather over N x G and its least row
+    members = np.array(sorted(N.members), dtype=np.intp)
+    least = G.mul_many(members[:, None], np.arange(G.order)).min(axis=0)
+    reps = np.flatnonzero(least == np.arange(G.order))
+    coset_of = np.searchsorted(reps, least)
+    # the coset Nr of each representative times N, the generators and the
+    # representatives, in one gather
+    gens = np.array(G.generators, dtype=np.intp)
+    moved = coset_of[G.mul_many(reps[:, None], np.concatenate([members, gens, reps]))].T
+    # N is normal exactly when it fixes every coset Nr
+    if (moved[:len(members)] != np.arange(len(reps))).any():
         raise GroupError("quotient by a non-normal subgroup")
-    # enumerate right cosets Ng deterministically
-    coset_of: Dict[int, int] = {}
-    reps: List[int] = []
-    for x in range(G.order):
-        if x in coset_of:
-            continue
-        rep = len(reps)
-        reps.append(x)
-        for n in N.members:
-            coset_of[G.mul(n, x)] = rep
-    degree = len(reps)
-    gen_perms: List[Perm] = []
-    for g in G.generators:
-        gen_perms.append(tuple(coset_of[G.mul(reps[i], g)] for i in range(degree)))
-    Q = Group(degree, gen_perms, name=f"{G.name}/{N.name or 'N'}")
-    # projection: x -> index (in Q) of the permutation induced by x, which
-    # depends only on the coset Nx (N is normal), so one per representative
-    image = [Q.index(tuple(coset_of[G.mul(reps[i], r)] for i in range(degree)))
-             for r in reps]
-    proj = {x: image[coset_of[x]] for x in range(G.order)}
+    gen_perms = [tuple(row) for row in moved[len(members):len(members) + len(gens)].tolist()]
+    Q = Group(len(reps), gen_perms, name=f"{G.name}/{N.name or 'N'}")
+    # projection: x -> the permutation Nr -> Nrx, which depends only on the
+    # coset Nx (N is normal), so one row per representative
+    rows = moved[len(members) + len(gens):].astype(Q.E.dtype)
+    image = np.array([Q._index[row] for row in _row_bytes(rows)])
+    proj = dict(zip(range(G.order), image[coset_of].tolist()))
     return Q, proj

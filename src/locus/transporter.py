@@ -224,8 +224,8 @@ class OrbitCategory:
         self.cat, self._coset_min = coset_category(
             G, self.objects, lambda i, j: T.mor_elements(self.objects[i], self.objects[j]))
         self._label = np.array([lab[0] for lab in self.cat.labels], dtype=np.intp)
-        self._src = np.array(self.cat.src, dtype=np.intp)
-        self._into = [np.flatnonzero(np.array(self.cat.tgt) == j) for j in range(self.cat.n)]
+        self._src, self._tgt = (np.array(a, dtype=np.intp) for a in (self.cat.src, self.cat.tgt))
+        self._into = [np.flatnonzero(self._tgt == j) for j in range(self.cat.n)]
         self._products: Dict[Tuple[MemberSet, MemberSet], _Product] = {}
 
     def morphism(self, f: int, P: MemberSet, Q: MemberSet) -> int:
@@ -239,6 +239,12 @@ class OrbitCategory:
 
     def mor(self, P: MemberSet, Q: MemberSet) -> range:
         return self.cat.morphisms(self._position[frozenset(P)], self._position[frozenset(Q)])
+
+    def cospans(self, P: MemberSet, Q: MemberSet) -> Tuple[np.ndarray, np.ndarray]:
+        """Every cospan f: P -> R <- Q: g over every R, as arrays of f and g."""
+        fo, go = (np.flatnonzero(self._src == self._position[frozenset(X)]) for X in (P, Q))
+        fi, gi = np.nonzero(self._tgt[fo][:, None] == self._tgt[go])
+        return fo[fi], go[gi]
 
     def _product(self, P: MemberSet, Q: MemberSet) -> "_Product":
         """P boxtimes Q, kept per (P, Q) with the K^max it was read from."""
@@ -434,35 +440,74 @@ def boxtimes(OT: OrbitCategory, P: MemberSet, Q: MemberSet) -> Tuple[CoproductOb
     return obj, report
 
 
-def pullback(OT: OrbitCategory, f: int, P: MemberSet, g: int, Q: MemberSet, R: MemberSet,
-             verify: bool = True) -> Tuple[CoproductObject, CheckReport]:
-    """U(f, g) for a cospan f: P -> R <- Q: g of morphisms of OT, inside
-    P boxtimes Q."""
-    report = CheckReport("pullback")
-    P, Q, R = frozenset(P), frozenset(Q), frozenset(R)
+def pullbacks(OT: OrbitCategory, P: MemberSet, Q: MemberSet, fs, gs,
+              verify: bool = True) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """U(f, g) inside P boxtimes Q for every cospan f: P -> R <- Q: g of
+    morphisms of OT with f = fs[c] and g = gs[c], over every R at once.
+
+    Returns ``on``, with on[c, a] true when the a-th K^max orbit
+    representative is a component of the c-th pullback, and, when
+    ``verify``, ``fails``, with fails[c, rt] true when its universal
+    property fails at the object rt.
+    """
     comp = OT.cat.comp
-    prod = OT._product(P, Q)
+    prod = OT._product(frozenset(P), frozenset(Q))
+    fs, gs = np.asarray(fs, dtype=np.intp), np.asarray(gs, dtype=np.intp)
     # the components on which f o iota_A^P = g o lambda
-    on = comp[f, prod.iota] == comp[g, prod.lam]
-    chosen = [rep for rep, keep in zip(prod.data.reps, on.tolist()) if keep]
-    obj = CoproductObject([A for A, _ in chosen], chosen)
+    on = comp[np.ix_(fs, prod.iota)] == comp[np.ix_(gs, prod.lam)]
     if not verify:
-        return obj, report
+        return on, None
 
     # Mor(Rt, U) -> {(phi, psi) : f o phi = g o psi} is a bijection for every
     # Rt: each factorization solves the equation, none repeats, and there
-    # are as many as solutions.  The solutions are a join of the columns f o
-    # phi and g o psi on their value, counted per value.
-    size = len(OT.cat.labels)
-    joined = (np.bincount(comp[f, OT._into[OT._position[P]]], minlength=size)
-              * np.bincount(comp[g, OT._into[OT._position[Q]]], minlength=size))
-    solutions = np.bincount(OT._src, weights=joined, minlength=len(OT.objects))
-    through = on[prod.part]
-    first, second, rts = prod.first[through], prod.second[through], prod.source[through]
-    wrong = np.bincount(rts[comp[f, first] != comp[g, second]], minlength=len(OT.objects))
-    fails = ((np.bincount(rts, minlength=len(OT.objects)) != solutions) | (wrong > 0)
-             | _repeated_at(OT, rts, first, second))
-    for rt in np.flatnonzero(fails):
+    # are as many as solutions.  The solutions join the columns f o phi and
+    # g o psi on their value: one histogram of each per distinct f and g,
+    # multiplied over the values out of each Rt, which are a range.
+    n, size, nobj = len(fs), len(OT.cat.labels), len(OT.objects)
+
+    def histograms(hs: np.ndarray, X: MemberSet) -> Tuple[np.ndarray, np.ndarray]:
+        distinct = np.flatnonzero(np.bincount(hs, minlength=size))
+        values = comp[np.ix_(distinct, OT._into[OT._position[frozenset(X)]])]
+        rows = np.arange(len(distinct))[:, None] * size
+        counts = np.bincount((rows + values).ravel(), minlength=len(distinct) * size)
+        return counts.reshape(len(distinct), size), np.searchsorted(distinct, hs)
+
+    (hf, fi), (hg, gi) = histograms(fs, P), histograms(gs, Q)
+    bounds = np.searchsorted(OT._src, np.arange(nobj + 1)).tolist()
+    solutions = np.empty((n, nobj), dtype=np.intp)
+    for rt in range(nobj):
+        cols = slice(bounds[rt], bounds[rt + 1])
+        solutions[:, rt] = (hf[:, cols] @ hg[:, cols].T)[fi, gi]
+
+    # the factorizations through each chosen component, keyed by cospan:
+    # the entries t of component a are a range, as ``part`` is sorted
+    cs, chosen = np.nonzero(on)
+    ends = np.cumsum(np.bincount(prod.part, minlength=on.shape[1]))
+    lens = np.diff(ends, prepend=0)[chosen]
+    cs = np.repeat(cs, lens)
+    ts = np.arange(len(cs)) + np.repeat(ends[chosen] - np.cumsum(lens), lens)
+    first, second = prod.first[ts], prod.second[ts]
+    at = cs * nobj + prod.source[ts]
+    fails = np.bincount(at, minlength=n * nobj).reshape(n, nobj) != solutions
+    fails.flat[at[comp[fs[cs], first] != comp[gs[cs], second]]] = True
+    key = (cs * size + first) * size + second
+    order = np.argsort(key, kind="stable")
+    fails.flat[at[order][1:][key[order][1:] == key[order][:-1]]] = True
+    return on, fails
+
+
+def pullback(OT: OrbitCategory, f: int, P: MemberSet, g: int, Q: MemberSet, R: MemberSet,
+             verify: bool = True) -> Tuple[CoproductObject, CheckReport]:
+    """U(f, g) for a cospan f: P -> R <- Q: g of morphisms of OT, inside
+    P boxtimes Q: the one-cospan block of ``pullbacks``."""
+    report = CheckReport("pullback")
+    P, Q = frozenset(P), frozenset(Q)
+    on, fails = pullbacks(OT, P, Q, [f], [g], verify)
+    chosen = [rep for rep, keep in zip(OT._product(P, Q).data.reps, on[0].tolist()) if keep]
+    obj = CoproductObject([A for A, _ in chosen], chosen)
+    if not verify:
+        return obj, report
+    for rt in np.flatnonzero(fails[0]):
         report.fail(f"pullback universal property fails at |Rt|={len(OT.objects[rt])}")
     report.note("components", len(chosen))
     return obj, report

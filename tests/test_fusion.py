@@ -11,13 +11,14 @@ from locus.fusion import (
     fusion_of_group,
     fusion_of_locality,
     fusion_systems_equal,
+    has_strongly_p_embedded,
     is_characteristic_p_type,
     is_saturated,
     normalizer_subsystem,
     out_group,
 )
 from locus.locality import build_locality, delta_all_nontrivial
-from locus.permgroups import center, sylow
+from locus.permgroups import center, o_p, quotient_group, sylow
 
 from conftest import bundled
 
@@ -230,6 +231,24 @@ def test_out_group_v4_in_a6():
              and F.group.subgroup(P).is_elementary_abelian(2))
     OutP, _ = out_group(F, V)
     assert OutP.order == 6  # S3 on a Klein four
+
+
+@pytest.mark.parametrize("make", [F_s4, F_a6], ids=["s4", "a6"])
+def test_out_group_of_an_abelian_subgroup_is_its_automorphism_group(make):
+    # Inn(P) = 1 for abelian P, so Out_F(P) = Aut_F(P) with no quotient taken;
+    # the quotient by the trivial subgroup gives the same invariants
+    F = make()
+    abelian = [P for P in F.subgroups if F.group.subgroup(P).is_abelian()]
+    assert len(abelian) < len(F.subgroups)
+    for P in abelian:
+        OutP, proj = out_group(F, P)
+        autg = F.aut_group(P)
+        assert OutP.E.tolist() == autg.E.tolist()
+        assert proj == {x: x for x in range(autg.order)}
+        Q, _ = quotient_group(autg, autg.subgroup([autg.identity]))
+        assert Q.order == OutP.order
+        assert o_p(Q, 2).order == o_p(OutP, 2).order
+        assert has_strongly_p_embedded(Q, 2) == has_strongly_p_embedded(OutP, 2)
 
 
 def test_fusion_invariants_classes():

@@ -213,6 +213,35 @@ def test_quotient_group_matches_the_scalar_loop(G, data):
         assert proj == want_proj
 
 
+
+@settings(max_examples=60, deadline=None)
+@given(small_groups(), st.data())
+def test_quotient_group_refuses_exactly_the_non_normal_subgroups(G, data):
+    H = G.generated_subgroup([data.draw(st.integers(0, G.order - 1))])
+    normal = all(G.conj(h, g) in H.members for h in H.members for g in range(G.order))
+    if normal:
+        assert quotient_group(G, H)[0].order == G.order // H.order
+    else:
+        with pytest.raises(GroupError, match="non-normal"):
+            quotient_group(G, H)
+
+
+
+@pytest.mark.parametrize("tabled", [True, False], ids=["tabled", "untabled"])
+def test_quotient_group_makes_no_scalar_products(monkeypatch, tabled):
+    # A6 x C3 by its C3, as the signalizer-quotient pipeline divides it
+    G = bundled("a6xc3") if tabled else load_group_file(DATA_DIR / "a6xc3.grp")
+    N = o_pprime(G, 2)
+    want = _loop_quotient(G, N)
+    calls = []
+    for name in ("mul", "conj"):
+        scalar = getattr(Group, name)
+        monkeypatch.setattr(Group, name, lambda self, *a, s=scalar: calls.append(a) or s(self, *a))
+    Q, proj = quotient_group(G, N)
+    assert calls == []
+    assert (Q.E.tolist(), proj) == (want[0].E.tolist(), want[1])
+
+
 PSL3_3 = """degree 13
 (2 8 11)(3 9 13)(4 10 12)
 (1 3 4)(6 9 12)(7 13 10)

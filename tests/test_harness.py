@@ -294,6 +294,29 @@ def test_orbit_universal_bytes_pinned(group):
     assert hashlib.sha256(data).hexdigest() == ORBIT_UNIVERSAL_SHA256[group]
 
 
+def test_orbit_universal_checks_one_pullback_block_per_pair(monkeypatch):
+    # s4 has 9 objects: 81 blocks (P, Q) check the universal property of its
+    # 1,537 cospans; only the double-coset check calls ``pullback``, once per
+    # inclusion cospan, unverified
+    import locus.harness as harness
+
+    blocks, single = [], []
+
+    def counted(name, log):
+        inner = getattr(harness, name)
+        monkeypatch.setattr(harness, name, lambda *a, **k: log.append((a, k)) or inner(*a, **k))
+
+    counted("pullbacks", blocks)
+    counted("pullback", single)
+    suite = json.loads(run(RunConfig(pipeline="orbit-universal", group="s4"))
+                       .canonical_bytes())["results"]["universal"]
+    objects = blocks[0][0][0].objects
+    assert len(blocks) == 81 == len(objects) ** 2 and suite["cospans"] == 1537
+    assert sum(len(fs) for (_, _, _, fs, _), _ in blocks) == 1537
+    assert len(single) == sum(sum(P <= R for P in objects) ** 2 for R in objects)
+    assert all(k == {"verify": False} for _, k in single)
+
+
 def test_budget_exceeded_marks_skipped(monkeypatch):
     from locus.cohomology import MEMORY_BUDGET_ENV, BudgetError, FpCohomology
     from locus.harness import _budget_guarded

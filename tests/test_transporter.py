@@ -1,5 +1,6 @@
 """Transporter system, orbit category, product/pullback tests."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from locus.transporter import (
     mor_counts_mod_p,
     orbit_category,
     pullback,
+    pullbacks,
     restriction_fixed_points,
     TransporterSystem,
     transporter_of_locality,
@@ -352,3 +354,54 @@ def test_universal_suite_fails_when_a_kmax_orbit_is_counted_twice():
     # reads the corrupted K^max_{S,S}
     ident = OT.morphism(G.identity, S, S)
     assert _failing_cospans(OT) == [(ident, ident)]
+
+
+def _per_cospan_pullback(OT, f, P, g, Q):
+    """The components and failing objects of U(f, g), one cospan at a time:
+    the check as it stood before its block form, kept as the oracle."""
+    comp = OT.cat.comp
+    prod = OT._product(P, Q)
+    on = comp[f, prod.iota] == comp[g, prod.lam]
+    size = len(OT.cat.labels)
+    joined = (np.bincount(comp[f, OT._into[OT._position[P]]], minlength=size)
+              * np.bincount(comp[g, OT._into[OT._position[Q]]], minlength=size))
+    solutions = np.bincount(OT._src, weights=joined, minlength=len(OT.objects))
+    through = on[prod.part]
+    first, second, rts = prod.first[through], prod.second[through], prod.source[through]
+    bad = set(rts[comp[f, first] != comp[g, second]].tolist())
+    bad |= set(np.flatnonzero(np.bincount(rts, minlength=len(OT.objects)) != solutions).tolist())
+    pairs = list(zip(rts.tolist(), first.tolist(), second.tolist()))
+    bad |= {rt for i, (rt, *_) in enumerate(pairs) if pairs[i] in pairs[:i]}
+    return [A for (A, _), keep in zip(prod.data.reps, on.tolist()) if keep], sorted(bad)
+
+
+def _corrupted_s4():
+    G, T, OT, S = _fresh_s4_orbit_category()
+    _count_kmax_orbits_twice(T, S, S)
+    return G, S, None, T, OT
+
+
+@pytest.mark.parametrize("setup", [setup_s4, setup_a6, _corrupted_s4],
+                         ids=["s4", "a6", "s4-corrupted-kmax"])
+def test_block_pullbacks_match_each_cospan(setup):
+    G, S, L, T, OT = setup()
+    failing = []
+    for P in OT.objects:
+        for Q in OT.objects:
+            fs, gs = OT.cospans(P, Q)
+            assert (OT._tgt[fs] == OT._tgt[gs]).all()
+            assert len(fs) == sum(len(OT.mor(P, R)) * len(OT.mor(Q, R)) for R in OT.objects)
+            on, fails = pullbacks(OT, P, Q, fs, gs)
+            assert (pullbacks(OT, P, Q, fs, gs, verify=False)[0] == on).all()
+            reps = OT._product(P, Q).data.reps
+            for c, (f, g) in enumerate(zip(fs.tolist(), gs.tolist())):
+                components = [A for (A, _), keep in zip(reps, on[c].tolist()) if keep]
+                bad = np.flatnonzero(fails[c]).tolist()
+                assert (components, bad) == _per_cospan_pullback(OT, f, P, g, Q)
+                obj, rep = pullback(OT, f, P, g, Q, OT.objects[OT._tgt[f]])
+                assert obj.components == components
+                assert rep.failures == [f"pullback universal property fails at "
+                                        f"|Rt|={len(OT.objects[rt])}" for rt in bad]
+                if bad:
+                    failing.append((f, g))
+    assert sorted(failing) == _failing_cospans(OT)
