@@ -84,16 +84,16 @@ class FiniteCategory:
             raise FunctorError("right identity fails")
         if (self.comp[ident[tgt], every] != every).any():
             raise FunctorError("left identity fails")
-        # the composable pairs (g, f) by tgt(g): h composes after those at src(h)
-        g, f = np.nonzero(self.comp >= 0)
-        order = np.argsort(tgt[g], kind="stable")
-        g, f = g[order], f[order]
-        gf = self.comp[g, f]
-        at = np.searchsorted(tgt[g], np.arange(self.n + 1)).tolist()
-        for h, i in enumerate(self.src):
-            pairs = slice(at[i], at[i + 1])
-            if (self.comp[self.comp[h, g[pairs]], f[pairs]] != self.comp[h, gf[pairs]]).any():
-                raise FunctorError("composition not associative")
+        # h composes after the pairs (g, f) with tgt(g) = src(h) only, and
+        # the morphisms out of one object are a range
+        for j in range(self.n):
+            into = np.flatnonzero(tgt == j)
+            g, f = np.nonzero(self.comp[into] >= 0)
+            g = into[g]
+            gf = self.comp[g, f]
+            for h in range(self._first[j * self.n], self._first[(j + 1) * self.n]):
+                if (self.comp[self.comp[h, g], f] != self.comp[h, gf]).any():
+                    raise FunctorError("composition not associative")
 
     def morphisms(self, i: int, j: int) -> range:
         return range(self._first[i * self.n + j], self._first[i * self.n + j + 1])
