@@ -234,14 +234,20 @@ def test_out_group_v4_in_a6():
 
 
 @pytest.mark.parametrize("make", [F_s4, F_a6], ids=["s4", "a6"])
-def test_out_group_of_an_abelian_subgroup_is_its_automorphism_group(make):
-    # Inn(P) = 1 for abelian P, so Out_F(P) = Aut_F(P) with no quotient taken;
-    # the quotient by the trivial subgroup gives the same invariants
+def test_out_group_is_aut_over_inn(make):
+    # |Out_F(P)| = |Aut_F(P)| |Z(P)| / |P|.  For abelian P, Inn(P) = 1 and
+    # Out_F(P) is Aut_F(P) itself, with no quotient taken; the quotient by
+    # the trivial subgroup gives the same invariants
     F = make()
-    abelian = [P for P in F.subgroups if F.group.subgroup(P).is_abelian()]
-    assert len(abelian) < len(F.subgroups)
-    for P in abelian:
+    G = F.group
+    abelian = 0
+    for P in F.subgroups:
         OutP, proj = out_group(F, P)
+        center_P = [z for z in P if all(G.mul(z, x) == G.mul(x, z) for x in P)]
+        assert OutP.order == len(F.aut(P)) * len(center_P) // len(P)
+        if len(center_P) < len(P):
+            continue
+        abelian += 1
         autg = F.aut_group(P)
         assert OutP.E.tolist() == autg.E.tolist()
         assert proj == {x: x for x in range(autg.order)}
@@ -249,6 +255,7 @@ def test_out_group_of_an_abelian_subgroup_is_its_automorphism_group(make):
         assert Q.order == OutP.order
         assert o_p(Q, 2).order == o_p(OutP, 2).order
         assert has_strongly_p_embedded(Q, 2) == has_strongly_p_embedded(OutP, 2)
+    assert 0 < abelian < len(F.subgroups)
 
 
 def test_fusion_invariants_classes():

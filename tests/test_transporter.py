@@ -375,14 +375,26 @@ def _per_cospan_pullback(OT, f, P, g, Q):
     return [A for (A, _), keep in zip(prod.data.reps, on.tolist()) if keep], sorted(bad)
 
 
-def _corrupted_s4():
+def _s4_kmax_orbits_counted_twice():
     G, T, OT, S = _fresh_s4_orbit_category()
     _count_kmax_orbits_twice(T, S, S)
     return G, S, None, T, OT
 
 
-@pytest.mark.parametrize("setup", [setup_s4, setup_a6, _corrupted_s4],
-                         ids=["s4", "a6", "s4-corrupted-kmax"])
+def _s4_kmax_orbit_in_place_of_another():
+    # the factorization counts stay right, so only the repeated
+    # factorizations show that the product is wrong
+    G, T, OT, S = _fresh_s4_orbit_category()
+    P, Q = next((P, Q) for P in OT.objects for Q in OT.objects if len(kmax(T, P, Q).reps) > 1)
+    data = kmax(T, P, Q)
+    T._kmax[(P, Q)] = KmaxData(data.pairs, data.reps[:1] + data.reps[:1] + data.reps[2:],
+                               data.orbit_index)
+    return G, S, None, T, OT
+
+
+@pytest.mark.parametrize("setup", [setup_s4, setup_a6, _s4_kmax_orbits_counted_twice,
+                                   _s4_kmax_orbit_in_place_of_another],
+                         ids=["s4", "a6", "s4-kmax-orbits-twice", "s4-kmax-orbit-replaced"])
 def test_block_pullbacks_match_each_cospan(setup):
     G, S, L, T, OT = setup()
     failing = []
@@ -405,3 +417,4 @@ def test_block_pullbacks_match_each_cospan(setup):
                 if bad:
                     failing.append((f, g))
     assert sorted(failing) == _failing_cospans(OT)
+    assert bool(failing) == (setup not in (setup_s4, setup_a6))
