@@ -701,18 +701,15 @@ def quotient_group(G: Group, N: Subgroup) -> Tuple[Group, Dict[int, int]]:
     least = G.mul_many(members[:, None], np.arange(G.order)).min(axis=0)
     reps = np.flatnonzero(least == np.arange(G.order))
     coset_of = np.searchsorted(reps, least)
-    # the coset Nr of each representative times N, the generators and the
-    # representatives, in one gather
+    # N is normal exactly when gN lies in Ng for every generator g
     gens = np.array(G.generators, dtype=np.intp)
-    moved = coset_of[G.mul_many(reps[:, None], np.concatenate([members, gens, reps]))].T
-    # N is normal exactly when it fixes every coset Nr
-    if (moved[:len(members)] != np.arange(len(reps))).any():
+    if (coset_of[G.mul_many(gens[:, None], members)] != coset_of[gens][:, None]).any():
         raise GroupError("quotient by a non-normal subgroup")
-    gen_perms = [tuple(row) for row in moved[len(members):len(members) + len(gens)].tolist()]
+    gen_perms = [tuple(row) for row in coset_of[G.mul_many(reps, gens[:, None])].tolist()]
     Q = Group(len(reps), gen_perms, name=f"{G.name}/{N.name or 'N'}")
-    # projection: x -> the permutation Nr -> Nrx, which depends only on the
-    # coset Nx (N is normal), so one row per representative
-    rows = moved[len(members) + len(gens):].astype(Q.E.dtype)
-    image = np.array([Q._index[row] for row in _row_bytes(rows)])
+    # projection: x -> the permutation Nr -> Nrx.  G/N acts regularly on the
+    # cosets, so that is the one element of Q that sends N (coset 0) to Nx
+    image = np.empty(Q.order, dtype=np.intp)
+    image[Q.E[:, 0]] = np.arange(Q.order)
     proj = dict(zip(range(G.order), image[coset_of].tolist()))
     return Q, proj
