@@ -2,6 +2,7 @@
 
 import copy
 import functools
+import hashlib
 import random
 import tracemalloc
 from array import array
@@ -872,3 +873,79 @@ def test_block_verdicts_match_the_per_word_definitions(data):
     some = np.arange(len(words)) % 2 == 0
     assert (locality._witness_ends(L, letters, lengths, some)[~some] == -1).all()
     assert not locality._search_hits(L, letters, lengths, some)[~some].any()
+
+
+# -- where the exhaustive state checks fail ----------------------------------------
+
+def _with_s_mask(g, mask):
+    """A fresh s4 punctured whose S_g is replaced by ``mask(L)``, before its
+    mask rows and state graph are built."""
+    L = punctured("s4", 2)
+    L._masks = list(L._masks)
+    L._masks[g] = mask(L)
+    return L
+
+
+def _with_conjugate(x, g, y):
+    """A copy of s4 punctured whose ambient group sends x^g to y instead;
+    its state graph is L's, built before the copy."""
+    L = cached_punctured("s4", 2)
+    L.state_graph()
+    bad_group = copy.copy(L.ambient)
+    bad_group._conj_table = array("H", L.ambient._conj_table)
+    bad_group._conj_table[x * L.ambient.order + g] = y
+    bad = copy.copy(L)
+    bad.ambient = bad_group
+    return bad
+
+
+def _without_carrier_set_element(x):
+    """A fresh s4 punctured whose carrier set misses x; the carrier, whose
+    words the state graph runs over, keeps it."""
+    L = punctured("s4", 2)
+    L.carrier_set = L.carrier_set - {x}
+    return L
+
+
+def _without_object(i):
+    """A fresh s4 punctured whose object set misses ``sorted_objects[i]``;
+    its object masks keep it."""
+    L = punctured("s4", 2)
+    L.objects = L.objects - {L.sorted_objects[i]}
+    return L
+
+
+# the failures of the exhaustive part alone, at samples=0: their number, the
+# first three, the last and a digest of all of them in order; s4 punctured
+# has carrier 0..23 and identity 0
+@pytest.mark.parametrize("check, corrupt, count, first, last, digest", [
+    (check_locality_axioms, lambda: _without_object_mask(cached_punctured("a6", 2), 0), 72,
+     ["(L2) mismatch on state of word (1, 146)", "(L2) mismatch on state of word (1, 148)",
+      "(L2) mismatch on state of word (1, 151)"],
+     "(L2) mismatch on state of word (1, 146, 351)", "f79d5f61252e04c5"),
+    (check_partial_group, lambda: _with_s_mask(5, lambda L: L._masks[5] & ~L._mask_of({0})), 49,
+     ["S_w not a subgroup at word (5,)", "S_w not a subgroup at word (0, 5)",
+      "S_w not a subgroup at word (5, 1)"],
+     "S_w not a subgroup at word (0, 5, 23)", "cce45386fbb18b33"),
+    (check_partial_group, lambda: _with_s_mask(5, lambda L: L._mask_of({0})), 49,
+     ["tracked map differs from c_Pi(w) at (5,)", "tracked map differs from c_Pi(w) at (0, 5)",
+      "tracked map differs from c_Pi(w) at (5, 1)"],
+     "tracked map differs from c_Pi(w) at (0, 5, 23)", "aa459aba712ac044"),
+    (check_partial_group, lambda: _with_conjugate(16, 1, 0), 5,
+     ["S_w image not an object at (1,)", "S_w image not an object at (0, 1)",
+      "tracked map differs from c_Pi(w) at (2, 4)"],
+     "tracked map differs from c_Pi(w) at (0, 2, 4)", "92a142d85a4b48ba"),
+    (check_partial_group, lambda: _without_carrier_set_element(7), 6,
+     ["carrier not inversion-closed at g=7", "Pi(w) escapes carrier at (7,)",
+      "Pi(w) escapes carrier at (0, 7)"],
+     "Pi(w) escapes carrier at (0, 2, 10)", "48babc3579b6754f"),
+    (check_partial_group, lambda: _without_object(-1), 24,
+     ["S_w image not an object at (0,)", "S_w image not an object at (1,)",
+      "S_w image not an object at (6,)"],
+     "S_w image not an object at (0, 0, 23)", "4bcf24f331361d25"),
+], ids=["L2-mismatch", "not-a-subgroup", "tracked-fibre", "tracked-image", "escapes-carrier",
+        "image-not-an-object"])
+def test_state_failure_sites(check, corrupt, count, first, last, digest):
+    failures = check(corrupt(), samples=0).failures
+    assert (len(failures), failures[:3], failures[-1]) == (count, first, last), failures
+    assert hashlib.sha256("\n".join(failures).encode()).hexdigest()[:16] == digest
