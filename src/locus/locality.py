@@ -11,27 +11,24 @@ costs one AND per letter.  A locality computes S_h for every ambient element
 at once from the |S| rows of ``conj_images``, the array of conjugates s^g
 that F_S(G), F_S(L) and O_p read too; L_Delta(G) reads its carrier off them.
 
-Word-level axiom checks run exhaustively up to length 3 via a compressed
-state graph (a state is the pair (product, S_w mask), which determines the
-tracked map s -> s^{Pi(w)}, and every word of bounded length lands in a
-recorded state; the graph is built once per locality and shared by both
-checkers), then on seeded samples: lengths 2-5 for the partial-group axioms,
-1-5 for the locality axioms.  Sampled words are drawn SAMPLE_BLOCK at a time
-from ``random.Random(seed)``; each draw replays ``choices`` in numpy on the
-generator's own bytes, so a given seed yields the same words, and leaves the
-generator in the same state, as one ``choices`` call for the lengths and one
-per letter column.  A block is an array of identity-padded letters, and
-every sampled check runs on whole blocks: a word's product is one
-``Group.mul_many`` per column and its S_w an AND over rows of
-``Locality.mask_rows``.  Three rules keep the sampled checks from trusting
-what they check.  The battery reduces each word it derives from a domain
-word (every subword and splice, and w^-1 o w) from that word's own letters,
-with its own carrier and object tests.  The (L2) chain witness starts from
-an S_w found by tracking each member of S through the word by
-``Group.conj_many``, the array form of ``s_word_pairs``.  Both (L2) chain
-oracles take every object image from one object-transport table (P, g) ->
-P^g, filled lazily, element by element with ``Group.conj``, and never from
-the S_h masks; each distinct (object, letter) step of a column is read once.
+Word-level axiom checks run on blocks, arrays of identity-padded letters: a
+word's product is one ``Group.mul_many`` per column and its S_w an AND over
+rows of ``Locality.mask_rows``.  They are exhaustive up to length 3 via a
+compressed state graph, whose levels are blocks (a state is the pair
+(product, S_w mask), which determines the tracked map s -> s^{Pi(w)}, and
+every word of bounded length lands in a recorded state; the graph is built
+once per locality and shared by both checkers), then run on words drawn
+SAMPLE_BLOCK at a time from ``random.Random(seed)``: lengths 2-5 for the
+partial-group axioms, 1-5 for the locality axioms.  Three rules keep the
+checks from trusting what they check.  The tracked map
+of each state, and the S_w of the (L2) chain witness, come from tracking
+each member of S through the word by ``Group.conj_many`` (``_tracks``).  The
+battery reduces each word it derives from a domain word (every subword and
+splice, and w^-1 o w) from that word's own letters, with its own carrier
+and object tests.  Both (L2) chain oracles take every object image from one
+object-transport table (P, g) -> P^g, filled lazily, element by element
+with ``Group.conj``, and never from the S_h masks; each distinct (object,
+letter) step of a column is read once.
 """
 
 from __future__ import annotations
@@ -53,9 +50,9 @@ MemberSet = FrozenSet[int]
 MAX_EXHAUSTIVE_LEN = 3
 SAMPLE_LEN = 5
 FULL_BATTERY_CAP = 1500
-# sampled words are drawn and reduced this many at a time, so the arrays of a
-# check do not grow with the number of samples (at 16384 the draw lists and
-# arrays raised the peak RSS of a pipeline run by about 1 MiB)
+# sampled words and state-graph candidates are made this many at a time, so
+# the arrays of a check do not grow with the samples or states (at 16384 the
+# draw lists and arrays raised the peak RSS of a pipeline run by about 1 MiB)
 SAMPLE_BLOCK = 8192
 # indices drawn per ``randbytes`` call of a seeded draw
 DRAW_CHUNK = 1024
@@ -138,14 +135,14 @@ class Locality:
         self._conj_memo: Dict[int, Optional[int]] = {}
         self._transport: Dict[Tuple[MemberSet, int], Optional[MemberSet]] = {}
         self._local: Dict[Tuple[MemberSet, str], Subgroup] = {}
-        self._graph: Optional[_StateGraph] = None
+        self._graph: Optional[List[_Block]] = None
 
     # -- plumbing -------------------------------------------------------
 
-    def state_graph(self) -> "_StateGraph":
-        """The state graph of words up to MAX_EXHAUSTIVE_LEN, built once."""
+    def state_graph(self) -> List[_Block]:
+        """The levels 0..MAX_EXHAUSTIVE_LEN of the state graph, built once."""
         if self._graph is None:
-            self._graph = _StateGraph(self, MAX_EXHAUSTIVE_LEN)
+            self._graph = _state_levels(self, MAX_EXHAUSTIVE_LEN)
         return self._graph
 
     # -- S_w as bitmasks ------------------------------------------------
@@ -164,12 +161,11 @@ class Locality:
     def mask_rows(self) -> np.ndarray:
         """S_h for every ambient element h as one row of little-endian uint64
         words, bit i of the row being bit i of the int mask; built on the
-        first call (only the sampled checks need it)."""
+        first call (only the block checks need it)."""
         if self._mask_rows is None:
             width = 8 * max(1, -(-len(self._s_bits) // 64))
             data = b"".join(m.to_bytes(width, "little") for m in self._masks)
-            self._mask_rows = np.frombuffer(data, dtype="<u8").reshape(
-                len(self._masks), width // 8)
+            self._mask_rows = np.frombuffer(data, dtype="<u8").reshape(len(self._masks), -1)
         return self._mask_rows
 
     def _word_mask(self, word: Sequence[int]) -> int:
@@ -184,19 +180,6 @@ class Locality:
         return mask
 
     # -- words ----------------------------------------------------------
-
-    def s_word_pairs(self, word: Sequence[int]) -> List[Tuple[int, int]]:
-        """Tracked pairs (s, s^{Pi(w)} along the chain); S_w is the fiber."""
-        G = self.ambient
-        pairs = [(s, s) for s in self.sylow.sorted_members]
-        for g in word:
-            nxt = []
-            for s, t in pairs:
-                u = G.conj(t, g)
-                if u in self.sylow.members:
-                    nxt.append((s, u))
-            pairs = nxt
-        return pairs
 
     def s_word(self, word: Sequence[int]) -> MemberSet:
         """S_w: the members of S tracked into S at every prefix of w."""
@@ -357,41 +340,6 @@ def _all_s_masks(G: Group, S: Subgroup) -> List[int]:
             for i in range(0, len(data), width)]
 
 
-# -- state graph ----------------------------------------------------------
-
-class _StateGraph:
-    """All (product, S_w mask) states of words over the carrier.
-
-    level k holds one entry per distinct state reachable by words of length
-    k, with the first word (in carrier order) that reaches it; every word of
-    length <= depth is represented (transitions computed from every state on
-    every carrier element), which is what makes the word-level checks below
-    exhaustive.  The state determines the tracked map s -> s^{Pi(w)}, so it
-    carries the same information as (product, tracked pairs).
-    """
-
-    def __init__(self, L: Locality, depth: int):
-        G = L.ambient
-        mul = G.mul
-        s_masks = L._masks
-        carrier = L.carrier
-        current: Dict[Tuple[int, int], Word] = {(G.identity, L._full_mask): ()}
-        self.levels: List[Dict[Tuple[int, int], Word]] = [current]
-        for _ in range(depth):
-            nxt: Dict[Tuple[int, int], Word] = {}
-            for (prod, mask), word in current.items():
-                for g in carrier:
-                    h = mul(prod, g)
-                    key = (h, mask & s_masks[h])
-                    if key not in nxt:
-                        nxt[key] = word + (g,)
-            self.levels.append(nxt)
-            current = nxt
-
-    def states(self, length: int):
-        return self.levels[length].items()
-
-
 # -- sampled words in blocks ------------------------------------------------
 
 class _Block(NamedTuple):
@@ -444,7 +392,6 @@ def _sampled_blocks(L: Locality, samples: int, seed: int,
     G = L.ambient
     rng = random.Random(seed)
     carrier = np.asarray(L.carrier, dtype=np.intp)
-    rows = L.mask_rows()
     for start in range(0, samples, SAMPLE_BLOCK):
         k = min(SAMPLE_BLOCK, samples - start)
         lengths = min_len + _choices(rng, SAMPLE_LEN + 1 - min_len, k)
@@ -452,10 +399,16 @@ def _sampled_blocks(L: Locality, samples: int, seed: int,
         for j in range(SAMPLE_LEN):
             live = np.flatnonzero(lengths > j)
             letters[live, j] = carrier[_choices(rng, len(carrier), len(live))]
-        products, masks = _reduce(G, rows, letters)
-        ints, which = _distinct_masks(masks)
-        is_object = np.array([m in L._object_masks for m in ints], dtype=bool)
-        yield _Block(letters, lengths, products, ints, which, is_object[which])
+        yield _block(L, letters, lengths)
+
+
+def _block(L: Locality, letters: np.ndarray, lengths: np.ndarray) -> _Block:
+    """The block of the identity-padded words ``letters`` of the given
+    lengths, reduced by ``_reduce``, with one object test per distinct S_w."""
+    products, masks = _reduce(L.ambient, L.mask_rows(), letters)
+    ints, which = _distinct_masks(masks)
+    is_object = np.array([m in L._object_masks for m in ints], dtype=bool)
+    return _Block(letters, lengths, products, ints, which, is_object[which])
 
 
 def _reduce(G: Group, rows: np.ndarray, letters: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -477,6 +430,41 @@ def _distinct_masks(masks: np.ndarray) -> Tuple[List[int], np.ndarray]:
     data, width = distinct.tobytes(), distinct.itemsize  # keys zero-pad short rows
     return [int.from_bytes(data[i:i + width], "little")
             for i in range(0, len(data), width)], which
+
+
+# -- state graph ----------------------------------------------------------
+
+def _state_levels(L: Locality, depth: int) -> List[_Block]:
+    """Level k, for k <= depth, is the block of the first word of each
+    distinct (product, S_w mask) state of the words of length k, in the
+    order of the candidates: each state of level k - 1 extended by each
+    carrier element.  Candidates go SAMPLE_BLOCK at a time, their products
+    one ``mul_many`` and their masks an AND with ``mask_rows``; one is kept
+    when its product and the number of its mask (in order of appearance)
+    are new."""
+    G = L.ambient
+    rows = L.mask_rows()
+    carrier = np.asarray(L.carrier, dtype=np.intp)
+    levels = [_block(L, np.full((1, 1), G.identity, dtype=np.intp), np.zeros(1, dtype=np.intp))]
+    for k in range(depth):
+        products, masks = _reduce(G, rows, levels[-1].letters)
+        total = len(products) * len(carrier)
+        numbers: Dict[int, int] = {}
+        seen, kept = np.empty(0, dtype=np.int64), []  # the distinct keys so far, sorted
+        for start in range(0, total, SAMPLE_BLOCK):
+            state, letter = np.divmod(np.arange(start, min(start + SAMPLE_BLOCK, total)),
+                                      len(carrier))
+            h = G.mul_many(products[state], carrier[letter])
+            ints, which = _distinct_masks(masks[state] & rows[h])
+            keys = np.array([numbers.setdefault(m, len(numbers)) for m in ints],
+                            dtype=np.int64)[which] * G.order + h
+            old = len(seen)  # first occurrences: unique sorts stably for return_index
+            seen, first = np.unique(np.concatenate([seen, keys]), return_index=True)
+            kept.append(start - old + np.sort(first[first >= old]))
+        state, letter = np.divmod(np.concatenate(kept), len(carrier))
+        letters = np.column_stack([levels[-1].letters[state, :k], carrier[letter]])
+        levels.append(_block(L, letters, np.full(len(letters), k + 1)))
+    return levels
 
 
 # -- axiom checkers -------------------------------------------------------
@@ -501,7 +489,6 @@ def check_partial_group(L: Locality, samples: int = 100000,
     _check_samples(samples)
     report = CheckReport("partial-group")
     G = L.ambient
-    graph = L.state_graph()
 
     # length-1 words: direct product map restricts to identity, inverses exist
     for g in L.carrier:
@@ -511,38 +498,13 @@ def check_partial_group(L: Locality, samples: int = 100000,
             report.fail(f"carrier not inversion-closed at g={g}")
     report.note("length1", len(L.carrier))
 
-    # state-level facts for all words of length <= MAX_EXHAUSTIVE_LEN:
-    # S_w is a subgroup, the tracked map is conjugation by Pi(w) (so the
-    # splice and inversion axioms reduce to object closure), and products
-    # of domain words land in the carrier.  The tracked map is re-derived
-    # step by step from the state's witness word, independently of the
-    # masks the graph is keyed by.
-    is_subgroup: Dict[int, bool] = {}
-    for length in range(1, MAX_EXHAUSTIVE_LEN + 1):
-        for (prod, mask), witness in graph.states(length):
-            sw = L._members(mask)
-            if mask not in is_subgroup:
-                is_subgroup[mask] = (G.identity in sw
-                                     and G.subgroup(sw).verify())
-            if not is_subgroup[mask]:
-                report.fail(f"S_w not a subgroup at word {witness}")
-                continue
-            pairs = L.s_word_pairs(witness)
-            if pairs != [(s, G.conj(s, prod)) for s in sorted(sw)]:
-                report.fail(f"tracked map differs from c_Pi(w) at {witness}")
-            if mask in L._object_masks:
-                if prod not in L.carrier_set:
-                    report.fail(f"Pi(w) escapes carrier at {witness}")
-                image = frozenset(t for _, t in pairs)
-                if image not in L.objects:
-                    report.fail(f"S_w image not an object at {witness}")
-        report.note(f"states_len{length}", len(graph.levels[length]))
+    in_carrier = member_mask(G, L.carrier_set)
+    _check_states(L, in_carrier, report)
 
     # seeded sampling: honest word-level axioms at longer lengths; the full
     # battery (all subwords, splices, inversion) runs on a capped number of
     # domain words, and the domain consistency test on every S_w sampled
     battery = 0
-    in_carrier = member_mask(G, L.carrier_set)
     for block in _sampled_blocks(L, samples, seed, 2):
         battery += _check_block(L, block, FULL_BATTERY_CAP - battery, in_carrier, report)
         if _enough_failures(report):
@@ -550,6 +512,43 @@ def check_partial_group(L: Locality, samples: int = 100000,
     report.note("sampled_words", samples)
     report.note("sampled_full_battery", battery)
     return report
+
+
+def _check_states(L: Locality, in_carrier: np.ndarray, report: CheckReport) -> None:
+    """On every state of the graph: S_w is a subgroup (one ``Subgroup.verify``
+    per distinct mask; a state that is none fails only as such), the tracked
+    map is conjugation by Pi(w) (so the splice and inversion axioms reduce to
+    object closure) and, for a domain word, Pi(w) lies in the carrier
+    (``in_carrier``) and S_w^{Pi(w)} is an object.  The tracked map comes
+    from ``_tracks`` on each state's first word, not from the graph's masks;
+    its fibre must be the state's mask."""
+    G = L.ambient
+    members = np.asarray(L.sylow.sorted_members, dtype=np.intp)
+    is_subgroup: Dict[int, bool] = {}
+    for length, level in enumerate(L.state_graph()[1:], 1):
+        for mask in set(level.masks) - set(is_subgroup):
+            sw = L._members(mask)
+            is_subgroup[mask] = G.identity in sw and G.subgroup(sw).verify()
+        masks = np.array(level.masks, dtype=object)[level.which]
+        map_ok, image_ok = np.zeros((2, len(level.lengths)), dtype=bool)
+        for part, tracked, alive in _tracks(L, level.letters, np.arange(len(level.lengths))):
+            fibres, which = _distinct_masks(np.packbits(alive, axis=1, bitorder="little"))
+            map_ok[part] = ((np.array(fibres, dtype=object)[which] == masks[part])
+                            & ((tracked == G.conj_many(members, level.products[part, None]))
+                               | ~alive).all(axis=1))
+            images = np.sort(np.where(alive, tracked.astype(np.intp), -1), axis=1)
+            _, first, which = np.unique(_row_keys(images), return_index=True, return_inverse=True)
+            image_ok[part] = np.array([frozenset(images[i].tolist()) - {-1} in L.objects
+                                       for i in first])[which]
+        subgroup = np.array([is_subgroup[m] for m in level.masks])[level.which]
+        domain = subgroup & np.array([m in L._object_masks for m in level.masks])[level.which]
+        sites = {"S_w not a subgroup at word": ~subgroup,
+                 "tracked map differs from c_Pi(w) at": subgroup & ~map_ok,
+                 "Pi(w) escapes carrier at": domain & ~in_carrier[level.products],
+                 "S_w image not an object at": domain & ~image_ok}
+        for i, site in zip(*np.nonzero(np.column_stack(list(sites.values())))):
+            report.fail(f"{list(sites)[site]} {level.word(i)}")
+        report.note(f"states_len{length}", len(level.lengths))
 
 
 def _enough_failures(report: CheckReport) -> bool:
@@ -572,13 +571,20 @@ def _check_block(L: Locality, block: _Block, cap: int, in_carrier: np.ndarray,
             report.fail(message)
             if _enough_failures(report):
                 return start + i + 1
-    for j, mask in enumerate(block.masks):
+    for j in np.flatnonzero(_inconsistent_masks(L, block)):
         if _enough_failures(report):
             break
-        if (mask in L._object_masks) != any(q & mask == q for q in L._min_masks):
-            word = block.word(np.flatnonzero(block.which == j)[0])
-            report.fail(f"domain test inconsistent on sampled word {word}")
+        word = block.word(np.flatnonzero(block.which == j)[0])
+        report.fail(f"domain test inconsistent on sampled word {word}")
     return len(words)
+
+
+def _inconsistent_masks(L: Locality, block: _Block) -> np.ndarray:
+    """For each distinct S_w of a block, whether the domain test (S_w is an
+    object) disagrees with the chain criterion: every chain factors through
+    a minimal object inside S_w."""
+    return np.array([(m in L._object_masks) != any(q & m == q for q in L._min_masks)
+                     for m in block.masks], dtype=bool)
 
 
 def _battery_failures(L: Locality, letters: np.ndarray, lengths: np.ndarray,
@@ -650,11 +656,9 @@ def _derived(L: Locality, letters: np.ndarray, pad: np.ndarray,
     whose (d, width) ``pad`` marks the identity padding: a carrier test on
     the other letters and an object test on the S_w reduced from them."""
     k, d, width = letters.shape
-    products, masks = _reduce(L.ambient, L.mask_rows(), letters.reshape(k * d, width))
-    ints, which = _distinct_masks(masks)
-    is_object = np.array([m in L._object_masks for m in ints], dtype=bool)[which]
-    in_d = is_object.reshape(k, d) & (in_carrier[letters] | pad).all(axis=2)
-    return in_d, products.reshape(k, d)
+    block = _block(L, letters.reshape(k * d, width), np.tile((~pad).sum(axis=1), k))
+    in_d = block.in_domain.reshape(k, d) & (in_carrier[letters] | pad).all(axis=2)
+    return in_d, block.products.reshape(k, d)
 
 
 def check_locality_axioms(L: Locality, samples: int = 20000,
@@ -694,15 +698,11 @@ def check_locality_axioms(L: Locality, samples: int = 20000,
     report.note("L3_objects", len(L.objects))
 
     # (L2), exhaustive part: on every state of the graph, S_w membership in
-    # Delta must coincide with the existence of an object chain; chains all
-    # factor through minimal objects inside S_w.
-    graph = L.state_graph()
-    for length in range(1, MAX_EXHAUSTIVE_LEN + 1):
-        for (prod, mask), witness in graph.states(length):
-            has_min = any(q & mask == q for q in L._min_masks)
-            if (mask in L._object_masks) != has_min:
-                report.fail(f"(L2) mismatch on state of word {witness}")
-        report.note(f"L2_states_len{length}", len(graph.levels[length]))
+    # Delta must coincide with the existence of an object chain
+    for length, level in enumerate(L.state_graph()[1:], 1):
+        for i in np.flatnonzero(_inconsistent_masks(L, level)[level.which]):
+            report.fail(f"(L2) mismatch on state of word {level.word(i)}")
+        report.note(f"L2_states_len{length}", len(level.lengths))
 
     # (L2), sampled honest chains, a block at a time
     for block in _sampled_blocks(L, samples, seed + 1, 1):
@@ -736,9 +736,15 @@ def _witness_ends(L: Locality, letters: np.ndarray, lengths: np.ndarray,
     breaks (and for every word not marked).
 
     Any chain's P_0 consists of elements tracked into S at every prefix, so
-    P_0 <= S_w; maximality makes S_w itself the canonical choice.
+    P_0 <= S_w; maximality makes S_w itself the canonical choice, found as
+    the fibre of ``_tracks``.
     """
-    return _walk(L, _tracked_objects(L, letters, among), letters, lengths)
+    ids = {L._mask_of(P): i for i, P in enumerate(L.sorted_objects)}
+    start = np.full(len(letters), -1, dtype=np.intp)
+    for part, _, alive in _tracks(L, letters, np.flatnonzero(among)):
+        ints, which = _distinct_masks(np.packbits(alive, axis=1, bitorder="little"))
+        start[part] = np.array([ids.get(m, -1) for m in ints], dtype=np.intp)[which]
+    return _walk(L, start, letters, lengths)
 
 
 def _search_hits(L: Locality, letters: np.ndarray, lengths: np.ndarray,
@@ -776,31 +782,24 @@ def _walk(L: Locality, start: np.ndarray, letters: np.ndarray,
     return current
 
 
-def _tracked_objects(L: Locality, letters: np.ndarray, among: np.ndarray) -> np.ndarray:
-    """S_w of each identity-padded word marked in ``among`` as an index in
-    ``L.sorted_objects``, or -1 when it is no object (and for every word not
-    marked).  Each member of S is tracked through the word a letter at a
-    time by ``Group.conj_many`` and kept while it stays in S, as
-    ``s_word_pairs`` does, TRACK_CELLS (word, member) pairs at a time.  The
-    S_h masks are not read."""
+def _tracks(L: Locality, letters: np.ndarray,
+            rows: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Each member s of S tracked through the identity-padded words of the
+    given ``rows`` of ``letters`` by ``Group.conj_many``, TRACK_CELLS (word,
+    member) pairs at a time: (rows, s^{Pi(w)}, whether s stayed in S at every
+    prefix).  The fibre, the members that stayed, is S_w; no mask is read."""
     G = L.ambient
     members = np.asarray(L.sylow.sorted_members, dtype=np.intp)
     in_s = member_mask(G, L.sylow.members)
-    ids = {L._mask_of(P): i for i, P in enumerate(L.sorted_objects)}
-    out = np.full(len(letters), -1, dtype=np.intp)
-    rows = np.flatnonzero(among)
     step = max(1, TRACK_CELLS // len(members))
     for start in range(0, len(rows), step):
-        chunk = letters[rows[start:start + step]]
-        tracked = np.broadcast_to(members, (len(chunk), len(members)))
+        part = rows[start:start + step]
+        tracked = np.broadcast_to(members, (len(part), len(members)))
         alive = np.ones(tracked.shape, dtype=bool)
-        for j in range(chunk.shape[1]):
-            tracked = G.conj_many(tracked, chunk[:, j, None])
+        for j in range(letters.shape[1]):
+            tracked = G.conj_many(tracked, letters[part, j, None])
             alive &= in_s[tracked]
-        ints, which = _distinct_masks(np.packbits(alive, axis=1, bitorder="little"))
-        out[rows[start:start + step]] = np.array([ids.get(m, -1) for m in ints],
-                                                 dtype=np.intp)[which]
-    return out
+        yield part, tracked, alive
 
 
 def _is_partial_subgroup_set(L: Locality, members: MemberSet) -> bool:

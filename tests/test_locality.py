@@ -32,8 +32,8 @@ from locus.locality import (
     _choices,
     _sampled_blocks,
 )
-from locus.permgroups import (TABLE_ORDER_CAP, Group, all_subgroups, member_mask, parse_perm,
-                             sylow)
+from locus.permgroups import (TABLE_ORDER_CAP, Group, Subgroup, all_subgroups, member_mask,
+                             parse_perm, sylow)
 
 from conftest import bundled
 
@@ -264,7 +264,7 @@ def test_conjugation_word_composite():
         w = tuple(rng.choice(L.carrier) for _ in range(3))
         if not L.in_domain(w):
             continue
-        pairs = L.s_word_pairs(w)
+        pairs = s_word_pairs(L, w)
         prod = L.product(w)
         for s, t in pairs:
             assert G.conj(s, prod) == t
@@ -440,9 +440,24 @@ def test_small_cover_locality_is_normalizer():
 
 # -- differential tests of the word-domain engine -----------------------------
 
+def s_word_pairs(L, word):
+    """Tracked pairs (s, s^{Pi(w)}) along the word, one scalar ``Group.conj``
+    per member of S and letter; S_w is the fibre."""
+    G = L.ambient
+    pairs = [(s, s) for s in L.sylow.sorted_members]
+    for g in word:
+        nxt = []
+        for s, t in pairs:
+            u = G.conj(t, g)
+            if u in L.sylow.members:
+                nxt.append((s, u))
+        pairs = nxt
+    return pairs
+
+
 def _pair_tracked_s_word(L, word):
     """S_w from the step-wise pair tracking of s_word_pairs."""
-    return frozenset(s for s, _ in L.s_word_pairs(word))
+    return frozenset(s for s, _ in s_word_pairs(L, word))
 
 
 @settings(max_examples=150, deadline=None)
@@ -949,3 +964,111 @@ def test_state_failure_sites(check, corrupt, count, first, last, digest):
     failures = check(corrupt(), samples=0).failures
     assert (len(failures), failures[:3], failures[-1]) == (count, first, last), failures
     assert hashlib.sha256("\n".join(failures).encode()).hexdigest()[:16] == digest
+
+
+# -- the state graph's levels as blocks ----------------------------------------------
+
+def dict_levels(L, depth):
+    """The state graph as dicts, one scalar ``Group.mul`` per (state, carrier
+    element): level k maps each (product, S_w mask) state of the words of
+    length k to the first word that reaches it, in insertion order."""
+    G = L.ambient
+    current = {(G.identity, L._full_mask): ()}
+    levels = [current]
+    for _ in range(depth):
+        nxt = {}
+        for (prod, mask), word in current.items():
+            for g in L.carrier:
+                h = G.mul(prod, g)
+                key = (h, mask & L._masks[h])
+                if key not in nxt:
+                    nxt[key] = word + (g,)
+        levels.append(nxt)
+        current = nxt
+    return levels
+
+
+def _as_dict_items(level):
+    return [((int(level.products[i]), level.masks[level.which[i]]), level.word(i))
+            for i in range(len(level.lengths))]
+
+
+STATE_GRAPH_CASES = {
+    "s4": lambda: cached_punctured("s4", 2),
+    "a6": lambda: cached_punctured("a6", 2),
+    "a6-centric": lambda: DIFFERENTIAL_CASES["a6-centric"](),
+    "a5xc3^3-untabled": a5xc3_cubed,
+    "c128": c128,
+}
+
+
+@pytest.mark.parametrize("block", [None, 97], ids=["one-chunk", "chunks-of-97"])
+@pytest.mark.parametrize("case", sorted(STATE_GRAPH_CASES))
+def test_state_levels_match_the_dict_construction(case, block, monkeypatch):
+    L = STATE_GRAPH_CASES[case]()
+    if block:  # a level's candidates then span many chunks, cut inside a state
+        monkeypatch.setattr(locality, "SAMPLE_BLOCK", block)
+    levels = locality._state_levels(L, locality.MAX_EXHAUSTIVE_LEN)
+    oracle = dict_levels(L, locality.MAX_EXHAUSTIVE_LEN)
+    assert len(levels) == len(oracle)
+    for level, want in zip(levels, oracle):
+        assert _as_dict_items(level) == list(want.items())
+        assert (level.in_domain == [L.in_domain(w) for _, w in want.items()]).all()
+
+
+def test_state_graph_memory_is_bounded_by_chunks():
+    L = punctured("a6xc3", 2)
+    tracemalloc.start()
+    try:
+        L.state_graph()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(level.lengths) for level in L.state_graph()] == [1, *SEED_STATES["a6xc3"]]
+    assert peak <= 2 * 2**20
+
+
+def _count_scalar_calls(monkeypatch):
+    """Record each ``Group.mul`` and ``Group.conj`` call made outside
+    ``Subgroup.verify``, and the members of each subgroup verified."""
+    calls, verified, inside = [], [], []
+
+    def counted(scalar):
+        def call(self, *args):
+            if not inside:
+                calls.append(args)
+            return scalar(self, *args)
+        return call
+
+    def verify(self, real=Subgroup.verify):
+        verified.append(self.members)
+        inside.append(self)
+        try:
+            return real(self)
+        finally:
+            inside.pop()
+
+    for name in ("mul", "conj"):
+        monkeypatch.setattr(Group, name, counted(getattr(Group, name)))
+    monkeypatch.setattr(Subgroup, "verify", verify)
+    return calls, verified
+
+
+@pytest.mark.parametrize("make", [lambda: punctured("a6xc3", 2),
+                                  lambda: copy.copy(a5xc3_cubed()), c128],
+                         ids=["a6xc3", "a5xc3^3-untabled", "c128"])
+def test_exhaustive_checks_make_no_scalar_products(make, monkeypatch):
+    L = make()
+    L._graph = None  # built afresh below, also on a copy of a cached locality
+    calls, verified = _count_scalar_calls(monkeypatch)
+    levels = L.state_graph()
+    assert calls == [] and verified == []
+    report = locality.CheckReport("states")
+    locality._check_states(L, member_mask(L.ambient, L.carrier_set), report)
+    for level in levels[1:]:
+        assert not locality._inconsistent_masks(L, level).any()
+    assert report.passed and calls == []
+    # one Subgroup.verify per distinct S_w of the states that holds the identity
+    sets = {L._members(m) for level in levels[1:] for m in level.masks}
+    assert sorted(verified, key=sorted) == sorted(
+        (sw for sw in sets if L.ambient.identity in sw), key=sorted)
