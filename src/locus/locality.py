@@ -20,12 +20,12 @@ every word of bounded length lands in a recorded state; the graph is built
 once per locality and shared by both checkers), then run on words drawn
 SAMPLE_BLOCK at a time from ``random.Random(seed)``: lengths 2-5 for the
 partial-group axioms, 1-5 for the locality axioms.  Three rules keep the
-checks from trusting what they check.  The tracked map
-of each state, and the S_w of the (L2) chain witness, come from tracking
-each member of S through the word by ``Group.conj_many`` (``_tracks``).  The
-battery reduces each word it derives from a domain word (every subword and
-splice, and w^-1 o w) from that word's own letters, with its own carrier
-and object tests.  Both (L2) chain oracles take every object image from one
+checks from trusting what they check.  The tracked map of each state, and
+the S_w of the (L2) chain witness, come from tracking each member of S
+through the word by ``Group.conj_many`` (``_tracks``).  The battery reduces
+each word it derives from a domain word (every subword and splice, and
+w^-1 o w) from that word's own letters, with its own carrier and object
+tests.  Both (L2) chain oracles take every object image from one
 object-transport table (P, g) -> P^g, filled lazily, element by element
 with ``Group.conj``, and never from the S_h masks; each distinct (object,
 letter) step of a column is read once.
@@ -57,7 +57,7 @@ SAMPLE_BLOCK = 8192
 # indices drawn per ``randbytes`` call of a seeded draw
 DRAW_CHUNK = 1024
 # domain words whose derived words the battery reduces together, and the
-# (word, member of S) pairs the chain witness tracks together: both keep
+# (word, member of S) pairs that ``_tracks`` follows together: both keep
 # the arrays of a check about as small as those of a block
 BATTERY_CHUNK = 512
 TRACK_CELLS = 1 << 14
